@@ -507,6 +507,13 @@ def rref(matrix: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix given as a list of rows; 0 for no rows."""
+    if not rows:
+        return 0
+    return len(rref(RatMatrix(rows))[1])
+
+
 def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     """Exact basis of the kernel; each vector has 1 in its free coordinate."""
     m, pivots = rref(matrix)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix
+from .algebra import MultiPoly, Q, RatMatrix, rank
 from .core import (
     Balance,
     FailureAtResonance,
@@ -253,14 +253,6 @@ def _transversal_rows(block: list[list[Fraction]], n: int) -> list[int] | None:
     Backtracking, preferring the q-row; the Lagrangian-frame property of a
     symplectic matrix guarantees a solution exists.
     """
-    from .algebra import rref
-
-    def rank_of(rows: list[list[Fraction]]) -> int:
-        if not rows:
-            return 0
-        _, pivots = rref(RatMatrix(rows))
-        return len(pivots)
-
     choice: list[int] = []
 
     def backtrack(i: int, picked: list[list[Fraction]]) -> bool:
@@ -268,7 +260,7 @@ def _transversal_rows(block: list[list[Fraction]], n: int) -> list[int] | None:
             return True
         for pick in (i, n + i):
             trial = picked + [block[pick]]
-            if rank_of(trial) == len(trial):
+            if rank(trial) == len(trial):
                 choice.append(pick)
                 if backtrack(i + 1, trial):
                     return True

@@ -22,11 +22,11 @@ truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix, as_poly
-from .core import Balance, SERIES_VAR, T0_SYMBOL
+from .algebra import MultiPoly, Q, RatMatrix, as_poly, rank
+from .core import Balance, SERIES_VAR
 from .model import ODESystem
 from .series import (
     EXACT,
@@ -34,6 +34,7 @@ from .series import (
     compose,
     rational_power_of_unit,
     revert_series,
+    substitute_coeffs,
     substitute_poly,
 )
 
@@ -91,6 +92,16 @@ def rational_root(value: Fraction, n: int) -> Fraction | None:
 # ----------------------------------------------------------------------
 
 
+def _resonance_entry(
+    series: dict[int, TruncatedSeries], k: tuple[int, ...], i: int, r: int, nm: str
+) -> Fraction:
+    """d a[i, r] / d nm, one entry of a resonance block; a rational constant."""
+    entry = series[i].coeff(r - k[i]).partial(nm)
+    if not entry.is_constant:
+        raise NonConstantResonanceBlock(f"d a[{i},{r}]/d {nm} = {entry} is not constant")
+    return entry.constant_value()
+
+
 @dataclass(frozen=True)
 class NormalizedBalance:
     """State after the indicial normalization."""
@@ -106,21 +117,12 @@ class NormalizedBalance:
     def resonance_matrix(self) -> RatMatrix:
         """R after the normalization: one row per remaining variable, one
         column per remaining parameter; entries must be rational constants."""
-        rows = []
         k = self.balance.dominant.exponents
-        for i in range(self.balance.system.n):
-            if i == self.pivot:
-                continue
-            row = []
-            for nm, r in self.balance.parameters:
-                entry = self.series[i].coeff(r - k[i]).partial(nm)
-                if not entry.is_constant:
-                    raise NonConstantResonanceBlock(
-                        f"d a[{i},{r}]/d {nm} = {entry} is not constant"
-                    )
-                row.append(entry.constant_value())
-            rows.append(row)
-        return RatMatrix(rows)
+        return RatMatrix([
+            [_resonance_entry(self.series, k, i, r, nm) for nm, r in self.balance.parameters]
+            for i in range(self.balance.system.n)
+            if i != self.pivot
+        ])
 
 
 def choose_pivot(balance: Balance) -> int:
@@ -171,22 +173,6 @@ def _reexpanded_coeffs(balance: Balance) -> list[list[MultiPoly]]:
             new_row.append(total)
         out.append(new_row)
     return out
-
-
-def bind_time_to_t0(series: TruncatedSeries, t_symbol: str, t0_symbol: str) -> TruncatedSeries:
-    """Rewrite t-based coefficients back in terms of t0 via t = t0 + (t-t0)."""
-    if all(t_symbol not in p.symbols() for p in series.coeffs.values()):
-        return series
-    t_series = TruncatedSeries(
-        series.var, {0: MultiPoly.var(t0_symbol), 1: 1}, EXACT
-    )
-    out = TruncatedSeries.zero(series.var, trunc=EXACT)
-    for o, poly in series.coeffs.items():
-        if t_symbol in poly.symbols():
-            out = out + substitute_poly(poly, {t_symbol: t_series}, order=EXACT).shift(o)
-        else:
-            out = out + TruncatedSeries.monomial(series.var, o, poly, trunc=EXACT)
-    return out.truncate(series.trunc)
 
 
 def indicial_normalization(
@@ -276,39 +262,18 @@ class Absorption:
     order: tuple[int, ...]  # pivot first, then absorbed variables in order
 
 
-def _series_substitute_params(
-    s: TruncatedSeries, bindings: dict[str, TruncatedSeries]
-) -> TruncatedSeries:
-    out = TruncatedSeries.zero(s.var, trunc=EXACT)
-    for o, poly in s.coeffs.items():
-        if any(v in bindings for v in poly.symbols()):
-            out = out + substitute_poly(poly, bindings, order=EXACT).shift(o)
-        else:
-            out = out + TruncatedSeries.monomial(s.var, o, poly, trunc=EXACT)
-    return out.truncate(s.trunc)
-
-
 def _greedy_rows(columns_matrix: list[list[Fraction]], m: int) -> list[int]:
     """Indices of the first rows whose block-column submatrix reaches rank m."""
     chosen: list[int] = []
     picked_rows: list[list[Fraction]] = []
     for idx, row in enumerate(columns_matrix):
         trial = picked_rows + [row]
-        if _rank(trial) == len(trial):
+        if rank(trial) == len(trial):
             chosen.append(idx)
             picked_rows = trial
         if len(chosen) == m:
             return chosen
     raise PivotSelectionError("no invertible pivot block; balance is not principal")
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    from .algebra import rref
-
-    if not rows:
-        return 0
-    _, pivots = rref(RatMatrix(rows))
-    return len(pivots)
 
 
 def absorb_resonances(
@@ -323,6 +288,12 @@ def absorb_resonances(
     (used by the canonical construction); otherwise rows are chosen greedily
     by smallest index subject to an invertible pivot block.  `last_factor`
     rescales the final variable's rho coefficient.
+
+    The block parameters X are the unique fixed point of X = A^(-1) (base -
+    tails(X)): the tails start at order 1, so coefficient o of tails(X) reads
+    X only below order o.  Pass `known` therefore fixes X exactly below
+    `known`, and runs at that precision only (Brent & Kung's growing
+    precision); the last pass reaches truncation M - lambda.
     """
     balance = nb.balance
     k = balance.dominant.exponents
@@ -354,20 +325,12 @@ def absorb_resonances(
         later_params = [nm for nm, r in params if r > lam]
 
         # pivot block A[v][p] = d a_{v,lam} / d r_p over the remaining rows
-        def entry(v: int, nm: str) -> Fraction:
-            e = series[v].coeff(lam - k[v]).partial(nm)
-            if not e.is_constant:
-                raise NonConstantResonanceBlock(
-                    f"d a[{v},{lam}]/d {nm} = {e} is not constant"
-                )
-            return e.constant_value()
-
-        full = [[entry(v, nm) for nm in block_params] for v in remaining]
+        full = [[_resonance_entry(series, k, v, lam, nm) for nm in block_params] for v in remaining]
         if var_order is None:
             pick = _greedy_rows(full, m)
         else:
             pick = list(range(m))
-            if _rank([full[i] for i in pick]) != m:
+            if rank([full[i] for i in pick]) != m:
                 raise PivotSelectionError(
                     f"prescribed rows {remaining[:m]} give a singular block at resonance {lam}"
                 )
@@ -386,7 +349,10 @@ def absorb_resonances(
                     break
                 coeff = series[v].coeffs[o]
                 bad = [s for s in coeff.symbols() if s in block_params or s in later_params]
-                assert not bad, f"head coefficient depends on unabsorbed parameter {bad}"
+                if bad:
+                    raise AssertionError(
+                        f"head coefficient depends on unabsorbed parameter {bad}"
+                    )
                 head.append((o, coeff))
             rows.append(
                 VariableRow(
@@ -412,25 +378,22 @@ def absorb_resonances(
             TruncatedSeries.constant(tau, rho_polys[r] - a_hat[r], trunc=EXACT)
             for r in range(m)
         ]
-        depth = M - lam
-        X = {
-            nm: series_linear_combo(Ainv.row(r), base, tau, depth)
-            for r, nm in enumerate(block_params)
-        }
-        for _ in range(max(depth, 1)):
-            adjusted = []
-            for r in range(m):
-                t_series = _series_substitute_params(tails[r], X)
-                adjusted.append((base[r] - t_series).truncate(depth))
+        # a pass that knows X below order known - 1 fixes it below `known`
+        X: dict[str, TruncatedSeries] = {}
+        for known in range(min(M - lam, 1), M - lam + 1):
+            adjusted = [
+                (base[r] - substitute_coeffs(tails[r].truncate(known), X)).truncate(known)
+                for r in range(m)
+            ]
             X = {
-                nm: series_linear_combo(Ainv.row(r), adjusted, tau, depth)
+                nm: series_linear_combo(Ainv.row(r), adjusted, tau, known)
                 for r, nm in enumerate(block_params)
             }
 
         # substitute into the variables that remain
         remaining = [v for v in remaining if v not in block_vars]
         for v in remaining:
-            series[v] = _series_substitute_params(series[v], X)
+            series[v] = substitute_coeffs(series[v], X)
         params = [(nm, r) for nm, r in params if nm not in block_params]
         stages.append(
             Stage(
@@ -443,15 +406,7 @@ def absorb_resonances(
         )
 
     if last_factor is not None and rows:
-        last = rows[-1]
-        head = last.head
-        rows[-1] = VariableRow(
-            index=last.index,
-            rho_name=last.rho_name,
-            rho_factor=last_factor,
-            resonance=last.resonance,
-            head=head,
-        )
+        rows[-1] = replace(rows[-1], rho_factor=last_factor)
     return Absorption(
         stages=tuple(stages), rows=tuple(rows), order=tuple(construction_order)
     )
@@ -572,12 +527,12 @@ def transform_system(
             row = cov.rows[m - 1]
             diag = J_entry(m, m)
             expo = row.exponent(cov.k)
-            assert diag.orders() == [expo] and diag.coeffs[expo] == as_poly(
-                row.rho_factor
-            ), "Jacobian diagonal is not the expected monomial"
+            if diag.orders() != [expo] or diag.coeffs[expo] != as_poly(row.rho_factor):
+                raise AssertionError("Jacobian diagonal is not the expected monomial")
             gm = rhs.shift(-expo).scale(1 / row.rho_factor)
         for c in range(m + 1, n):
-            assert J_entry(m, c).is_zero, "Jacobian is not lower triangular"
+            if not J_entry(m, c).is_zero:
+                raise AssertionError("Jacobian is not lower triangular")
         g.append(gm)
         min_exps.append(gm.min_exp if gm.min_exp is not None else 0)
     if trunc is not None:
@@ -616,10 +571,10 @@ def transform_balance(nb: NormalizedBalance, cov: ChangeOfVariable) -> Transform
     negative orders; an implementation fault there is surfaced loudly.
     """
     balance = nb.balance
-    tau_s = bind_time_to_t0(nb.tau_in_dt, balance.system.t_symbol, balance.t0_symbol)
     t_series = TruncatedSeries(
-        SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT
+        SERIES_VAR, {0: MultiPoly.var(balance.t0_symbol), 1: 1}, EXACT
     )
+    tau_s = substitute_coeffs(nb.tau_in_dt, {balance.system.t_symbol: t_series})
     rho_series: dict[str, TruncatedSeries] = {}
     initial: dict[str, MultiPoly] = {}
 

@@ -12,7 +12,7 @@ EXACT is a sentinel truncation for objects that are known completely
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .algebra import MultiPoly, PolyLike, Q, as_poly
 
@@ -251,6 +251,79 @@ class TruncatedSeries:
         return f"TruncatedSeries({self}, trunc={self.trunc})"
 
 
+def _power_table(
+    bindings: Mapping[str, TruncatedSeries], wanted: Iterable[tuple[MultiPoly, int]]
+) -> dict[str, list[TruncatedSeries]]:
+    """x^1 .. x^e for each binding x, e its top degree in the polynomials; x^e at [e - 1].
+
+    `wanted` pairs each polynomial with the order below which it is needed
+    (EXACT: all of it).  A power is multiplied out only as far as a term
+    needs it, given the orders its cofactors start at, and keeps its leading
+    coefficient, so every order is as without the bounds.  Filled in a loop:
+    a self-referencing closure would form a reference cycle that keeps every
+    cached series alive until the cyclic collector runs.
+    """
+    low = {name: s._eff_min() for name, s in bindings.items()}
+    need: dict[str, list[int]] = {}  # need[x][e - 1]: x^e is wanted below this
+    for f, cap in wanted:
+        for exps in f.terms:
+            factors = [(nm, e) for nm, e in zip(f.symbols(), exps) if e and nm in bindings]
+            lift = sum(e * low[nm] for nm, e in factors)
+            for nm, e in factors:
+                row = need.setdefault(nm, [])
+                row.extend([-EXACT] * (e - len(row)))
+                bound = EXACT if cap >= EXACT else cap - lift + e * low[nm]
+                row[e - 1] = max(row[e - 1], bound, e * low[nm] + 1)
+    table: dict[str, list[TruncatedSeries]] = {}
+    for name, row in need.items():
+        for e in range(len(row) - 1, 0, -1):
+            row[e - 1] = max(row[e - 1], row[e] - low[name])
+        table[name] = [bindings[name].truncate(row[0])]
+        for bound in row[1:]:
+            table[name].append(table[name][-1].truncate(bound - low[name]) * bindings[name])
+    return table
+
+
+def _expand(
+    f: MultiPoly, powers: Mapping[str, list[TruncatedSeries]], var: str, cap: int
+) -> TruncatedSeries:
+    """f with the symbols of a `_power_table` replaced; exact below `cap`."""
+    result = TruncatedSeries.zero(var, trunc=EXACT)
+    min_possible = None
+    for exps, c in f.terms.items():
+        residual_vars = []
+        residual_exps = []
+        acc = TruncatedSeries.constant(var, c, trunc=EXACT)
+        term_min = 0
+        dead_term = False  # a zero-series factor makes the term vanish
+        for name, e in zip(f.symbols(), exps):
+            if e == 0:
+                continue
+            if name in powers:
+                acc = acc * powers[name][e - 1]
+                if powers[name][0].is_zero:
+                    dead_term = True
+                else:
+                    term_min += e * powers[name][0]._eff_min()
+            else:
+                residual_vars.append(name)
+                residual_exps.append(e)
+        if residual_vars:
+            acc = acc.scale(MultiPoly(tuple(residual_vars), {tuple(residual_exps): 1}))
+        result = result + acc
+        if not dead_term:
+            min_possible = term_min if min_possible is None else min(min_possible, term_min)
+    # the order cap never triggers underflow: claiming zeros below every
+    # possible contribution is valid knowledge.  Only the bindings' own
+    # truncations can starve the result (a defensive check: honest truncation
+    # propagation always leaves at least the lowest product order claimable).
+    if min_possible is not None and result.trunc <= min_possible and result.trunc < cap and powers:
+        raise TruncationUnderflow(
+            f"truncation {result.trunc} cannot reach the lowest possible order {min_possible}"
+        )
+    return result
+
+
 def substitute_poly(
     f: MultiPoly,
     bindings: Mapping[str, TruncatedSeries],
@@ -271,49 +344,25 @@ def substitute_poly(
             raise VariableMismatch("bindings use different series variables")
     if f.is_zero:
         return TruncatedSeries.zero(var, trunc=order)
-    bound_names = [v for v in f.symbols() if v in bindings]
-    power_cache: dict[tuple[str, int], TruncatedSeries] = {}
+    return _expand(f, _power_table(bindings, [(f, EXACT)]), var, EXACT).truncate(order)
 
-    def power(name: str, e: int) -> TruncatedSeries:
-        key = (name, e)
-        if key not in power_cache:
-            power_cache[key] = bindings[name] ** e
-        return power_cache[key]
 
-    result = TruncatedSeries.zero(var, trunc=EXACT)
-    min_possible = None
-    for exps, c in f.terms.items():
-        residual_vars = []
-        residual_exps = []
-        acc = TruncatedSeries.constant(var, c, trunc=EXACT)
-        term_min = 0
-        dead_term = False  # a zero-series factor makes the term vanish
-        for name, e in zip(f.symbols(), exps):
-            if e == 0:
-                continue
-            if name in bindings:
-                acc = acc * power(name, e)
-                if bindings[name].is_zero:
-                    dead_term = True
-                else:
-                    term_min += e * bindings[name]._eff_min()
-            else:
-                residual_vars.append(name)
-                residual_exps.append(e)
-        if residual_vars:
-            acc = acc.scale(MultiPoly(tuple(residual_vars), {tuple(residual_exps): 1}))
-        result = result + acc
-        if not dead_term:
-            min_possible = term_min if min_possible is None else min(min_possible, term_min)
-    # the order cap never triggers underflow: claiming zeros below every
-    # possible contribution is valid knowledge.  Only the bindings' own
-    # truncations can starve the result (a defensive check: honest truncation
-    # propagation always leaves at least the lowest product order claimable).
-    if min_possible is not None and result.trunc <= min_possible and bound_names:
-        raise TruncationUnderflow(
-            f"truncation {result.trunc} cannot reach the lowest possible order {min_possible}"
-        )
-    return result.truncate(order)
+def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
+    """Replace symbols inside the coefficients of `s` by series in its variable.
+
+    Coefficient a_o becomes a_o(bindings) x^o, expanded only below the
+    truncation of `s`.  Each binding's powers are built once for all
+    coefficients.  Returns `s` when no coefficient uses a bound symbol.
+    """
+    bound = {o: p for o, p in s.coeffs.items() if any(v in bindings for v in p.symbols())}
+    if not bound:
+        return s
+    caps = {o: s.trunc - o if s.trunc < EXACT else EXACT for o in bound}
+    powers = _power_table(bindings, [(p, caps[o]) for o, p in bound.items()])
+    out = TruncatedSeries(s.var, {o: p for o, p in s.coeffs.items() if o not in bound}, EXACT)
+    for o, poly in bound.items():
+        out = out + _expand(poly, powers, s.var, caps[o]).shift(o)
+    return out.truncate(s.trunc)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -356,27 +405,22 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
 def revert_series(s: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse w with s(w(x)) = x modulo x^trunc.
 
-    Solved order by order: each new coefficient is fixed by dividing the
-    defect by the (rational, invertible) leading coefficient.
+    Lagrange inversion: with phi = (s/x)^(-1), the coefficients are
+    [x^n] w = [x^(n-1)] phi^n / n.  The identity holds over any coefficient
+    ring containing Q, so the result is exact; it costs one inverse and
+    trunc - 1 products, all truncated at trunc - 1.
     """
     if s.is_zero or s.min_exp != 1:
         raise NotReversible("reversion needs min_exp exactly 1")
     lead = s.coeffs[1]
     if not lead.is_constant or lead.constant_value() == 0:
         raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
-    c1 = lead.constant_value()
-    T = s.trunc
-    w = TruncatedSeries.monomial(s.var, 1, Q(1) / c1, trunc=T)
-    identity = TruncatedSeries.monomial(s.var, 1, 1, trunc=T)
-    for m in range(2, T):
-        defect = compose(s, w) - identity
-        if defect.trunc <= m:
-            break
-        d = defect.coeffs.get(m)
-        if d is None or d.is_zero:
-            continue
-        w = w + TruncatedSeries.monomial(s.var, m, -d * (Q(1) / c1), trunc=T)
-    return w
+    phi = s.shift(-1).inverse()
+    coeffs, power = {}, TruncatedSeries.constant(s.var, 1)
+    for n in range(1, s.trunc):
+        power = power * phi
+        coeffs[n] = power.coeff(n - 1) * Q(1, n)
+    return TruncatedSeries(s.var, coeffs, s.trunc)
 
 
 def rational_power_of_unit(s: TruncatedSeries, num: int, den: int) -> TruncatedSeries:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -171,6 +172,26 @@ def test_hamiltonian_rejects_degenerate(capsys, tmp_path):
     path.write_text("hamiltonian\nvars: q; p\nH = q*p\n")
     code, _, err = run(capsys, "hamiltonian", str(path))
     assert code == 1
+
+
+# SHA-256 of exact --json reports: GD deeper than the benchmark runs it, and
+# Okamoto's Painleve I (painleve1.ham), which takes the non-autonomous path.
+PINNED_REPORTS = [
+    (("regularize", "painleve1.ham"), "df90937d79060dd00296605e64c94c862ed595b913ddf02b796b10bc667c7518"),
+    (("hamiltonian", "painleve1.ham"), "0c1b3a75913b7f04b29c4fa265578ab37272479fef61538d75bd51b1c53948c5"),
+    (("regularize", "gd.ham", "--order", "20"), "b9eca95a6e68548c7d7aa3c369b4aca93218bddd6f0fd5762a85882998d3c794"),
+    (("hamiltonian", "gd.ham", "--order", "20"), "3f177f3c9add156b95c990bbfd585d63e1692ac50db8505b940a08922f941d3f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_REPORTS, ids=[" ".join(argv) for argv, _ in PINNED_REPORTS]
+)
+def test_report_bytes_pinned(capsys, argv, digest):
+    command, name, *rest = argv
+    code, out, _ = run(capsys, command, str(DATA / name), *rest, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_json_deterministic(capsys):

@@ -16,6 +16,7 @@ from painleve.algebra import (
     integer_eigen_data,
     nullspace,
     poly_det,
+    rank,
     solve_affine,
 )
 
@@ -245,6 +246,13 @@ def test_fraction_canonical_random():
 
             assert value.denominator > 0
             assert gcd(abs(value.numerator), value.denominator) == 1
+
+
+def test_rank():
+    assert rank([]) == 0
+    assert rank([[Q(0), Q(0)]]) == 0
+    assert rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
+    assert rank([[Q(1), Q(2)], [Q(2), Q(4)], [Q(0), Q(1)]]) == 2
 
 
 def test_nullspace_free_coordinate_convention():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as Q
 
@@ -13,6 +14,7 @@ from painleve.series import (
     compose,
     rational_power_of_unit,
     revert_series,
+    substitute_coeffs,
     substitute_poly,
 )
 
@@ -148,6 +150,86 @@ def test_reversion_round_trip_random():
         w = revert_series(s)
         assert compose(s, w).agrees_with(ident)
         assert compose(w, s).agrees_with(ident)
+
+
+def _oracle_reversion(coeffs, trunc):
+    """Reversion by sympy's ring_series, as {order: Fraction}."""
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_series_reversion
+    from sympy.polys.rings import ring
+
+    _, x, y = ring("x, y", QQ)
+    p = sum((QQ(c.numerator, c.denominator) * x**o for o, c in coeffs.items()), 0 * x)
+    out = rs_series_reversion(p, x, trunc, y)
+    return {e[1]: Q(int(c.numerator), int(c.denominator)) for e, c in out.terms()}
+
+
+def _rational_coeffs(w):
+    return {o: p.constant_value() for o, p in w.coeffs.items()}
+
+
+def test_reversion_matches_sympy():
+    pytest.importorskip("sympy")
+    example = {1: Q(2), 2: Q(1), 3: Q(5)}
+    expected = {1: Q(1, 2), 2: Q(-1, 8), 3: Q(-1, 4), 4: Q(45, 128), 5: Q(13, 64)}
+    assert _oracle_reversion(example, 6) == expected
+    assert _rational_coeffs(revert_series(S(example, 6))) == expected
+    rng = random.Random(41)
+    for _ in range(20):
+        trunc = rng.randint(2, 12)
+        coeffs = {1: Q(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3)))}
+        for order in range(2, trunc):
+            if rng.random() < 0.7:
+                coeffs[order] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+        w = revert_series(S(coeffs, trunc))
+        assert w.trunc == trunc
+        assert _rational_coeffs(w) == _oracle_reversion(coeffs, trunc)
+
+
+def test_substitute_coeffs_matches_termwise_substitution():
+    rng = random.Random(13)
+    a, b, c = (MultiPoly.var(nm) for nm in "abc")
+    pool = [a, b, a * b, a**3, b**2 * c, c, a**2 + 3 * b]
+    for _ in range(30):
+        s = S({o: rng.choice(pool) * rng.randint(-2, 2) for o in range(-1, 5)}, rng.choice((4, 5, EXACT)))
+        bindings = {
+            "a": _random_series(rng).shift(rng.choice((-2, 0, 2))),
+            "b": rng.choice((_random_series(rng).shift(-1), S({}))),
+        }
+        expected = S({})
+        for o, poly in s.coeffs.items():
+            expected = expected + substitute_poly(poly, bindings).shift(o)
+        out = substitute_coeffs(s, bindings)
+        assert out.trunc == min(expected.trunc, s.trunc)
+        assert out.agrees_with(expected)
+    plain = S({0: c, 2: 1}, 4)
+    assert substitute_coeffs(plain, {"a": S({1: 1})}) is plain
+
+
+def test_substitute_coeffs_underflow_only_within_truncation():
+    # b is known only below order 1, so b's share of x^3 b is unknown from
+    # x^4 on: that starves a series kept to x^6, not one kept to x^4
+    a, b = MultiPoly.var("a"), MultiPoly.var("b")
+    bindings = {"a": S({2: 1}, 5), "b": S({}, 1)}
+    out = substitute_coeffs(S({3: a**2 + b}, 4), bindings)
+    assert out.is_zero and out.trunc == 4
+    with pytest.raises(TruncationUnderflow):
+        substitute_coeffs(S({3: a**2 + b}, 6), bindings)
+
+
+def test_substitution_leaves_no_garbage_cycle():
+    a, b = MultiPoly.var("a"), MultiPoly.var("b")
+    bindings = {"a": S({0: 1, 1: 2}, 6), "b": S({1: 1, 2: -1}, 6)}
+    s = S({-1: a**4 * b, 1: a**2 + b**3, 2: 7}, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        substitute_poly(a**5 * b**2, bindings)
+        assert gc.collect() == 0
+        substitute_coeffs(s, bindings)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_multiplicative_random():
