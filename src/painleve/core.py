@@ -466,6 +466,10 @@ class Balance:
         coeffs = {j - ki: self.coeffs[i][j] for j in range(self.order)}
         return TruncatedSeries(SERIES_VAR, coeffs, self.order - ki if trunc is None else trunc)
 
+    def time_series(self) -> TruncatedSeries:
+        """The time symbol as the exact series t0 + dt."""
+        return TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(self.t0_symbol), 1: 1}, EXACT)
+
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.parameters)
 
@@ -485,6 +489,110 @@ class FailureAtResonance:
 def needed_parameter_count(rs: ResonanceStructure) -> int:
     """Number of fresh parameters the expansion will inject (resonances >= 1)."""
     return sum(m for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1)
+
+
+_ZERO = MultiPoly.zero()
+
+
+def _coeff_of(factor, n: int, j: int) -> MultiPoly:
+    """Coefficient n of a coefficient list or a `_Product`, at order j."""
+    if n < 0:
+        return _ZERO
+    if isinstance(factor, list):
+        return factor[n] if n < len(factor) else _ZERO
+    return factor.coeff(n, j)
+
+
+class _Product:
+    """Coefficients of left * right, both coefficient lists from index 0.
+
+    At order j the base lists hold their coefficients below j.  A product
+    coefficient n < j reads only those, so it is computed once and kept in
+    `done`; one at n >= j is recomputed at each order with the unsolved
+    coefficients read as zero, exactly as in the product of the partial sums.
+    """
+
+    __slots__ = ("left", "right", "done")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.done: list[MultiPoly] = []
+
+    def coeff(self, n: int, j: int) -> MultiPoly:
+        if n < j:
+            while len(self.done) <= n:
+                self.done.append(self._convolve(len(self.done), j))
+            return self.done[n]
+        return self._convolve(n, j)
+
+    def _convolve(self, n: int, j: int) -> MultiPoly:
+        total = _ZERO
+        for m in range(n + 1):
+            a = _coeff_of(self.left, m, j)
+            if not a.is_zero:
+                b = _coeff_of(self.right, n - m, j)
+                if not b.is_zero:
+                    total = total + a * b
+        return total
+
+
+class _RecursionRhs:
+    """[x^(j - k_i - 1)] f_i(U_{<j}) for each i, one order j at a time.
+
+    U_{<j} are the partial sums of the balance, read from `coeffs`, whose
+    lists the recursion extends in place; the time symbol is t0 + x.  Each
+    monomial of f_i is a chain of cached products (powers of one symbol,
+    then prefix products over its symbols), so an order costs O(j)
+    coefficient products instead of the O(j^2) of expanding f(U_{<j}).
+    """
+
+    def __init__(self, sys: ODESystem, k: tuple[int, ...], coeffs: list[list[MultiPoly]]):
+        # each symbol's coefficient list and the order of its index 0
+        self.lists = dict(zip(sys.u_symbols, coeffs))
+        lowest = {name: -ki for name, ki in zip(sys.u_symbols, k)}
+        if not sys.autonomous:
+            self.lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
+            lowest[sys.t_symbol] = 0
+        self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): [MultiPoly.const(1)]}
+        # per equation: (coefficient with the unbound symbols, product, shift)
+        self.terms: list[list[tuple[MultiPoly, object, int]]] = []
+        for ki, f in zip(k, sys.rhs):
+            row = []
+            for exps, c in f.terms.items():
+                factors, rest, shift = [], {}, ki + 1
+                for name, e in zip(f.symbols(), exps):
+                    if e and name in self.lists:
+                        factors.append((name, e))
+                        shift += e * lowest[name]
+                    elif e:
+                        rest[name] = e
+                coeff = MultiPoly(tuple(rest), {tuple(rest.values()): c})
+                row.append((coeff, self._node(tuple(factors)), shift))
+            self.terms.append(row)
+
+    def _node(self, factors: tuple[tuple[str, int], ...]):
+        """The coefficient list of the product of name^e over `factors`."""
+        if factors not in self.nodes:
+            name, e = factors[-1]
+            if len(factors) > 1:
+                node = _Product(self._node(factors[:-1]), self._node(factors[-1:]))
+            elif e > 1:
+                node = _Product(self._node(((name, e - 1),)), self.lists[name])
+            else:
+                node = self.lists[name]
+            self.nodes[factors] = node
+        return self.nodes[factors]
+
+    def __call__(self, j: int) -> list[MultiPoly]:
+        out = []
+        for row in self.terms:
+            total = _ZERO
+            for coeff, product, shift in row:
+                c = _coeff_of(product, j - shift, j)
+                if not c.is_zero:
+                    total = total + coeff * c
+            out.append(total)
+        return out
 
 
 def expand_balance(
@@ -530,25 +638,10 @@ def expand_balance(
         parameters.extend((nm, r) for nm in by_resonance[r])
 
     coeffs: list[list[MultiPoly]] = [[as_poly(c)] for c in dd.leading]
-    autonomous = sys.autonomous
-    t_series = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT)
+    rhs_at = _RecursionRhs(sys, k, coeffs)
 
     for j in range(1, order):
-        rhs = []
-        # the partial sums are finite Laurent polynomials, hence exact
-        partials = {
-            name: TruncatedSeries(
-                SERIES_VAR,
-                {jj - k[i]: coeffs[i][jj] for jj in range(j)},
-                EXACT,
-            )
-            for i, name in enumerate(sys.u_symbols)
-        }
-        if not autonomous:
-            partials[sys.t_symbol] = t_series
-        for i in range(n):
-            expanded = substitute_poly(sys.rhs[i], partials, order=j - k[i])
-            rhs.append(-expanded.coeff(j - k[i] - 1))
+        rhs = [-c for c in rhs_at(j)]
         shifted = K - RatMatrix.identity(n).scale(j)
         solution = solve_affine(shifted, rhs)
         if isinstance(solution, Inconsistent):
@@ -622,9 +715,7 @@ def residual_check(sys: ODESystem, balance: Balance) -> int | ResidualWitness:
     bound = balance.order - max(k) - 1
     bindings = {name: balance.series(i) for i, name in enumerate(sys.u_symbols)}
     if not sys.autonomous:
-        bindings[sys.t_symbol] = TruncatedSeries(
-            SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT
-        )
+        bindings[sys.t_symbol] = balance.time_series()
     for i, name in enumerate(sys.u_symbols):
         derivative = bindings[name].var_derivative()
         rhs = substitute_poly(sys.rhs[i], bindings, order=bound)

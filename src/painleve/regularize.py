@@ -571,9 +571,7 @@ def transform_balance(nb: NormalizedBalance, cov: ChangeOfVariable) -> Transform
     negative orders; an implementation fault there is surfaced loudly.
     """
     balance = nb.balance
-    t_series = TruncatedSeries(
-        SERIES_VAR, {0: MultiPoly.var(balance.t0_symbol), 1: 1}, EXACT
-    )
+    t_series = balance.time_series()
     tau_s = substitute_coeffs(nb.tau_in_dt, {balance.system.t_symbol: t_series})
     rho_series: dict[str, TruncatedSeries] = {}
     initial: dict[str, MultiPoly] = {}

@@ -344,7 +344,7 @@ def substitute_poly(
             raise VariableMismatch("bindings use different series variables")
     if f.is_zero:
         return TruncatedSeries.zero(var, trunc=order)
-    return _expand(f, _power_table(bindings, [(f, EXACT)]), var, EXACT).truncate(order)
+    return _expand(f, _power_table(bindings, [(f, order)]), var, order).truncate(order)
 
 
 def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries]) -> TruncatedSeries:

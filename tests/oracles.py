@@ -2,12 +2,26 @@
 
 A deliberately separate implementation of univariate Laurent arithmetic over
 Fraction (plain dicts, no package types) used to validate balances and
-transformed systems by direct substitution at instantiated parameter values.
+transformed systems by direct substitution at instantiated parameter values,
+and a reference balance recursion that expands f over the partial sums
+with the series engine at every order (quadratic work per order).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+
+from painleve.algebra import Inconsistent, MultiPoly, RatMatrix, as_poly, solve_affine
+from painleve.core import (
+    SERIES_VAR,
+    T0_SYMBOL,
+    Balance,
+    DominantData,
+    FailureAtResonance,
+    ResonanceStructure,
+)
+from painleve.model import ODESystem
+from painleve.series import EXACT, TruncatedSeries, substitute_poly
 
 Laurent = dict  # order -> Fraction
 
@@ -77,3 +91,79 @@ def residual_orders(rhs_polys, bindings: dict[str, Laurent], names, cut: int):
         diff = ladd(lhs, lneg(rhs))
         bad.append(sorted(o for o, c in diff.items() if o < cut and c != 0))
     return bad
+
+
+def expand_balance_by_substitution(
+    sys: ODESystem,
+    dd: DominantData,
+    rs: ResonanceStructure,
+    order: int,
+    parameter_names: tuple[str, ...] | None = None,
+) -> Balance | FailureAtResonance:
+    """The balance recursion as the engine first ran it: at each order j,
+    rebuild the partial sums as exact series, expand f over them with
+    `substitute_poly` and keep the coefficient at j - k_i - 1."""
+    n = sys.n
+    k = dd.exponents
+    K = rs.K
+
+    leading_params: list[str] = []
+    for c in dd.leading:
+        for s in c.symbols():
+            if s != T0_SYMBOL and s not in leading_params:
+                leading_params.append(s)
+
+    injected = [(r, m) for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1]
+    needed = sum(m for _, m in injected)
+    if parameter_names is None:
+        parameter_names = tuple(
+            f"r{i}" for i in range(2 + len(leading_params), 2 + len(leading_params) + needed)
+        )
+
+    name_iter = iter(parameter_names)
+    by_resonance: dict[int, list[str]] = {}
+    parameters: list[tuple[str, int]] = [(nm, 0) for nm in leading_params]
+    for r, m in injected:
+        by_resonance[r] = [next(name_iter) for _ in range(m)]
+        parameters.extend((nm, r) for nm in by_resonance[r])
+
+    coeffs: list[list[MultiPoly]] = [[as_poly(c)] for c in dd.leading]
+    autonomous = sys.autonomous
+    t_series = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT)
+
+    for j in range(1, order):
+        rhs = []
+        # the partial sums are finite Laurent polynomials, hence exact
+        partials = {
+            name: TruncatedSeries(
+                SERIES_VAR,
+                {jj - k[i]: coeffs[i][jj] for jj in range(j)},
+                EXACT,
+            )
+            for i, name in enumerate(sys.u_symbols)
+        }
+        if not autonomous:
+            partials[sys.t_symbol] = t_series
+        for i in range(n):
+            expanded = substitute_poly(sys.rhs[i], partials, order=j - k[i])
+            rhs.append(-expanded.coeff(j - k[i] - 1))
+        shifted = K - RatMatrix.identity(n).scale(j)
+        solution = solve_affine(shifted, rhs)
+        if isinstance(solution, Inconsistent):
+            return FailureAtResonance(j=j, witness=solution.witness)
+        a_j = list(solution.particular)
+        if j in by_resonance:
+            for name, column in zip(by_resonance[j], rs.eigenbases[j]):
+                p = MultiPoly.var(name)
+                a_j = [a + p * col for a, col in zip(a_j, column)]
+        for i in range(n):
+            coeffs[i].append(a_j[i])
+
+    return Balance(
+        system=sys,
+        dominant=dd,
+        structure=rs,
+        order=order,
+        coeffs=tuple(tuple(row) for row in coeffs),
+        parameters=tuple(parameters),
+    )

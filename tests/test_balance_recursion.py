@@ -1,0 +1,129 @@
+"""The balance recursion against its reference, and its cost in products.
+
+`expand_balance` evaluates one coefficient of f(partial sums) per order
+from cached power and product coefficients; `oracles.expand_balance_by_
+substitution` expands f over the partial sums at every order.  Both must
+give the same coefficients, parameters and failure witnesses.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from oracles import expand_balance_by_substitution
+from painleve.algebra import MultiPoly
+from painleve.core import (
+    Balance,
+    FailureAtResonance,
+    analyze_system,
+    expand_balance,
+    verify_dominant_balance,
+)
+from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
+
+DATA = Path(__file__).parent / "data"
+
+SYNTHETIC = {
+    # non-autonomous, with three bound factors (time among them) in one monomial
+    "t_u1_u2": "system\nvars: u1,u2\nu1' = u2 + 3*u1*u2\nu2' = t*u1*u2 - u2^2\n",
+    # declared parameters left unbound inside the coefficients
+    "params": "system\nvars: u1,u2\nparams: a,b\nu1' = u2\nu2' = 6*u1^2 + a*u1 + b*t\n",
+}
+
+
+def _load(path: Path):
+    system = parse_input(path.read_text())
+    return system if isinstance(system, ODESystem) else hamiltonian_to_system(system)
+
+
+def _systems():
+    for path in sorted(DATA.iterdir()):
+        try:
+            yield path.name, _load(path)
+        except ParseError:
+            continue  # nonpoly.sys: rejected before any expansion
+    for name, text in SYNTHETIC.items():
+        yield name, parse_system(text)
+
+
+def _expandable(system):
+    """(dominant data, resonance structure, default order) per candidate
+    that reaches the expansion."""
+    for cand in analyze_system(system).candidates:
+        if cand.structure is None:
+            continue
+        dd = verify_dominant_balance(system, cand.exponents, cand.leading)
+        yield dd, cand.structure, max(cand.structure.largest + 5, 2)
+
+
+CASES = [
+    (f"{name}-{index}-o{order}", system, dd, rs, order)
+    for name, system in _systems()
+    for index, (dd, rs, default) in enumerate(_expandable(system))
+    for order in sorted({default, 20})
+    if order > rs.largest
+]
+
+
+def test_every_input_reaches_the_expansion():
+    names = {case.split("-")[0] for case, *_ in CASES}
+    assert names >= {p.name for p in DATA.iterdir()} - {"cubic.sys", "nonpoly.sys"}
+    assert names >= set(SYNTHETIC)
+
+
+@pytest.mark.parametrize("case,system,dd,rs,order", CASES, ids=[case for case, *_ in CASES])
+def test_expand_balance_matches_substitution_reference(case, system, dd, rs, order):
+    out = expand_balance(system, dd, rs, order)
+    ref = expand_balance_by_substitution(system, dd, rs, order)
+    assert type(out) is type(ref)
+    if isinstance(ref, Balance):
+        assert out.coeffs == ref.coeffs
+        assert out.parameters == ref.parameters
+    else:
+        assert out == ref
+
+
+def test_inconsistent_witness_matches_reference():
+    system = _load(DATA / "inconsistent.sys")
+    cases = [(dd, rs) for dd, rs, _ in _expandable(system)]
+    failures = [expand_balance(system, dd, rs, 8) for dd, rs in cases]
+    assert any(isinstance(f, FailureAtResonance) for f in failures)
+    for (dd, rs), out in zip(cases, failures):
+        assert out == expand_balance_by_substitution(system, dd, rs, 8)
+
+
+def test_synthetic_systems_exercise_time_and_parameters():
+    for name, symbols in (("t_u1_u2", {"t0"}), ("params", {"a", "b", "t0"})):
+        system = parse_system(SYNTHETIC[name])
+        balances = [expand_balance(system, dd, rs, 12) for dd, rs, _ in _expandable(system)]
+        assert balances and all(isinstance(b, Balance) for b in balances)
+        used = {s for b in balances for row in b.coeffs for c in row for s in c.symbols()}
+        assert used >= symbols
+
+
+def _products_in_expansion(monkeypatch, system, cases, order) -> int:
+    count = 0
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiPoly, "__mul__", counted)
+        patch.setattr(MultiPoly, "__rmul__", counted)
+        for dd, rs in cases:
+            expand_balance(system, dd, rs, order)
+    return count
+
+
+def test_expansion_products_grow_quadratically(monkeypatch):
+    # one coefficient per order costs O(j) products, so doubling the order
+    # multiplies the count by about 4; expanding f(partial sums) gives about 9
+    system = _load(DATA / "henon_heiles.ham")
+    cases = [(dd, rs) for dd, rs, _ in _expandable(system)]
+    assert cases
+    at_30 = _products_in_expansion(monkeypatch, system, cases, 30)
+    at_60 = _products_in_expansion(monkeypatch, system, cases, 60)
+    assert at_60 / at_30 < 5

@@ -174,13 +174,17 @@ def test_hamiltonian_rejects_degenerate(capsys, tmp_path):
     assert code == 1
 
 
-# SHA-256 of exact --json reports: GD deeper than the benchmark runs it, and
-# Okamoto's Painleve I (painleve1.ham), which takes the non-autonomous path.
+# SHA-256 of exact --json reports: GD deeper than the benchmark runs it,
+# Okamoto's Painleve I (painleve1.ham), which takes the non-autonomous path,
+# and two deep `test` runs whose hashes were recorded when the balance
+# recursion still expanded f over the partial sums at every order.
 PINNED_REPORTS = [
     (("regularize", "painleve1.ham"), "df90937d79060dd00296605e64c94c862ed595b913ddf02b796b10bc667c7518"),
     (("hamiltonian", "painleve1.ham"), "0c1b3a75913b7f04b29c4fa265578ab37272479fef61538d75bd51b1c53948c5"),
     (("regularize", "gd.ham", "--order", "20"), "b9eca95a6e68548c7d7aa3c369b4aca93218bddd6f0fd5762a85882998d3c794"),
     (("hamiltonian", "gd.ham", "--order", "20"), "3f177f3c9add156b95c990bbfd585d63e1692ac50db8505b940a08922f941d3f"),
+    (("test", "henon_heiles.ham", "--order", "50"), "972c9984cbdddae44b9985c83fa2022309453a228b7e47119a360e7cc9b96735"),
+    (("test", "gd.ham", "--order", "30"), "4b9c2608cda9ad625fe81f17e1714b4693d2f204653dc2c8006b4ad3d863f20a"),
 ]
 
 

@@ -88,6 +88,21 @@ def test_substitute_low_order_cap_is_valid_zero_knowledge():
     s = TruncatedSeries(X, {1: 1}, 5)
     out = substitute_poly(MultiPoly.var("u") ** 2, {"u": s}, order=1)
     assert out.is_zero and out.trunc == 1
+    # the cap bounds the products as they are formed; every order below it,
+    # and the truncation, are those of the full expansion cut at the cap
+    a, b, r = (MultiPoly.var(nm) for nm in ("a", "b", "r"))
+    f = a**3 * b - 2 * a * b**2 * r + 5 * b**3 + a**2
+    cases = [
+        {"a": S({-1: 2, 0: r, 2: -1}, 4), "b": S({1: 1, 2: 3}, 5)},  # truncated
+        {"a": S({-2: 1, 1: -1}), "b": S({0: r, 3: 2})},  # exact
+        {"a": S({0: 1, 1: 1}, 3), "b": S({-1: 1, 0: -2})},  # mixed
+        {"a": S({1: 1}, 4), "b": S({}, 2)},  # a zero binding known below 2
+    ]
+    for bindings in cases:
+        full = substitute_poly(f, bindings)
+        # N = -10 lies below the lowest order any term can reach
+        for N in range(-10, 12):
+            assert substitute_poly(f, bindings, order=N) == full.truncate(N)
 
 
 def test_revert_identity_and_linear():
