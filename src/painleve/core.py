@@ -10,7 +10,6 @@ parameters can enter the series.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,41 +88,73 @@ def dominant_part(f: MultiPoly, weights: dict[str, int], degree: int | None = No
     return MultiPoly(f.symbols(), kept)
 
 
+def _exponent_rows(sys: ODESystem) -> list[list[tuple[int, ...]]]:
+    """For each equation, the distinct u-exponent vectors of its terms.
+
+    Symbols other than the u_i (time, parameters) carry weight 0, so only
+    the u-exponents decide the weighted degree k . m of a term.
+    """
+    rows = []
+    for f in sys.rhs:
+        where = [f.symbols().index(u) if u in f.symbols() else None for u in sys.u_symbols]
+        rows.append(
+            sorted({tuple(0 if i is None else e[i] for i in where) for e in f.terms})
+        )
+    return rows
+
+
 def is_fuchsian(sys: ODESystem, k: tuple[int, ...]) -> bool:
-    weights = dict(zip(sys.u_symbols, k))
-    for ki, f in zip(k, sys.rhs):
-        wd = f.weighted_degree(weights)
-        if wd is not None and wd > ki + 1:
-            return False
-    return True
+    return all(
+        sum(kj * mj for kj, mj in zip(k, m)) <= ki + 1
+        for ki, ms in zip(k, _exponent_rows(sys))
+        for m in ms
+    )
 
 
 def enumerate_fuchsian_exponents(
     sys: ODESystem, bound: int = 10
 ) -> list[tuple[tuple[int, ...], bool]]:
     """All exponent vectors 0 <= k_i <= bound (not all zero) passing the
-    Fuchsian inequality, tagged with the natural-candidate filter.
+    Fuchsian inequality, tagged with the natural-candidate filter, in
+    lexicographic order.
 
     The tag is a necessary condition for a balance with every c_i nonzero:
     each equation must either have a nonempty slice at degree k_i + 1 or
     have k_i = 0.
+
+    The search assigns k_1, k_2, ... depth first and drops a prefix as soon
+    as a partial weighted degree exceeds its cap: k_i + 1 once k_i is
+    assigned, bound + 1 before (the unassigned part of k . m is
+    non-negative and k_i <= bound).  Its cost follows the Fuchsian set, not
+    the (bound + 1)^n vectors it stands for.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if (bound + 1) ** sys.n > 2_000_000:
         raise ValueError("exponent search space too large; lower the bound")
+    n = sys.n
+    rows = [(i, m) for i, ms in enumerate(_exponent_rows(sys)) for m in ms]
+    k = [0] * n
     found = []
-    for k in itertools.product(range(bound + 1), repeat=sys.n):
-        if not any(k):
-            continue
-        if not is_fuchsian(sys, k):
-            continue
-        weights = dict(zip(sys.u_symbols, k))
-        natural = all(
-            ki == 0 or not dominant_part(f, weights, ki + 1).is_zero
-            for ki, f in zip(k, sys.rhs)
-        )
-        found.append((k, natural))
+
+    def extend(d: int, sums: list[int]) -> None:
+        # sums[r] is the weighted degree of row r over k_1..k_d
+        if d == n:
+            if any(k):
+                natural = all(
+                    ki == 0 or any(s == ki + 1 for s, (i, _) in zip(sums, rows) if i == e)
+                    for e, ki in enumerate(k)
+                )
+                found.append((tuple(k), natural))
+            return
+        for v in range(bound + 1):
+            k[d] = v
+            grown = [s + v * m[d] for s, (_, m) in zip(sums, rows)]
+            # the cap of equation d grows with v, so a failure here may pass at v + 1
+            if all(s <= (k[i] + 1 if i <= d else bound + 1) for s, (i, _) in zip(grown, rows)):
+                extend(d + 1, grown)
+
+    extend(0, [0] * len(rows))
     return found
 
 
@@ -151,9 +182,23 @@ def verify_dominant_balance(sys: ODESystem, k, c) -> DominantData | Rejected:
     return DominantData(exponents=k, leading=c_polys, fuchsian=is_fuchsian(sys, k))
 
 
+# Past this size the divisor search of a coefficient is too slow to run.
+ROOT_SEARCH_CAP = 10**12
+# Nodes one solve_dominant call may visit before it gives up; no solve over
+# the tests/data inputs at bounds up to 18 needs more than 8.
+SEARCH_BUDGET = 800
+
+
+class _SearchIncomplete(Exception):
+    """A capped or budgeted step of solve_dominant could not finish."""
+
+
 def _rational_roots(poly: MultiPoly, name: str) -> list[Fraction] | None:
-    """All rational roots of a univariate polynomial; None if the search
-    is infeasible (degree 0 nonzero has none; zero polynomial means 'any')."""
+    """All rational roots of a univariate polynomial; None if the polynomial
+    is identically zero (every value is a root).
+
+    Raises _SearchIncomplete when the divisor search would have to factor a
+    coefficient above ROOT_SEARCH_CAP."""
     from .algebra import _divisors, _int_lcm
 
     deg = poly.degree_in(name)
@@ -174,13 +219,17 @@ def _rational_roots(poly: MultiPoly, name: str) -> list[Fraction] | None:
         v += 1
     roots = set([Q(0)] if v > 0 else [])
     const = ints[v]
-    if abs(const) > 10**12 or abs(lead) > 10**12:
-        return list(roots)
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Q(p, q), Q(-p, q)):
-                if sum(c * cand**i for i, c in enumerate(ints)) == 0:
-                    roots.add(cand)
+    deflated = len(ints) - 1 - v  # degree of poly / x^v
+    if deflated == 1:
+        roots.add(Q(-const, lead))
+    elif deflated > 1:
+        if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
+            raise _SearchIncomplete("rational-root search capped")
+        for p in _divisors(const):
+            for q in _divisors(lead):
+                for cand in (Q(p, q), Q(-p, q)):
+                    if sum(c * cand**i for i, c in enumerate(ints)) == 0:
+                        roots.add(cand)
     return sorted(roots)
 
 
@@ -212,6 +261,8 @@ def solve_dominant(
     common monomial factor (the variable vanishes, or divide it out).
     Anything that still stalls, or leaves a parameterized family, is reported
     Unsolved and the caller must supply the leading coefficients explicitly.
+    So is a search that runs past SEARCH_BUDGET nodes or meets a coefficient
+    above ROOT_SEARCH_CAP, since its solutions may be incomplete.
     """
     k = tuple(int(x) for x in k)
     names = [f"_c{i}" for i in range(sys.n)]
@@ -221,7 +272,7 @@ def solve_dominant(
         return Unsolved("time-dependent dominant equations")
 
     solutions: list[dict[str, Fraction]] = []
-    budget = [800]
+    budget = [SEARCH_BUDGET]
 
     def finish(assignments: dict[str, MultiPoly]) -> None:
         # resolve the substitution chain to numbers; drop families
@@ -249,7 +300,7 @@ def solve_dominant(
 
     def search(eqs: list[MultiPoly], assignments: dict[str, MultiPoly], free: set[str]) -> None:
         if budget[0] <= 0:
-            return
+            raise _SearchIncomplete("search budget exhausted")
         budget[0] -= 1
         eqs = [e for e in eqs if not e.is_zero]
         if not eqs:
@@ -311,7 +362,10 @@ def solve_dominant(
         stalled.append(True)
 
     stalled: list[bool] = []
-    search(equations, {}, set(names))
+    try:
+        search(equations, {}, set(names))
+    except _SearchIncomplete as incomplete:
+        return Unsolved(str(incomplete))
     if stalled and not solutions:
         return Unsolved()
 

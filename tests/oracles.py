@@ -3,12 +3,14 @@
 A deliberately separate implementation of univariate Laurent arithmetic over
 Fraction (plain dicts, no package types) used to validate balances and
 transformed systems by direct substitution at instantiated parameter values,
-and a reference balance recursion that expands f over the partial sums
-with the series engine at every order (quadratic work per order).
+a reference balance recursion that expands f over the partial sums
+with the series engine at every order (quadratic work per order), and a
+reference exponent enumeration that tests every vector of the box.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as Q
 
 from painleve.algebra import Inconsistent, MultiPoly, RatMatrix, as_poly, solve_affine
@@ -19,6 +21,7 @@ from painleve.core import (
     DominantData,
     FailureAtResonance,
     ResonanceStructure,
+    dominant_part,
 )
 from painleve.model import ODESystem
 from painleve.series import EXACT, TruncatedSeries, substitute_poly
@@ -167,3 +170,26 @@ def expand_balance_by_substitution(
         coeffs=tuple(tuple(row) for row in coeffs),
         parameters=tuple(parameters),
     )
+
+
+def enumerate_fuchsian_by_product(sys: ODESystem, bound: int) -> list[tuple[tuple[int, ...], bool]]:
+    """The exponent enumeration as the engine first ran it: every vector of
+    the box {0..bound}^n, in `itertools.product` order, kept when each f_i
+    has weighted degree at most k_i + 1, tagged natural when each f_i with
+    k_i > 0 has a nonzero slice at degree k_i + 1."""
+    found = []
+    for k in itertools.product(range(bound + 1), repeat=sys.n):
+        if not any(k):
+            continue
+        weights = dict(zip(sys.u_symbols, k))
+        if any(
+            f.weighted_degree(weights) is not None and f.weighted_degree(weights) > ki + 1
+            for ki, f in zip(k, sys.rhs)
+        ):
+            continue
+        natural = all(
+            ki == 0 or not dominant_part(f, weights, ki + 1).is_zero
+            for ki, f in zip(k, sys.rhs)
+        )
+        found.append((k, natural))
+    return found

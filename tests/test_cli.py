@@ -28,6 +28,18 @@ def test_test_cubic_fails_exponents(capsys):
     assert "fails:exponents" in out
 
 
+def test_test_large_coefficient_balance_found(capsys, tmp_path):
+    # the linear factor of 10^13 c^2 + c is solved exactly, however large
+    # its coefficients; a search cap used to drop this principal balance
+    path = tmp_path / "big.sys"
+    path.write_text("system\nvars: u\nu' = 10000000000000*u^2\n")
+    code, out, _ = run(capsys, "test", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "principal"
+    assert report["leading"] == ["-1/10000000000000"]
+
+
 def test_test_pole2_json(capsys):
     code, out, _ = run(capsys, "test", str(DATA / "pole2.sys"), "--json")
     assert code == 0

@@ -1,0 +1,126 @@
+"""The pruned exponent search against the product-loop reference, plus
+metamorphic invariants that need no reference data."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from oracles import enumerate_fuchsian_by_product
+from painleve.algebra import MultiPoly
+from painleve.core import enumerate_fuchsian_exponents, is_fuchsian
+from painleve.model import (
+    HamiltonianSystem,
+    ODESystem,
+    ParseError,
+    hamiltonian_to_system,
+    parse_input,
+)
+
+DATA = Path(__file__).parent / "data"
+
+
+def _load(path: Path) -> ODESystem | None:
+    try:
+        parsed = parse_input(path.read_text())
+    except ParseError:
+        return None
+    return hamiltonian_to_system(parsed) if isinstance(parsed, HamiltonianSystem) else parsed
+
+
+DATA_SYSTEMS = {p.name: s for p in sorted(DATA.iterdir()) if (s := _load(p)) is not None}
+
+
+def _random_system(rng: random.Random) -> tuple[ODESystem, int]:
+    """A system with n = 1..4 whose right sides mix u-monomials with
+    constant, t-only and parameter terms; some right sides are zero."""
+    n = rng.randint(1, 4)
+    us = tuple(f"u{i + 1}" for i in range(n))
+    params = ("a", "b")[: rng.randint(0, 2)]
+    symbols = us + ("t",) + params
+    rhs = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 4])):
+            exps = [rng.choice([0, 0, 1, 2, 3]) for _ in us]
+            exps += [rng.choice([0, 0, 1]) for _ in ("t",) + params]
+            terms[tuple(exps)] = rng.choice([-3, -1, 1, 2, 5])
+        rhs.append(MultiPoly(symbols, terms))
+    bound = rng.randint(1, {1: 14, 2: 12, 3: 8, 4: 5}[n])
+    return ODESystem(us, tuple(rhs), param_symbols=params), bound
+
+
+def _kind(sys: ODESystem, f: MultiPoly) -> str:
+    if set(f.symbols()) & set(sys.param_symbols):
+        return "param"
+    if f.is_zero or f.is_constant:
+        return "zero" if f.is_zero else "const"
+    return "t-only" if f.symbols() == (sys.t_symbol,) else "other"
+
+
+def _assert_permutation_invariant(sys: ODESystem, perm: list[int], bound: int) -> None:
+    permuted = ODESystem(
+        tuple(sys.u_symbols[p] for p in perm),
+        tuple(sys.rhs[p] for p in perm),
+        sys.t_symbol,
+        sys.param_symbols,
+    )
+    found = enumerate_fuchsian_exponents(sys, bound)
+    expected = [(tuple(k[p] for p in perm), nat) for k, nat in found]
+    assert sorted(enumerate_fuchsian_exponents(permuted, bound)) == sorted(expected)
+
+
+@pytest.mark.parametrize("name", sorted(DATA_SYSTEMS))
+def test_matches_product_loop_on_data(name):
+    sys = DATA_SYSTEMS[name]
+    bounds = (1, 2, 5, 10) + ((16, 18) if sys.n == 4 else ())
+    for bound in bounds:
+        assert enumerate_fuchsian_exponents(sys, bound) == enumerate_fuchsian_by_product(sys, bound)
+
+
+def test_matches_product_loop_on_random_systems():
+    rng = random.Random(20131)
+    kinds = set()
+    for _ in range(200):
+        sys, bound = _random_system(rng)
+        found = enumerate_fuchsian_exponents(sys, bound)
+        assert found == enumerate_fuchsian_by_product(sys, bound)
+        fuchsian = {k for k, _ in found}
+        for _ in range(5):
+            k = tuple(rng.randint(0, bound) for _ in range(sys.n))
+            assert is_fuchsian(sys, k) == (k in fuchsian or not any(k))
+        kinds.update(_kind(sys, f) for f in sys.rhs)
+    assert kinds >= {"zero", "const", "t-only", "param"}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_SYSTEMS))
+def test_permuting_variables_permutes_exponents(name):
+    sys = DATA_SYSTEMS[name]
+    _assert_permutation_invariant(sys, list(reversed(range(sys.n))), 10)
+
+
+def test_permuting_random_systems():
+    rng = random.Random(7)
+    for _ in range(50):
+        sys, bound = _random_system(rng)
+        perm = list(range(sys.n))
+        rng.shuffle(perm)
+        _assert_permutation_invariant(sys, perm, bound)
+
+
+MONOTONICITY_CASES = [(name, 5) for name in sorted(DATA_SYSTEMS)] + [("henon_heiles.ham", 29)]
+
+
+@pytest.mark.parametrize("name,bound", MONOTONICITY_CASES)
+def test_bound_monotonicity(name, bound):
+    # bound 29 + 7 = 36 is 37^4 = 1.87M vectors: affordable only with pruning
+    sys = DATA_SYSTEMS[name]
+    wider = enumerate_fuchsian_exponents(sys, bound + 7)
+    narrow = [(k, nat) for k, nat in wider if max(k) <= bound]
+    assert enumerate_fuchsian_exponents(sys, bound) == narrow
+
+
+def test_search_space_guard_still_applies():
+    sys = DATA_SYSTEMS["henon_heiles.ham"]
+    with pytest.raises(ValueError, match="exponent search space too large"):
+        enumerate_fuchsian_exponents(sys, 37)

@@ -1,9 +1,11 @@
 import dataclasses
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from oracles import residual_orders
+from painleve import core
 from painleve.algebra import MultiPoly, RatMatrix
 from painleve.core import (
     Balance,
@@ -27,7 +29,9 @@ from painleve.core import (
     solve_natural_dominant,
     verify_dominant_balance,
 )
-from painleve.model import BalanceSpec, ODESystem, parse_system
+from painleve.model import BalanceSpec, ODESystem, hamiltonian_to_system, parse_input, parse_system
+
+DATA = Path(__file__).parent / "data"
 
 u = MultiPoly.var("u")
 
@@ -128,6 +132,38 @@ def test_solve_dominant_stall_is_unsolved():
         "system\nvars: u1,u2\nu1' = u1^2 + u2^2 + u1*u2\nu2' = u1^2 - u2^2\n"
     )
     assert isinstance(solve_dominant(sys, (1, 1)), Unsolved)
+
+
+def test_solve_dominant_large_linear_factor_is_exact():
+    # 10^13 c^2 + c = c (10^13 c + 1): the linear factor is solved as
+    # -const/lead, with no divisor search of the large coefficient
+    sys = parse_system("system\nvars: u\nu' = 10000000000000*u^2\n")
+    assert solve_dominant(sys, (1,)) == [(Q(-1, 10**13),)]
+    assert analyze_system(sys).verdict == "principal"
+
+
+def test_solve_dominant_capped_root_search_is_unsolved():
+    # c1 (2*10^14 c1^2 - 2) has the rational roots +-1/10^7, but the
+    # quadratic factor's lead is past the search cap: report, do not drop
+    sys = parse_system("system\nvars: u1,u2\nu1' = u2\nu2' = 200000000000000*u1^3\n")
+    assert solve_dominant(sys, (1, 2)) == Unsolved("rational-root search capped")
+    [cand] = analyze_system(sys).candidates
+    assert cand.verdict == "fails:dominant"
+    assert cand.detail == Unsolved("rational-root search capped")
+
+
+def test_solve_dominant_budget_exhaustion_is_unsolved(monkeypatch):
+    sys = hamiltonian_to_system(parse_input((DATA / "henon_heiles.ham").read_text()))
+    pairs = enumerate_fuchsian_exponents(sys, 10)
+    assert all(not isinstance(solve_dominant(sys, k), Unsolved) for k, _ in pairs)
+    monkeypatch.setattr(core, "SEARCH_BUDGET", 5)
+    budget = Unsolved("search budget exhausted")
+    exhausted = [k for k, _ in pairs if solve_dominant(sys, k) == budget]
+    assert exhausted
+    reports = {c.exponents: c for c in analyze_system(sys).candidates}
+    for k in exhausted:
+        assert reports[k].verdict == "fails:dominant"
+        assert reports[k].detail == budget
 
 
 def test_kowalevskian_riccati(riccati_system):
