@@ -5,12 +5,16 @@ positive denominator), so every operation in this module is exact.  A
 polynomial is a sparse map from exponent tuples to coefficients, aligned
 with a sorted tuple of symbol names; two polynomials representing the same
 abstract polynomial compare equal structurally.
+
+The public constructor validates its input; the ring operations build their
+results, already canonical, through the trusted `MultiPoly._canonical`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Q = Fraction
@@ -38,9 +42,11 @@ def _as_fraction(value: Scalar) -> Fraction:
 class MultiPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
-    Canonical form: `vars` is sorted, every variable occurs in some term
-    with positive exponent, and no zero coefficients are stored.  Instances
-    are immutable; all operators return new polynomials.
+    Canonical form: `vars` is sorted and unique, every exponent tuple has
+    one entry per variable, every variable occurs in some term with positive
+    exponent, and no zero coefficients are stored.  Instances are immutable
+    and may share their `terms` dict (an operator may return an operand), so
+    nothing may mutate `terms` after construction.
     """
 
     __slots__ = ("vars", "terms")
@@ -71,6 +77,22 @@ class MultiPoly:
             {tuple(exps[i] for i in order): c for exps, c in cleaned.items()},
         )
 
+    @classmethod
+    def _canonical(cls, vars: tuple[str, ...], terms: dict, rescan: bool = False) -> MultiPoly:
+        """Wrap `terms` unchecked: canonical, except that with `rescan` (after
+        a cancellation or a derivative) some variable may occur in no term."""
+        if not terms:
+            vars = ()
+        elif rescan:
+            used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
+            if len(used) < len(vars):
+                vars = tuple(vars[i] for i in used)
+                terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", vars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
 
@@ -85,15 +107,16 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> MultiPoly:
-        return cls((), {})
+        return _ZERO
 
     @classmethod
     def const(cls, value: Scalar) -> MultiPoly:
-        return cls((), {(): value})
+        c = _as_fraction(value)
+        return cls._canonical((), {(): c}) if c else _ZERO
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
+        return cls._canonical((name,), {(1,): Q(1)})
 
     # ------------------------------------------------------------------
     # predicates and accessors
@@ -143,27 +166,21 @@ class MultiPoly:
 
     def _aligned(self, other: MultiPoly) -> tuple[tuple[str, ...], dict, dict]:
         if self.vars == other.vars:
-            return self.vars, dict(self.terms), dict(other.terms)
+            return self.vars, self.terms, other.terms
         union = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(poly: MultiPoly) -> dict:
-            idx = [union.index(v) for v in poly.vars]
-            out = {}
-            for exps, c in poly.terms.items():
-                key = [0] * len(union)
-                for i, e in zip(idx, exps):
-                    key[i] = e
-                out[tuple(key)] = c
-            return out
-
-        return union, remap(self), remap(other)
+        return union, _remap(self, union), _remap(other, union)
 
     def __add__(self, other: PolyLike) -> MultiPoly:
         other = as_poly(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         vars, a, b = self._aligned(other)
-        for e, c in b.items():
-            a[e] = a.get(e, Q(0)) + c
-        return MultiPoly(vars, a)
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        return MultiPoly._canonical(vars, out, _merge_into(out, b))
 
     __radd__ = __add__
 
@@ -174,19 +191,24 @@ class MultiPoly:
         return as_poly(other) + (-self)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            c0 = _as_fraction(other)
-            return MultiPoly(self.vars, {e: c * c0 for e, c in self.terms.items()})
+            return _scaled(self, _as_fraction(other))
+        if not other.vars:
+            return _scaled(self, other.terms.get((), Q(0)))
+        if not self.vars:
+            return _scaled(other, self.terms.get((), Q(0)))
         vars, a, b = self._aligned(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Q(0)) + ca * cb
-        return MultiPoly(vars, out)
+                key = tuple(map(add, ea, eb))
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+        # degrees add over an integral domain: the top term in each variable survives
+        return MultiPoly._canonical(vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -205,16 +227,15 @@ class MultiPoly:
     def partial(self, name: str) -> MultiPoly:
         """Partial derivative with respect to one symbol."""
         if name not in self.vars:
-            return MultiPoly.zero()
+            return _ZERO
         i = self.vars.index(name)
         out = {}
         for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            key = list(exps)
-            key[i] -= 1
-            out[tuple(key)] = out.get(tuple(key), Q(0)) + c * exps[i]
-        return MultiPoly(self.vars, out)
+            e = exps[i]
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        # distinct terms stay distinct; a variable may occur in no term now
+        return MultiPoly._canonical(self.vars, out, rescan=True)
 
     # ------------------------------------------------------------------
     # substitution
@@ -232,7 +253,9 @@ class MultiPoly:
                 powers[key] = polys[v] ** e
             return powers[key]
 
-        result = MultiPoly.zero()
+        unbound = {v for v in self.vars if v not in polys}
+        union = tuple(sorted(unbound.union(*(p.vars for p in polys.values()))))
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             part = MultiPoly.const(c)
             residual_vars = []
@@ -246,9 +269,10 @@ class MultiPoly:
                     residual_vars.append(v)
                     residual_exps.append(e)
             if residual_vars:
-                part = part * MultiPoly(tuple(residual_vars), {tuple(residual_exps): 1})
-            result = result + part
-        return result
+                residual = MultiPoly._canonical(tuple(residual_vars), {tuple(residual_exps): Q(1)})
+                part = part * residual
+            _merge_into(out, _remap(part, union))
+        return MultiPoly._canonical(union, out, rescan=True)
 
     def substitute(self, bindings: Mapping[str, PolyLike]) -> MultiPoly:
         """Substitute every symbol of the polynomial.
@@ -314,6 +338,46 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+_ZERO = MultiPoly._canonical((), {})
+
+
+def _remap(poly: MultiPoly, union: tuple[str, ...]) -> dict:
+    """`poly.terms` with exponent tuples widened to `union` (a sorted superset)."""
+    if poly.vars == union:
+        return poly.terms
+    idx = [union.index(v) for v in poly.vars]
+    out = {}
+    for exps, c in poly.terms.items():
+        key = [0] * len(union)
+        for i, e in zip(idx, exps):
+            key[i] = e
+        out[tuple(key)] = c
+    return out
+
+
+def _scaled(poly: MultiPoly, c: Fraction) -> MultiPoly:
+    if not c:
+        return _ZERO
+    return MultiPoly._canonical(poly.vars, {e: x * c for e, x in poly.terms.items()})
+
+
+def _merge_into(acc: dict, terms: Mapping[tuple[int, ...], Fraction]) -> bool:
+    """Add `terms` into `acc` in place; True if some coefficient cancelled."""
+    cancelled = False
+    for e, c in terms.items():
+        prev = acc.get(e)
+        if prev is None:
+            acc[e] = c
+        else:
+            c += prev
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+                cancelled = True
+    return cancelled
 
 
 def as_poly(value: PolyLike) -> MultiPoly:

@@ -6,8 +6,8 @@
 
 Exit codes: 0 = at least one principal balance (and, for the deeper
 commands, the construction succeeded), 1 = no principal balance or a
-structural rejection, 2 = usage or parse error.  Reports go to stdout,
-diagnostics to stderr.
+structural rejection, 2 = usage or parse error, 3 = internal error (see
+`EXIT_CODES`).  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, ShapeError, UnboundSymbol
 from .core import (
     AnalysisResult,
     CandidateReport,
@@ -46,10 +46,13 @@ from .model import (
 )
 from .regularize import (
     NoRationalRootPivot,
+    NonConstantResonanceBlock,
+    PivotSelectionError,
     Regular,
     Regularization,
     regularize,
 )
+from .series import NotReversible, TruncationUnderflow, VariableMismatch
 
 DT_DISPLAY = "(t-t0)"
 
@@ -80,6 +83,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 class UsageError(ValueError):
     pass
+
+
+# Exit code per exception class, looked up along the raised exception's MRO;
+# an exception with no entry there propagates as a traceback.
+EXIT_CODES: dict[type, int] = {
+    # usage or parse error; a plain ValueError is one of core's argument checks
+    UsageError: 2, ParseError: 2, FileNotFoundError: 2, ValueError: 2,
+    # structural rejection of the balance
+    NoRationalRootPivot: 1, PivotSelectionError: 1, NonConstantResonanceBlock: 1, NotReversible: 1,
+    # internal error
+    TruncationUnderflow: 3, VariableMismatch: 3, ShapeError: 3, UnboundSymbol: 3, AssertionError: 3,
+}
+
+
+def exit_code(err: BaseException) -> int | None:
+    return next((EXIT_CODES[c] for c in type(err).__mro__ if c in EXIT_CODES), None)
 
 
 def _parse_spec(args, system: ODESystem) -> BalanceSpec | None:
@@ -302,11 +321,7 @@ def cmd_regularize(args) -> int:
         print(f"error: {err} (verdict {result.verdict})", file=sys.stderr)
         return 1
     assert cand.balance is not None
-    try:
-        reg = regularize(cand.balance)
-    except NoRationalRootPivot as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    reg = regularize(cand.balance)
     report = candidate_report(system, cand)
     report["change_of_variable"] = change_of_variable_report(reg, system)
     report["transformed_system"] = transformed_system_report(reg)
@@ -363,11 +378,7 @@ def cmd_hamiltonian(args) -> int:
         _emit(args, report, f"rejected: {sd.reason}")
         return 1
     sd = canonical_exchanges(sd)
-    try:
-        pipe = build_canonical_change(hs, k, l, c, sd, order=cand.balance.order)
-    except NoRationalRootPivot as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    pipe = build_canonical_change(hs, k, l, c, sd, order=cand.balance.order)
     reg = pipe.regularization
     canonical = verify_canonical(pipe.change, n)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, hs.autonomous)
@@ -425,9 +436,10 @@ def main(argv=None) -> int:
         if args.command == "hamiltonian":
             return cmd_hamiltonian(args)
         raise UsageError(f"unknown command {args.command}")
-    except (UsageError, ParseError, FileNotFoundError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as err:
+        code = exit_code(err)
+        print(f"{'internal error' if code == 3 else 'error'}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

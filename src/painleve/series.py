@@ -105,7 +105,8 @@ class TruncatedSeries:
         trunc = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for o, p in other.coeffs.items():
-            out[o] = out.get(o, MultiPoly.zero()) + p
+            prev = out.get(o)
+            out[o] = p if prev is None else prev + p
         return TruncatedSeries(self.var, out, trunc)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -131,7 +132,8 @@ class TruncatedSeries:
                 if o >= trunc:
                     continue
                 prod = pa * pb
-                out[o] = out.get(o, MultiPoly.zero()) + prod
+                prev = out.get(o)
+                out[o] = prod if prev is None else prev + prod
         return TruncatedSeries(self.var, out, trunc)
 
     def shift(self, by: int) -> TruncatedSeries:

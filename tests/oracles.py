@@ -5,7 +5,9 @@ Fraction (plain dicts, no package types) used to validate balances and
 transformed systems by direct substitution at instantiated parameter values,
 a reference balance recursion that expands f over the partial sums
 with the series engine at every order (quadratic work per order), and a
-reference exponent enumeration that tests every vector of the box.
+reference exponent enumeration that tests every vector of the box, and
+the `MultiPoly` ring operations as first written: build the raw term dict,
+then let the validating constructor `MultiPoly(vars, dict)` normalize it.
 """
 
 from __future__ import annotations
@@ -193,3 +195,76 @@ def enumerate_fuchsian_by_product(sys: ODESystem, bound: int) -> list[tuple[tupl
         )
         found.append((k, natural))
     return found
+
+
+def _on_union(a: MultiPoly, b: MultiPoly):
+    union = tuple(sorted(set(a.vars) | set(b.vars)))
+
+    def widen(p: MultiPoly) -> dict:
+        idx = [union.index(v) for v in p.vars]
+        out = {}
+        for exps, c in p.terms.items():
+            key = [0] * len(union)
+            for i, e in zip(idx, exps):
+                key[i] = e
+            out[tuple(key)] = c
+        return out
+
+    return union, widen(a), widen(b)
+
+
+def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    union, ta, tb = _on_union(a, b)
+    raw = dict(ta)
+    for e, c in tb.items():
+        raw[e] = raw.get(e, Q(0)) + c
+    return MultiPoly(union, raw)
+
+
+def poly_neg(a: MultiPoly) -> MultiPoly:
+    return MultiPoly(a.vars, {e: -c for e, c in a.terms.items()})
+
+
+def poly_sub(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    return poly_add(a, poly_neg(b))
+
+
+def poly_mul(a: MultiPoly, b) -> MultiPoly:
+    if not isinstance(b, MultiPoly):
+        return MultiPoly(a.vars, {e: c * Q(b) for e, c in a.terms.items()})
+    union, ta, tb = _on_union(a, b)
+    raw: dict = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            raw[key] = raw.get(key, Q(0)) + ca * cb
+    return MultiPoly(union, raw)
+
+
+def poly_partial(a: MultiPoly, name: str) -> MultiPoly:
+    if name not in a.vars:
+        return MultiPoly((), {})
+    i = a.vars.index(name)
+    raw: dict = {}
+    for exps, c in a.terms.items():
+        if exps[i]:
+            key = list(exps)
+            key[i] -= 1
+            raw[tuple(key)] = raw.get(tuple(key), Q(0)) + c * exps[i]
+    return MultiPoly(a.vars, raw)
+
+
+def poly_replace(a: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
+    """Term by term: the coefficient times each bound factor's power
+    (repeated `poly_mul`) times the unbound factors, summed by `poly_add`."""
+    result = MultiPoly((), {})
+    for exps, c in a.terms.items():
+        part = MultiPoly((), {(): c})
+        for v, e in zip(a.vars, exps):
+            if v in bindings:
+                for _ in range(e):
+                    part = poly_mul(part, bindings[v])
+            else:
+                part = poly_mul(part, MultiPoly((v,), {(e,): 1}))
+        result = poly_add(result, part)
+    return result

@@ -262,3 +262,64 @@ def test_balance_index_out_of_range(capsys):
     )
     assert code == 2
     assert "--balance-index" in err
+
+
+# exceptions that never leave the package: solve_dominant and the
+# Kowalevskian check turn them into verdicts
+CAUGHT_INTERNALLY = {"_SearchIncomplete", "NonConstantKowalevskian"}
+
+
+def test_every_package_exception_has_an_exit_code():
+    import importlib
+    import inspect
+
+    from painleve.cli import EXIT_CODES
+
+    found = set()
+    for name in ("algebra", "series", "model", "core", "regularize", "hamiltonian", "cli"):
+        module = importlib.import_module(f"painleve.{name}")
+        for cls in vars(module).values():
+            if (
+                inspect.isclass(cls)
+                and issubclass(cls, BaseException)
+                and cls.__module__ == module.__name__
+            ):
+                found.add(cls)
+    assert {cls.__name__ for cls in found} >= {"TruncationUnderflow", "UsageError"}
+    for cls in found:
+        if cls.__name__ in CAUGHT_INTERNALLY:
+            continue
+        # the nearest tabled class is the package's own, so a new subclass of
+        # a builtin like ValueError cannot slip into that builtin's exit code
+        tabled = next(c for c in cls.__mro__ if c in EXIT_CODES)
+        assert tabled.__module__.startswith("painleve."), cls
+
+
+def test_exit_codes_follow_the_mro():
+    from painleve.algebra import UnboundSymbol
+    from painleve.cli import UsageError, exit_code
+    from painleve.model import UndeclaredSymbol
+    from painleve.series import NotReversible, TruncationUnderflow
+
+    assert exit_code(UsageError("x")) == 2
+    assert exit_code(UndeclaredSymbol("x", 1)) == 2
+    assert exit_code(ValueError("x")) == 2
+    assert exit_code(NotReversible("x")) == 1
+    assert exit_code(TruncationUnderflow("x")) == 3
+    assert exit_code(UnboundSymbol("x")) == 3
+    assert exit_code(AssertionError()) == 3
+    assert exit_code(TypeError("x")) is None
+
+
+def test_internal_fault_exit_3(capsys, monkeypatch):
+    import painleve.cli
+    from painleve.series import TruncationUnderflow
+
+    def broken(balance):
+        raise TruncationUnderflow("truncation 0 cannot reach the lowest possible order 1")
+
+    monkeypatch.setattr(painleve.cli, "regularize", broken)
+    code, out, err = run(capsys, "regularize", str(DATA / "riccati.sys"), "--json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: truncation 0")

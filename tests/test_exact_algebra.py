@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import oracles
 from painleve.algebra import (
     AffineSolution,
     Inconsistent,
@@ -266,3 +267,101 @@ def test_poly_det():
     a = MultiPoly.var("a")
     rows = [[a, MultiPoly.const(1)], [MultiPoly.const(2), a]]
     assert poly_det(rows) == a**2 - 2
+
+
+# ----------------------------------------------------------------------
+# the ring operations against the validating references in `oracles`
+
+x, y = MultiPoly.var("x"), MultiPoly.var("y")
+SCALARS = (0, -1, Q(3, 7))
+
+
+def _check(op, ref, *args):
+    """op(*args) equals ref(*args), is canonical, and left every operand
+    (and the shared zero) as it was."""
+    polys = [MultiPoly.zero()]
+    for arg in args:
+        polys.extend(arg.values() if isinstance(arg, dict) else [arg])
+    polys = [p for p in polys if isinstance(p, MultiPoly)]
+    before = [(p.vars, dict(p.terms)) for p in polys]
+    result = op(*args)
+    assert [(p.vars, p.terms) for p in polys] == before
+    expected = ref(*args)
+    assert result == expected
+    assert hash(result) == hash(expected)
+    assert list(result.vars) == sorted(set(result.vars))
+    assert all(any(e[i] for e in result.terms) for i in range(len(result.vars)))
+    assert all(len(e) == len(result.vars) for e in result.terms)
+    assert all(type(c) is Q and c != 0 for c in result.terms.values())
+    assert MultiPoly(result.vars, result.terms) == result
+    return result
+
+
+def _battery(a, b, rng):
+    _check(lambda p, q: p + q, oracles.poly_add, a, b)
+    _check(lambda p, q: p - q, oracles.poly_sub, a, b)
+    _check(lambda p, q: p * q, oracles.poly_mul, a, b)
+    _check(lambda p: -p, oracles.poly_neg, a)
+    for s in SCALARS:
+        _check(lambda p, c: p * c, oracles.poly_mul, a, s)
+        _check(lambda p, c: c * p, oracles.poly_mul, a, s)
+        _check(lambda p, c: p + c, oracles.poly_add, a, MultiPoly.const(s))
+    for name in a.vars + ("absent",):
+        _check(lambda p, v: p.partial(v), oracles.poly_partial, a, name)
+    if a.vars:
+        names = rng.sample(a.vars, rng.randint(1, len(a.vars)))
+        bindings = {v: rng.choice((b, a, MultiPoly.zero(), MultiPoly.const(2))) for v in names}
+        _check(lambda p, bd: p.replace(bd), oracles.poly_replace, a, bindings)
+
+
+def _random_poly(rng, pool=("a", "b", "t", "x", "y")):
+    names = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    raw = {}
+    for _ in range(rng.randint(0, 4)):
+        raw[tuple(rng.randint(0, 2) for _ in names)] = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    return MultiPoly(names, raw)
+
+
+def _random_pair(rng):
+    a = _random_poly(rng)
+    kind = rng.randrange(4)
+    if kind == 0:  # a free second operand
+        return a, _random_poly(rng)
+    if kind == 1:  # cancels most of a
+        return a, oracles.poly_add(oracles.poly_neg(a), _random_poly(rng, ("a", "x")))
+    if kind == 2:  # on variables a does not use
+        return a, _random_poly(rng, tuple(v for v in ("a", "b", "t", "x", "y", "z") if v not in a.vars))
+    return a, oracles.poly_neg(a)
+
+
+FIXED_PAIRS = [
+    (x + 1, y * 2),  # disjoint variables
+    (x * y + x, x - y),  # overlapping variables
+    (x + y, -y),  # the sum loses y
+    (x * y - 3, x * y - 3),  # p - p
+    (MultiPoly.zero(), x + y),
+    (x**2 + y, MultiPoly.zero()),
+    (MultiPoly.const(Q(5, 2)), x - y),
+    (MultiPoly.const(-2), MultiPoly.const(2)),
+]
+
+
+@pytest.mark.parametrize("a,b", FIXED_PAIRS, ids=[f"{a}|{b}" for a, b in FIXED_PAIRS])
+def test_ring_operations_match_reference_on_fixed_pairs(a, b):
+    _battery(a, b, random.Random(3))
+
+
+def test_ring_operations_cancel_variables_and_reuse_zero():
+    assert ((x + y) + (-y)).vars == ("x",)
+    p = x * y - 3
+    assert (p - p).vars == () and (p - p).is_zero
+    assert (p * 0) is MultiPoly.zero() and MultiPoly.const(0) is MultiPoly.zero()
+    assert ((x + 1) * (x - 1)).vars == ("x",)
+    assert (x * y + x).partial("y").vars == ("x",)
+
+
+def test_ring_operations_match_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a, b = _random_pair(rng)
+        _battery(a, b, rng)

@@ -321,3 +321,21 @@ def test_transform_system_report_truncation(pole2_candidate):
     reg = regularize(pole2_candidate.balance)
     ts = transform_system(pole2_candidate.balance.system, reg.change, trunc=4)
     assert all(g.trunc <= 4 for g in ts.g)
+
+
+def test_regularize_rarely_runs_the_validating_constructor(monkeypatch, gd_candidate):
+    # the ring operations wrap their results without re-validating: on GD at
+    # order 13 regularize calls MultiPoly.__init__ 78 times, against 24,101
+    # when every sum and product went back through it
+    count = 0
+    init = MultiPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    assert gd_candidate.balance.order == 13
+    regularize(gd_candidate.balance)
+    assert count < 1000
