@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Q = Fraction
 
@@ -143,12 +144,6 @@ class MultiPoly:
             return 0
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
-
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int | None:
         """Max of sum(weight * exponent) over terms; None for the zero polynomial.
@@ -386,13 +381,6 @@ def as_poly(value: PolyLike) -> MultiPoly:
     return MultiPoly.const(value)
 
 
-def poly_sum(items: Iterable[PolyLike]) -> MultiPoly:
-    total = MultiPoly.zero()
-    for item in items:
-        total = total + as_poly(item)
-    return total
-
-
 # ----------------------------------------------------------------------
 # rational matrices
 
@@ -499,42 +487,17 @@ class RatMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        m = [list(row) for row in self.data]
-        n = self.rows
-        det = Q(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Q(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] == 0:
-                    continue
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-        return det
+        _, pivots, det, _ = rref(self.data)
+        return det if len(pivots) == self.rows else Q(0)
 
     def inverse(self) -> RatMatrix:
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(self.data)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ShapeError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        augmented = [list(a) + list(b) for a, b in zip(self.data, RatMatrix.identity(n).data)]
+        m, pivots, _, _ = rref(augmented, n)
+        if len(pivots) < n:
+            raise ShapeError("matrix is singular")
         return RatMatrix([row[n:] for row in m])
 
     def __str__(self) -> str:
@@ -544,48 +507,60 @@ class RatMatrix:
         return f"RatMatrix({self})"
 
 
-def rref(matrix: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(
+    rows: Sequence[Sequence], ncols: int | None = None
+) -> tuple[list[list], list[int], Fraction, list[tuple[int, int]]]:
+    """Gauss-Jordan elimination: the one elimination routine of the package.
 
-    Pivots take the first row with a nonzero entry, scanning columns left to
-    right, which fixes the free-column convention used everywhere downstream.
+    Pivots on the first `ncols` columns (default: all), which must be
+    rational; further columns, which may hold polynomials, are carried along.
+    Each pivot is the first row with a nonzero entry, scanning columns left
+    to right, which fixes the free-column convention used everywhere
+    downstream.  Returns the reduced rows, the pivot columns, the signed
+    product of the pivots (the determinant when they cover a square matrix)
+    and the row swaps, as position swaps in the order they were made.
     """
-    m = [list(row) for row in matrix.data]
+    m = [list(row) for row in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    det = Q(1)
     r = 0
-    for col in range(matrix.cols):
-        pivot = next((i for i in range(r, matrix.rows) if m[i][col] != 0), None)
+    for col in range(ncols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps.append((r, pivot))
+            det = -det
+        det *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [x * inv for x in m[r]]
-        for i in range(matrix.rows):
+        for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - y * f for x, y in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
-        if r == matrix.rows:
-            break
-    return m, pivots
+    return m, pivots, det, swaps
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rational matrix given as a list of rows; 0 for no rows."""
-    if not rows:
-        return 0
-    return len(rref(RatMatrix(rows))[1])
+    return len(rref(RatMatrix(rows).data)[1])
 
 
-def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
-    """Exact basis of the kernel; each vector has 1 in its free coordinate."""
-    m, pivots = rref(matrix)
+def _kernel(m: list[list], pivots: list[int], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis read off reduced rows; each vector has 1 in its free coordinate."""
     basis = []
-    for free in range(matrix.cols):
+    for free in range(ncols):
         if free in pivots:
             continue
-        vec = [Q(0)] * matrix.cols
+        vec = [Q(0)] * ncols
         vec[free] = Q(1)
         for r, col in enumerate(pivots):
             vec[col] = -m[r][free]
@@ -593,8 +568,14 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     return basis
 
 
-def char_poly(matrix: RatMatrix, var: str = "lambda") -> MultiPoly:
-    """Exact monic characteristic polynomial det(x*I - M).
+def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
+    """Exact basis of the kernel; each vector has 1 in its free coordinate."""
+    m, pivots, _, _ = rref(matrix.data)
+    return _kernel(m, pivots, matrix.cols)
+
+
+def char_poly_coeffs(matrix: RatMatrix) -> list[Fraction]:
+    """Coefficients c_0..c_n of the characteristic polynomial det(x*I - M), ascending.
 
     Faddeev-LeVerrier: division-safe (only divides by integers 1..n).
     """
@@ -610,18 +591,25 @@ def char_poly(matrix: RatMatrix, var: str = "lambda") -> MultiPoly:
         coeffs[n - k] = c
         if k < n:
             aux = aux + RatMatrix.identity(n).scale(c)
-    x = MultiPoly.var(var)
-    return poly_sum(x**i * coeffs[i] for i in range(n + 1) if coeffs[i] != 0)
+    return coeffs
 
 
-def char_poly_coeffs(matrix: RatMatrix) -> list[Fraction]:
-    """Coefficients c_0..c_n of the characteristic polynomial, ascending."""
-    p = char_poly(matrix, var="_x")
-    n = matrix.rows
-    out = [Q(0)] * (n + 1)
-    for exps, c in p.terms.items():
-        out[exps[0] if exps else 0] = c
-    return out
+def _univariate(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
+    """The polynomial sum(coeffs[i] * var^i)."""
+    return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs)})
+
+
+def char_poly(matrix: RatMatrix, var: str = "lambda") -> MultiPoly:
+    """Exact monic characteristic polynomial det(x*I - M)."""
+    return _univariate(char_poly_coeffs(matrix), var)
+
+
+# Past this size the divisor search of a coefficient is too slow to run.
+ROOT_SEARCH_CAP = 10**12
+
+
+class _SearchIncomplete(Exception):
+    """A capped or budgeted search could not finish."""
 
 
 def _divisors(n: int) -> list[int]:
@@ -637,13 +625,49 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _int_lcm(values: Iterable[int]) -> int:
-    from math import gcd
+def _synthetic_division(coeffs: Sequence[Scalar], x: Scalar) -> tuple[list, Fraction]:
+    """Horner's rule on ascending coefficients: (quotient by (X - x), value at x)."""
+    acc = Q(0)
+    partial = []
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        partial.append(acc)
+    value = partial.pop()
+    return partial[::-1], value
 
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
+
+def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
+    """Distinct rational roots, ascending, of sum(coeffs[i] * x^i); None if
+    every coefficient is zero (every value is a root).
+
+    A linear factor (after dividing out x^v) is solved exactly; otherwise the
+    candidates p/q, p dividing the constant and q the leading coefficient of
+    the integer-cleared polynomial, are tried.  Raises _SearchIncomplete when
+    that search would have to factor a coefficient above ROOT_SEARCH_CAP.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        return None
+    v = 0
+    while ints[v] == 0:
+        v += 1
+    roots = {Q(0)} if v else set()
+    ints = ints[v:]
+    const, lead = ints[0], ints[-1]
+    if len(ints) == 2:
+        roots.add(Q(-const, lead))
+    elif len(ints) > 2:
+        if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
+            raise _SearchIncomplete("rational-root search capped")
+        for p in _divisors(const):
+            for q in _divisors(lead):
+                for cand in (Q(p, q), Q(-p, q)):
+                    if _synthetic_division(ints, cand)[1] == 0:
+                        roots.add(cand)
+    return sorted(roots)
 
 
 @dataclass(frozen=True)
@@ -677,51 +701,23 @@ class NonIntegerSpectrum:
 def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectrum:
     """Integer eigenvalues with multiplicities and exact eigenbases.
 
-    The characteristic polynomial is factored over Z by rational-root
-    search on its integer-cleared form.  If it does not split over Z, the
-    unfactored remainder is reported instead of an eigenvalue list.
+    The integer roots of the characteristic polynomial come from
+    `rational_roots` and are divided out as often as they divide it.  If the
+    polynomial does not split over Z, the unfactored remainder is reported
+    instead of an eigenvalue list.  Raises _SearchIncomplete when the root
+    search is capped.
     """
-    coeffs = char_poly_coeffs(matrix)
+    poly = char_poly_coeffs(matrix)
     n = matrix.rows
     roots: dict[int, int] = {}
-    poly = coeffs[:]
-    degree = n
-
-    def eval_at(p: list[Fraction], d: int, x: int) -> Fraction:
-        acc = Q(0)
-        for i in range(d, -1, -1):
-            acc = acc * x + p[i]
-        return acc
-
-    def deflate(p: list[Fraction], d: int, root: int) -> list[Fraction]:
-        # synthetic division by (x - root); exact by construction
-        out = [Q(0)] * d
-        out[d - 1] = p[d]
-        for i in range(d - 2, -1, -1):
-            out[i] = p[i + 1] + root * out[i + 1]
-        return out + [Q(0)]
-
-    while degree > 0:
-        if poly[0] == 0:
-            roots[0] = roots.get(0, 0) + 1
-            poly = deflate(poly, degree, 0)
-            degree -= 1
+    for root in rational_roots(poly):
+        if root.denominator != 1:
             continue
-        denom = _int_lcm(poly[i].denominator for i in range(degree + 1))
-        const = int(poly[0] * denom)
-        found = None
-        for d in _divisors(const):
-            for cand in (d, -d):
-                if eval_at(poly, degree, cand) == 0:
-                    found = cand
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        poly = deflate(poly, degree, found)
-        degree -= 1
+        quotient, value = _synthetic_division(poly, root)
+        while value == 0:
+            roots[int(root)] = roots.get(int(root), 0) + 1
+            poly = quotient
+            quotient, value = _synthetic_division(poly, root)
 
     pairs = []
     for value in sorted(roots):
@@ -735,10 +731,8 @@ def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectru
                 basis=tuple(tuple(v) for v in basis),
             )
         )
-    if degree > 0:
-        x = MultiPoly.var("lambda")
-        remainder = poly_sum(x**i * poly[i] for i in range(degree + 1) if poly[i] != 0)
-        return NonIntegerSpectrum(remainder, tuple(pairs))
+    if len(poly) > 1:
+        return NonIntegerSpectrum(_univariate(poly, "lambda"), tuple(pairs))
     return IntegerSpectrum(tuple(pairs))
 
 
@@ -771,35 +765,14 @@ def solve_affine(
     if len(rhs) != matrix.rows:
         raise ShapeError("right side length mismatch")
     n = matrix.rows
-    m = [list(row) for row in matrix.data]
-    b = [as_poly(x) for x in rhs]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        b[r] = b[r] * inv
-        for i in range(n):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - b[r] * f
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if not b[i].is_zero:
-            return Inconsistent(witness=b[i])
+    m, pivots, _, _ = rref([list(row) + [as_poly(b)] for row, b in zip(matrix.data, rhs)], n)
+    for row in m[len(pivots) :]:
+        if not row[n].is_zero:
+            return Inconsistent(witness=row[n])
     particular = [MultiPoly.zero()] * n
-    for row, col in enumerate(pivots):
-        particular[col] = b[row]
-    kernel = nullspace(matrix)
+    for row, col in zip(m, pivots):
+        particular[col] = row[n]
+    kernel = _kernel(m, pivots, n)
     return AffineSolution(tuple(particular), tuple(tuple(v) for v in kernel))
 
 

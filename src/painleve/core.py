@@ -19,9 +19,11 @@ from .algebra import (
     NonIntegerSpectrum,
     Q,
     RatMatrix,
+    _SearchIncomplete,
     as_poly,
     integer_eigen_data,
     poly_det,
+    rational_roots,
     solve_affine,
 )
 from .model import BalanceSpec, ODESystem
@@ -182,55 +184,18 @@ def verify_dominant_balance(sys: ODESystem, k, c) -> DominantData | Rejected:
     return DominantData(exponents=k, leading=c_polys, fuchsian=is_fuchsian(sys, k))
 
 
-# Past this size the divisor search of a coefficient is too slow to run.
-ROOT_SEARCH_CAP = 10**12
 # Nodes one solve_dominant call may visit before it gives up; no solve over
 # the tests/data inputs at bounds up to 18 needs more than 8.
 SEARCH_BUDGET = 800
 
 
-class _SearchIncomplete(Exception):
-    """A capped or budgeted step of solve_dominant could not finish."""
-
-
 def _rational_roots(poly: MultiPoly, name: str) -> list[Fraction] | None:
-    """All rational roots of a univariate polynomial; None if the polynomial
-    is identically zero (every value is a root).
-
-    Raises _SearchIncomplete when the divisor search would have to factor a
-    coefficient above ROOT_SEARCH_CAP."""
-    from .algebra import _divisors, _int_lcm
-
-    deg = poly.degree_in(name)
-    coeffs = [Q(0)] * (deg + 1)
+    """`rational_roots` of a polynomial univariate in `name`."""
+    coeffs = [Q(0)] * (poly.degree_in(name) + 1)
     for exps, c in poly.terms.items():
         e = exps[poly.symbols().index(name)] if name in poly.symbols() else 0
         coeffs[e] += c
-    den = _int_lcm(c.denominator for c in coeffs)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return None  # identically zero
-    lead = ints[-1]
-    # factor out x^v
-    v = 0
-    while ints[v] == 0:
-        v += 1
-    roots = set([Q(0)] if v > 0 else [])
-    const = ints[v]
-    deflated = len(ints) - 1 - v  # degree of poly / x^v
-    if deflated == 1:
-        roots.add(Q(-const, lead))
-    elif deflated > 1:
-        if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
-            raise _SearchIncomplete("rational-root search capped")
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Q(p, q), Q(-p, q)):
-                    if sum(c * cand**i for i, c in enumerate(ints)) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    return rational_roots(coeffs)
 
 
 def _monomial_content(eq: MultiPoly, name: str) -> int:
@@ -262,7 +227,7 @@ def solve_dominant(
     Anything that still stalls, or leaves a parameterized family, is reported
     Unsolved and the caller must supply the leading coefficients explicitly.
     So is a search that runs past SEARCH_BUDGET nodes or meets a coefficient
-    above ROOT_SEARCH_CAP, since its solutions may be incomplete.
+    above algebra.ROOT_SEARCH_CAP, since its solutions may be incomplete.
     """
     k = tuple(int(x) for x in k)
     names = [f"_c{i}" for i in range(sys.n)]
@@ -452,14 +417,20 @@ class ResonanceStructure:
 
 @dataclass(frozen=True)
 class StructureFailure:
-    reason: str  # non_integer_spectrum | negative_resonance | minus_one_multiplicity | not_diagonalizable
+    # non_integer_spectrum | spectrum_search_capped | negative_resonance |
+    # minus_one_multiplicity | not_diagonalizable
+    reason: str
     detail: object = None
 
 
 def resonance_structure(K: RatMatrix) -> ResonanceStructure | StructureFailure:
     """Classify the spectrum of K against the principal requirements:
-    integer eigenvalues, -1 simple, nothing else below 0, diagonalizable."""
-    spectrum = integer_eigen_data(K)
+    integer eigenvalues, -1 simple, nothing else below 0, diagonalizable.
+    A capped eigenvalue search is a failure, not a guess."""
+    try:
+        spectrum = integer_eigen_data(K)
+    except _SearchIncomplete as incomplete:
+        return StructureFailure("spectrum_search_capped", str(incomplete))
     if isinstance(spectrum, NonIntegerSpectrum):
         return StructureFailure("non_integer_spectrum", spectrum.remainder)
     negatives = [p.value for p in spectrum.pairs if p.value < -1]

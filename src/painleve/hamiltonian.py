@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix, rank
+from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rank, rref
 from .core import (
     Balance,
     FailureAtResonance,
@@ -114,7 +114,7 @@ class SymplecticData:
     column_resonances: tuple[int, ...]  # per S column, after the T_n reversal
     S: RatMatrix
     exchange_set: tuple[int, ...] = ()  # dof indices with q <-> p exchanged
-    row_swaps: tuple[tuple[int, int], ...] = ()  # paired dof relabelings applied
+    row_swaps: tuple[tuple[int, int], ...] = ()  # paired dof swaps by position, in order
 
     @property
     def n_dof(self) -> int:
@@ -222,9 +222,10 @@ def symplectic_normalize(
                     {"cols": (a, b), "value": G.entry(a, b)},
                 )
     phi = RatMatrix([[G.entry(i, n + j) for j in range(n)] for i in range(n)])
-    if phi.det() == 0:
+    try:
+        phi_inv = phi.inverse()
+    except ShapeError:  # phi is square, so singular
         return HamiltonianRejected("singular_gram_block", phi)
-    phi_inv = phi.inverse()
     W = RatMatrix([[S0.entry(i, n + j) for j in range(n)] for i in range(n2)])
     W2 = W * phi_inv
     S = RatMatrix(
@@ -294,23 +295,11 @@ def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
         S[i] = [-x for x in old_p]
         S[n + i] = old_q
 
-    # paired relabelings so that A has an LU decomposition without pivoting
-    swaps: list[tuple[int, int]] = []
-    A = [row[:n] for row in S[:n]]
-    perm = list(range(n))
-    work = [row[:] for row in A]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise AssertionError("A is singular after exchanges")
-        if pivot != col:
-            swaps.append((perm[col], perm[pivot]))
-            work[col], work[pivot] = work[pivot], work[col]
-            perm[col], perm[pivot] = perm[pivot], perm[col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / work[col][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    # paired row swaps so that A has an LU decomposition without pivoting:
+    # the elimination's own swaps, applied by position in the same order
+    _, pivots, _, swaps = rref([row[:n] for row in S[:n]])
+    if len(pivots) < n:
+        raise AssertionError("A is singular after exchanges")
     for i, j in swaps:
         S[i], S[j] = S[j], S[i]
         S[n + i], S[n + j] = S[n + j], S[n + i]

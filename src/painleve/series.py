@@ -152,40 +152,26 @@ class TruncatedSeries:
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse; requires an invertible rational leading coefficient."""
+        return self ** -1
+
+    def __pow__(self, n: int) -> TruncatedSeries:
+        """Integer power; beyond n = 0, 1 the operand is written c x^m (1 + w),
+        which requires an invertible rational leading coefficient c."""
+        if n == 0:
+            return TruncatedSeries.constant(self.var, 1, trunc=EXACT)
+        if n == 1:
+            return self
         m = self.min_exp
         if m is None:
-            raise NotReversible("cannot invert the zero series")
+            if n < 0:
+                raise NotReversible("cannot invert the zero series")
+            return TruncatedSeries.zero(self.var, trunc=n * self.trunc)
         lead = self.coeffs[m]
         if not lead.is_constant or lead.constant_value() == 0:
             raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
         c = lead.constant_value()
-        # s = c x^m (1 + w); 1/s = x^{-m} c^{-1} sum (-w)^j
         unit = self.shift(-m).scale(1 / c)
-        w = unit - TruncatedSeries.constant(self.var, 1, trunc=unit.trunc)
-        if not w.is_zero and unit.trunc > 1 << 20:
-            raise ValueError(
-                "inverse of an untruncated non-monomial series is an infinite "
-                "object; truncate the operand first"
-            )
-        total = TruncatedSeries.constant(self.var, 1, trunc=unit.trunc)
-        power = TruncatedSeries.constant(self.var, 1, trunc=unit.trunc)
-        wmin = w._eff_min() if not w.is_zero else None
-        j = 0
-        while not w.is_zero and wmin is not None and (j + 1) * wmin < unit.trunc:
-            power = power * (-w)
-            total = total + power
-            j += 1
-        return total.shift(-m).scale(1 / c)
-
-    def __pow__(self, n: int) -> TruncatedSeries:
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return TruncatedSeries.constant(self.var, 1, trunc=EXACT)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return rational_power_of_unit(unit, n, 1).shift(n * m).scale(c**n)
 
     def map_coeffs(self, fn: Callable[[MultiPoly], MultiPoly]) -> TruncatedSeries:
         return TruncatedSeries(self.var, {o: fn(p) for o, p in self.coeffs.items()}, self.trunc)
@@ -370,10 +356,10 @@ def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """outer(inner(x)), exact to the tracked truncation.
 
-    The inner series must vanish at the origin (min_exp >= 1).  Negative
-    orders of the outer series are handled through inversion of the inner
-    series, which requires its leading coefficient to be an invertible
-    rational; NotReversible otherwise.
+    The inner series must vanish at the origin (min_exp >= 1).  Unless the
+    outer series starts at order 0 or 1, its first power of the inner series
+    (negative orders included) requires the inner leading coefficient to be
+    an invertible rational; NotReversible otherwise.
     """
     if outer.var != inner.var:
         raise VariableMismatch(f"{outer.var} vs {inner.var}")
@@ -428,24 +414,30 @@ def revert_series(s: TruncatedSeries) -> TruncatedSeries:
 def rational_power_of_unit(s: TruncatedSeries, num: int, den: int) -> TruncatedSeries:
     """(1 + w)^(num/den) for a series s = 1 + w with w of positive order.
 
-    Binomial expansion with exact rational binomial coefficients; used for
-    the k-th-root extraction in the indicial normalization.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with
+    alpha = num/den, v = s^alpha satisfies v_0 = 1 and
+    n v_n = sum_{k=1..n} ((alpha + 1) k - n) w_k v_{n-k}, which costs O(T^2)
+    coefficient products and divides only by n, so it stays exact over any
+    coefficient ring containing Q.  An untruncated s has an exact power only
+    for a non-negative integer exponent.
     """
-    one = TruncatedSeries.constant(s.var, 1, trunc=s.trunc)
-    w = s - one
-    if not w.is_zero and w.min_exp <= 0:
+    w = {o: p for o, p in s.coeffs.items() if o != 0}
+    if s.coeffs.get(0) != 1 or (w and min(w) < 0):
         raise NotReversible("rational power needs a unit series 1 + O(x)")
     alpha = Q(num, den)
-    result = one
-    power = one
-    coeff = Q(1)
-    j = 0
-    wmin = w._eff_min() if not w.is_zero else None
-    while not w.is_zero and wmin is not None and (j + 1) * wmin < s.trunc:
-        coeff = coeff * (alpha - j) / (j + 1)
-        power = power * w
-        result = result + power.scale(coeff)
-        j += 1
-    return result
-
-
+    top = s.trunc if w else 1
+    if top > 1 << 20:
+        if alpha.denominator != 1 or alpha < 0:
+            raise ValueError(
+                "power of an untruncated non-monomial series is an infinite "
+                "object; truncate the operand first"
+            )
+        top = int(alpha) * max(w) + 1
+    v = [MultiPoly.const(1)]
+    for n in range(1, top):
+        acc = MultiPoly.zero()
+        for k, wk in w.items():
+            if k <= n and v[n - k]:
+                acc = acc + wk * v[n - k] * ((alpha + 1) * k - n)
+        v.append(acc * Q(1, n))
+    return TruncatedSeries(s.var, dict(enumerate(v)), s.trunc)

@@ -3,13 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from painleve.algebra import MultiPoly, RatMatrix
+from painleve.algebra import MultiPoly, RatMatrix, poly_det
 from painleve.core import analyze_system, resonance_structure
 from painleve.hamiltonian import (
     Canonical,
     CanonicalWitness,
     HamiltonianRejected,
     J_matrix,
+    SymplecticData,
     T_matrix,
     apply_exchanges,
     build_canonical_change,
@@ -176,6 +177,49 @@ def test_canonical_exchanges_gd(gd_candidate):
     A = [[out.S.entry(i, j) for j in range(2)] for i in range(2)]
     assert A[0][0] != 0
     assert A[0][0] * A[1][1] - A[0][1] * A[1][0] != 0
+
+
+def _block_diag_symplectic(A: RatMatrix) -> SymplecticData:
+    """S = diag(A, A^-T), symplectic for any invertible A."""
+    n = A.rows
+    B = A.inverse().transpose()
+    rows = [list(A.row(i)) + [Q(0)] * n for i in range(n)]
+    rows += [[Q(0)] * n + list(B.row(i)) for i in range(n)]
+    return SymplecticData(d=0, pairing=(), column_resonances=tuple(range(2 * n)), S=RatMatrix(rows))
+
+
+def _leading_minors(S: RatMatrix, n: int) -> list:
+    # cofactor expansion, independent of the elimination under test
+    return [
+        poly_det([[MultiPoly.const(S.entry(i, j)) for j in range(m)] for i in range(m)])
+        for m in range(1, n + 1)
+    ]
+
+
+def test_canonical_exchanges_chained_swaps():
+    A = RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    out = canonical_exchanges(_block_diag_symplectic(A))
+    assert out.exchange_set == ()
+    assert out.row_swaps == ((0, 2), (1, 2))
+    assert all(not m.is_zero for m in _leading_minors(out.S, 3))
+    assert out.S.transpose() * J_matrix(3) * out.S == J_matrix(3)
+
+
+def test_canonical_exchanges_random_blocks_are_lu_decomposable():
+    rng = random.Random(97)
+    chained = 0
+    for n in (3, 4, 5):
+        done = 0
+        while done < 40:
+            A = RatMatrix([[rng.choice((0, 0, 0, 1, -2, Q(1, 3))) for _ in range(n)] for _ in range(n)])
+            if A.det() == 0:
+                continue
+            done += 1
+            out = canonical_exchanges(_block_diag_symplectic(A))
+            chained += len(out.row_swaps) >= 2
+            assert all(not m.is_zero for m in _leading_minors(out.S, n))
+            assert out.S.transpose() * J_matrix(n) * out.S == J_matrix(n)
+    assert chained >= 20
 
 
 def test_apply_exchanges_preserves_hamiltonian_form():

@@ -1,0 +1,165 @@
+"""sympy oracles for the exact kernels: the one elimination (`rref`) behind
+det, inverse, rank, nullspace and solve_affine, the characteristic
+polynomial, and the one rational-root search."""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from painleve.algebra import (
+    AffineSolution,
+    Inconsistent,
+    MultiPoly,
+    RatMatrix,
+    ShapeError,
+    char_poly,
+    nullspace,
+    rank,
+    rational_roots,
+    solve_affine,
+)
+
+sympy = pytest.importorskip("sympy")
+
+
+def _rational(rng):
+    return Q(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _random_matrix(rng, n):
+    """A square rational matrix: dense, sparse, or of a chosen lower rank."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return RatMatrix([[_rational(rng) for _ in range(n)] for _ in range(n)])
+    if kind == 1:
+        return RatMatrix(
+            [[_rational(rng) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+        )
+    r = rng.randint(0, n - 1)
+    if r == 0:
+        return RatMatrix.zeros(n, n)
+    left = RatMatrix([[_rational(rng) for _ in range(r)] for _ in range(n)])
+    return left * RatMatrix([[_rational(rng) for _ in range(n)] for _ in range(r)])
+
+
+def _to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def _from_sympy(value):
+    value = sympy.Rational(value)
+    return Q(int(value.p), int(value.q))
+
+
+MATRICES = [_random_matrix(random.Random(seed), 1 + seed % 6) for seed in range(200)]
+
+
+def test_oracle_matrices_cover_singular_and_rank_deficient():
+    ranks = [rank([list(r) for r in M.data]) for M in MATRICES]
+    assert sum(r < M.rows for r, M in zip(ranks, MATRICES)) >= 40
+    assert sum(0 < r < M.rows - 1 for r, M in zip(ranks, MATRICES)) >= 10
+    assert sum(r == M.rows for r, M in zip(ranks, MATRICES)) >= 80
+
+
+def test_elimination_matches_sympy():
+    for M in MATRICES:
+        _check_elimination(M)
+
+
+def _check_elimination(M):
+    n = M.rows
+    ref = _to_sympy(M.data)
+    assert M.det() == _from_sympy(ref.det())
+    assert rank([list(r) for r in M.data]) == ref.rank()
+    if ref.det() != 0:
+        assert M.inverse() == RatMatrix([[_from_sympy(x) for x in row] for row in ref.inv().tolist()])
+    else:
+        with pytest.raises(ShapeError):
+            M.inverse()
+    # nullspace: same span as sympy's basis
+    ours = nullspace(M)
+    theirs = ref.nullspace()
+    assert len(ours) == len(theirs) == n - ref.rank()
+    if ours:
+        ours_m = _to_sympy(ours)
+        assert (ref * ours_m.T).is_zero_matrix
+        assert sympy.Matrix.vstack(ours_m, *[v.T for v in theirs]).rank() == len(ours)
+    lam = sympy.Symbol("lambda")
+    expected = ref.charpoly(lam).all_coeffs()[::-1]
+    x = MultiPoly.var("lambda")
+    assert char_poly(M) == sum(
+        (x**i * _from_sympy(c) for i, c in enumerate(expected)), MultiPoly.zero()
+    )
+
+
+def test_solve_affine_matches_sympy():
+    rng = random.Random(1000)
+    outcomes = [_check_solve_affine(M, rng) for M in MATRICES]
+    assert outcomes.count("inconsistent") >= 20
+    assert outcomes.count("family") >= 20
+
+
+def _check_solve_affine(M, rng):
+    ref = _to_sympy(M.data)
+    # a consistent right side half of the time, an arbitrary one otherwise
+    if rng.random() < 0.5:
+        b = M.matvec([_rational(rng) for _ in range(M.cols)])
+    else:
+        b = [_rational(rng) for _ in range(M.rows)]
+    out = solve_affine(M, b)
+    try:
+        sol, params = ref.gauss_jordan_solve(_to_sympy([b]).T)
+    except ValueError:
+        assert isinstance(out, Inconsistent)
+        assert out.witness.is_constant and not out.witness.is_zero
+        return "inconsistent"
+    assert isinstance(out, AffineSolution)
+    # free coordinates set to zero, as in sympy's parametrized solution
+    particular = sol.subs({p: 0 for p in params})
+    assert list(out.particular) == [MultiPoly.const(_from_sympy(v)) for v in particular]
+    assert [list(v) for v in out.nullspace] == nullspace(M)
+    return "family" if out.nullspace else "unique"
+
+
+def _oracle_roots(coeffs):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ"
+    )
+    return sorted(_from_sympy(r) for r in poly.ground_roots())
+
+
+def _random_polynomial(rng):
+    """Ascending coefficients of a product of rational linear factors, x^v
+    and an optional factor without rational roots."""
+    poly = [Q(rng.choice((1, -1, 2, 3, Q(1, 2))))]
+    factors = [[Q(0), Q(1)]] * rng.randint(0, 2)
+    for _ in range(rng.randint(0, 4)):
+        p, q = rng.randint(-9, 9), rng.randint(1, 6)
+        factors.append([Q(-p), Q(q)])
+    if rng.random() < 0.4:
+        factors.append([Q(rng.choice((2, 3, 5, 7))), Q(0), Q(1)])  # x^2 + prime
+    for f in factors:
+        out = [Q(0)] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        coeffs = _random_polynomial(rng)
+        assert rational_roots(coeffs) == _oracle_roots(coeffs)
+        # trailing zero coefficients do not change the polynomial
+        assert rational_roots(coeffs + [Q(0)]) == _oracle_roots(coeffs)
+
+
+def test_rational_roots_of_zero_and_constant_polynomials():
+    assert rational_roots([]) is None
+    assert rational_roots([Q(0), Q(0)]) is None
+    assert rational_roots([Q(3)]) == []
+    assert rational_roots([Q(0), Q(0), Q(5)]) == [Q(0)]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from oracles import residual_orders
-from painleve import core
+from painleve import algebra, core
 from painleve.algebra import MultiPoly, RatMatrix
 from painleve.core import (
     Balance,
@@ -164,6 +164,18 @@ def test_solve_dominant_budget_exhaustion_is_unsolved(monkeypatch):
     for k in exhausted:
         assert reports[k].verdict == "fails:dominant"
         assert reports[k].detail == budget
+
+
+def test_capped_spectrum_search_fails_the_spectrum(monkeypatch):
+    # lambda^2 - 5 lambda - 6: the constant 6 is past a cap of 5
+    K = RatMatrix([[2, 1], [12, 3]])
+    assert isinstance(resonance_structure(K), ResonanceStructure)
+    monkeypatch.setattr(algebra, "ROOT_SEARCH_CAP", 5)
+    capped = StructureFailure("spectrum_search_capped", "rational-root search capped")
+    assert resonance_structure(K) == capped
+    [cand] = analyze_system(parse_input((DATA / "pole2.sys").read_text())).candidates
+    assert cand.verdict == "fails:spectrum"
+    assert cand.detail == capped
 
 
 def test_kowalevskian_riccati(riccati_system):

@@ -298,3 +298,73 @@ def test_var_derivative():
     assert d.coeff(-2) == MultiPoly.const(-1)
     assert d.coeff(1) == MultiPoly.const(6)
     assert d.trunc == 4
+
+
+def _oracle_unit_power(coeffs, num, den, trunc):
+    """(1 + w)^(num/den) by sympy's ring_series, as {order: Fraction}."""
+    from sympy import QQ, Rational
+    from sympy.polys.ring_series import rs_pow
+    from sympy.polys.rings import ring
+
+    _, x = ring("x", QQ)
+    p = sum((QQ(c.numerator, c.denominator) * x**o for o, c in coeffs.items()), 1 + 0 * x)
+    out = rs_pow(p, Rational(num, den), x, trunc)
+    return {e[0]: Q(int(c.numerator), int(c.denominator)) for e, c in out.terms()}
+
+
+def test_rational_power_of_unit_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for num, den in ((-3, 1), (-1, 1), (-1, 2), (1, 3), (5, 2)):
+        for _ in range(8):
+            trunc = rng.randint(1, 12)
+            coeffs = {
+                o: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                for o in range(1, trunc)
+                if rng.random() < 0.7
+            }
+            out = rational_power_of_unit(S({0: 1, **coeffs}, trunc), num, den)
+            assert out.trunc == trunc
+            assert _rational_coeffs(out) == _oracle_unit_power(coeffs, num, den, trunc)
+
+
+def test_power_times_inverse_power_is_one_with_parameters():
+    rng = random.Random(67)
+    one = S({0: 1})
+    for _ in range(10):
+        s = _random_series(rng, with_params=True).shift(rng.choice((-2, -1, 0)))
+        for n in (1, 2, 3, 5):
+            assert (s**n * s**-n).agrees_with(one)
+            assert (s**-n).agrees_with(s.inverse() ** n)
+
+
+def test_power_needs_an_invertible_rational_lead():
+    s = S({1: MultiPoly.var("r"), 2: 1}, 6)
+    assert s**1 is s
+    with pytest.raises(NotReversible):
+        s**2
+
+
+def _products_in_inverse(monkeypatch, trunc) -> int:
+    count = 0
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    s = S({o: Q(o % 5 + 1, o % 3 + 1) for o in range(trunc)}, trunc)
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiPoly, "__mul__", counted)
+        patch.setattr(MultiPoly, "__rmul__", counted)
+        s.inverse()
+    return count
+
+
+def test_inverse_products_grow_quadratically(monkeypatch):
+    # Miller's recurrence costs O(T^2) coefficient products, so doubling the
+    # truncation multiplies the count by about 4; summing (-w)^j gives about 8
+    at_30 = _products_in_inverse(monkeypatch, 30)
+    at_60 = _products_in_inverse(monkeypatch, 60)
+    assert at_60 / at_30 < 5
