@@ -31,7 +31,7 @@ from .model import ODESystem
 from .series import (
     EXACT,
     TruncatedSeries,
-    compose,
+    compose_many,
     rational_power_of_unit,
     revert_series,
     substitute_coeffs,
@@ -209,14 +209,12 @@ def indicial_normalization(
     tau_in_dt = root_part.shift(1).scale(beta)
     dt_in_tau = revert_series(tau_in_dt).rename_var(tau_name)
 
-    series: dict[int, TruncatedSeries] = {}
-    for i in range(sysm.n):
-        if i == pivot:
-            continue
-        u_i = TruncatedSeries(
-            tau_name, {j - k[i]: table[i][j] for j in range(M)}, M - k[i]
-        )
-        series[i] = compose(u_i, dt_in_tau)
+    others = [i for i in range(sysm.n) if i != pivot]
+    u_others = [
+        TruncatedSeries(tau_name, {j - k[i]: table[i][j] for j in range(M)}, M - k[i])
+        for i in others
+    ]
+    series = dict(zip(others, compose_many(u_others, dt_in_tau)))
     return NormalizedBalance(
         balance=balance,
         pivot=pivot,

@@ -12,7 +12,8 @@ EXACT is a sentinel truncation for objects that are known completely
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+import math
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import MultiPoly, PolyLike, Q, as_poly
 
@@ -354,40 +355,79 @@ def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)), exact to the tracked truncation.
+    """outer(inner(x)), exact to the tracked truncation; see `compose_many`."""
+    return compose_many([outer], inner)[0]
 
-    The inner series must vanish at the origin (min_exp >= 1).  Unless the
-    outer series starts at order 0 or 1, its first power of the inner series
-    (negative orders included) requires the inner leading coefficient to be
-    an invertible rational; NotReversible otherwise.
+
+def compose_many(outers: Sequence[TruncatedSeries], inner: TruncatedSeries) -> list[TruncatedSeries]:
+    """[outer(inner(x)) for outer in outers], exact to the tracked truncations.
+
+    The inner series must vanish at the origin (min_exp m >= 1).  An outer
+    truncated at T is known only below T * m after composition; an outer
+    with a negative order j sees the inner truncated where its j-th power
+    stops mattering.  Unless the lowest order of the outers is 0 or 1, the
+    first power of the inner series (negative orders included) requires an
+    invertible rational inner leading coefficient; NotReversible otherwise.
+
+    The powers inner^j are built once for all outers, one at a time from
+    the lowest order to the highest, restarting at j = 0.  Each is
+    multiplied out only below the highest order an outer still needs from
+    it or from a later power, and is cut to each outer's own bound before
+    it is scaled, so every coefficient and truncation is as if each outer
+    were composed alone with the full powers.
     """
-    if outer.var != inner.var:
-        raise VariableMismatch(f"{outer.var} vs {inner.var}")
+    for outer in outers:
+        if outer.var != inner.var:
+            raise VariableMismatch(f"{outer.var} vs {inner.var}")
     if inner.is_zero or inner.min_exp < 1:
         raise ValueError("inner series must have min_exp >= 1")
-    var = outer.var
-    if outer.is_zero:
-        return TruncatedSeries.zero(var, trunc=outer.trunc * inner.min_exp)
-    lo = outer.min_exp
-    hi = outer.trunc  # exclusive
-    if hi >= EXACT:
-        hi = outer.max_exp + 1  # a finite Laurent polynomial: sum every term
-    if lo < 0:
-        # the result cannot be known beyond hi * min_exp(inner); cap the inner
-        # so negative powers of an exactly-known inner stay finite objects
-        result_cap = hi * inner.min_exp
-        inner = inner.truncate(min(inner.trunc, result_cap - lo * inner.min_exp + 2))
-    power = inner**lo
-    result = TruncatedSeries.zero(var, trunc=EXACT)
+    m = inner.min_exp
+    results: list[TruncatedSeries] = []
+    jobs = []  # (index, outer, lowest order, inner truncation it sees, result bound)
+    for index, outer in enumerate(outers):
+        if outer.is_zero:
+            results.append(TruncatedSeries.zero(outer.var, trunc=outer.trunc * m))
+            continue
+        lo = outer.min_exp
+        hi = outer.trunc if outer.trunc < EXACT else outer.max_exp + 1  # exclusive
+        # below hi * m, a negative power of the inner needs no more than this;
+        # it keeps negative powers of an exactly-known inner finite objects
+        seen = inner.trunc if lo >= 0 else min(inner.trunc, (hi - lo) * m + 2)
+        bound = outer.trunc * m if outer.trunc < EXACT else math.inf
+        jobs.append((index, outer, lo, seen, bound))
+        results.append(TruncatedSeries.zero(outer.var, trunc=EXACT))
+    if not jobs:
+        return results
+    lo = min(job[2] for job in jobs)
+    hi = max(max(job[1].coeffs) + 1 for job in jobs)
+    # need[j - lo]: inner^j is wanted below this order (j m: not at all).
+    # A bound exceeds the order of the coefficient it serves, so every power
+    # on the way to a wanted one keeps its leading coefficient.
+    need = [j * m for j in range(lo, hi)]
+    for _, outer, _, _, bound in jobs:
+        for j in outer.coeffs:
+            need[j - lo] = max(need[j - lo], bound)
+    for j in range(hi - 2, lo - 1, -1):
+        if j != -1:  # inner^0 is not built from inner^-1
+            need[j - lo] = max(need[j - lo], need[j + 1 - lo] - m)
+    negative = inner.truncate(max((job[3] for job in jobs if job[2] < 0), default=EXACT))
     for j in range(lo, hi):
-        c = outer.coeffs.get(j)
-        if c is not None:
-            result = result + power.scale(c)
-        if j + 1 < hi:
-            power = power * inner
-    if outer.trunc >= EXACT:
-        return result
-    return result.truncate(min(result.trunc, outer.trunc * inner.min_exp))
+        base = negative if j < 0 else inner
+        if j in (lo, 0):
+            # inner^j with truncation min(t + (j - 1) m, need), t that of the base
+            power = base.truncate(need[j - lo] - (j - 1) * m) ** j
+        else:
+            power = power.truncate(need[j - lo] - m) * base
+        for index, outer, first, seen, bound in jobs:
+            c = outer.coeffs.get(j)
+            if c is None:
+                continue
+            # the truncation of inner^j built alone from inner truncated at `seen`
+            alone = EXACT if j == first == 0 else seen + (j - 1) * m
+            results[index] = results[index] + power.truncate(min(alone, bound)).scale(c)
+    for index, outer, _, _, bound in jobs:
+        results[index] = results[index].truncate(bound)
+    return results
 
 
 def revert_series(s: TruncatedSeries) -> TruncatedSeries:
@@ -395,8 +435,11 @@ def revert_series(s: TruncatedSeries) -> TruncatedSeries:
 
     Lagrange inversion: with phi = (s/x)^(-1), the coefficients are
     [x^n] w = [x^(n-1)] phi^n / n.  The identity holds over any coefficient
-    ring containing Q, so the result is exact; it costs one inverse and
-    trunc - 1 products, all truncated at trunc - 1.
+    ring containing Q, so the result is exact.  With T = trunc - 1 and
+    K = isqrt(T), baby steps phi^0 .. phi^K and giant steps phi^(gK) give
+    [x^(n-1)] phi^n for n = gK + i as one dot product of the coefficients of
+    phi^(gK) and phi^i (Brent and Kung, JACM 1978): one inverse and about
+    K + T / K products instead of T, all truncated at T.
     """
     if s.is_zero or s.min_exp != 1:
         raise NotReversible("reversion needs min_exp exactly 1")
@@ -404,10 +447,26 @@ def revert_series(s: TruncatedSeries) -> TruncatedSeries:
     if not lead.is_constant or lead.constant_value() == 0:
         raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
     phi = s.shift(-1).inverse()
-    coeffs, power = {}, TruncatedSeries.constant(s.var, 1)
-    for n in range(1, s.trunc):
-        power = power * phi
-        coeffs[n] = power.coeff(n - 1) * Q(1, n)
+    top = s.trunc - 1
+    step = math.isqrt(top)
+    baby = [TruncatedSeries.constant(s.var, 1), phi]
+    while len(baby) <= step:
+        baby.append(baby[-1] * phi)
+    coeffs = {}
+    giant = baby[0]
+    for start in range(0, top + 1, step):
+        if start:
+            giant = giant * baby[step] if start > step else baby[step]
+        for i, small in enumerate(baby[:step]):
+            n = start + i
+            if not 1 <= n <= top:
+                continue
+            acc = MultiPoly.zero()
+            for a, p in giant.coeffs.items():
+                q = small.coeffs.get(n - 1 - a)
+                if q is not None:
+                    acc = acc + p * q
+            coeffs[n] = acc * Q(1, n)
     return TruncatedSeries(s.var, coeffs, s.trunc)
 
 

@@ -5,9 +5,11 @@ Fraction (plain dicts, no package types) used to validate balances and
 transformed systems by direct substitution at instantiated parameter values,
 a reference balance recursion that expands f over the partial sums
 with the series engine at every order (quadratic work per order), and a
-reference exponent enumeration that tests every vector of the box, and
+reference exponent enumeration that tests every vector of the box,
 the `MultiPoly` ring operations as first written: build the raw term dict,
-then let the validating constructor `MultiPoly(vars, dict)` normalize it.
+then let the validating constructor `MultiPoly(vars, dict)` normalize it,
+and series composition and reversion with one full series product per
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from painleve.core import (
     dominant_part,
 )
 from painleve.model import ODESystem
-from painleve.series import EXACT, TruncatedSeries, substitute_poly
+from painleve.series import EXACT, NotReversible, TruncatedSeries, substitute_poly
 
 Laurent = dict  # order -> Fraction
 
@@ -268,3 +270,43 @@ def poly_replace(a: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
                 part = poly_mul(part, MultiPoly((v,), {(e,): 1}))
         result = poly_add(result, part)
     return result
+
+
+def compose_by_power_loop(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """outer(inner(x)) as the engine first ran it: inner^lo, then one full
+    product per order up to the outer's truncation, each power scaled by
+    its coefficient and summed."""
+    if outer.var != inner.var or inner.is_zero or inner.min_exp < 1:
+        raise ValueError("reference compose needs one variable and an inner of positive order")
+    if outer.is_zero:
+        return TruncatedSeries.zero(outer.var, trunc=outer.trunc * inner.min_exp)
+    lo = outer.min_exp
+    hi = outer.trunc if outer.trunc < EXACT else outer.max_exp + 1
+    if lo < 0:
+        result_cap = hi * inner.min_exp
+        inner = inner.truncate(min(inner.trunc, result_cap - lo * inner.min_exp + 2))
+    power = inner**lo
+    result = TruncatedSeries.zero(outer.var, trunc=EXACT)
+    for j in range(lo, hi):
+        c = outer.coeffs.get(j)
+        if c is not None:
+            result = result + power.scale(c)
+        if j + 1 < hi:
+            power = power * inner
+    if outer.trunc >= EXACT:
+        return result
+    return result.truncate(min(result.trunc, outer.trunc * inner.min_exp))
+
+
+def revert_by_power_loop(s: TruncatedSeries) -> TruncatedSeries:
+    """Lagrange reversion as the engine first ran it: phi = (s/x)^(-1), then
+    phi^n = phi^(n-1) * phi for every n below the truncation, reading
+    [x^(n-1)] phi^n / n from each."""
+    if s.is_zero or s.min_exp != 1:
+        raise NotReversible("reversion needs min_exp exactly 1")
+    phi = s.shift(-1).inverse()
+    coeffs, power = {}, TruncatedSeries.constant(s.var, 1)
+    for n in range(1, s.trunc):
+        power = power * phi
+        coeffs[n] = power.coeff(n - 1) * Q(1, n)
+    return TruncatedSeries(s.var, coeffs, s.trunc)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import enumerate_fuchsian_by_product
+from painleve import core
 from painleve.algebra import MultiPoly
 from painleve.core import enumerate_fuchsian_exponents, is_fuchsian
 from painleve.model import (
@@ -120,7 +121,13 @@ def test_bound_monotonicity(name, bound):
     assert enumerate_fuchsian_exponents(sys, bound) == narrow
 
 
-def test_search_space_guard_still_applies():
+def test_search_space_guard_still_applies(monkeypatch):
+    # the guard budgets the values tried, not the (bound + 1)^n box: bound 37
+    # (38^4 = 2.09M vectors, refused by the box guard) tries about 20,500
     sys = DATA_SYSTEMS["henon_heiles.ham"]
+    wider = enumerate_fuchsian_exponents(sys, 37)
+    narrow = [(k, nat) for k, nat in wider if max(k) <= 36]
+    assert enumerate_fuchsian_exponents(sys, 36) == narrow
+    monkeypatch.setattr(core, "EXPONENT_BUDGET", 20_000)
     with pytest.raises(ValueError, match="exponent search space too large"):
         enumerate_fuchsian_exponents(sys, 37)

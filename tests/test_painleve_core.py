@@ -152,6 +152,14 @@ def test_solve_dominant_capped_root_search_is_unsolved():
     assert cand.detail == Unsolved("rational-root search capped")
 
 
+def test_solve_dominant_checks_parameterized_equations_identically():
+    # at k = (1, 2), c1 = a c2 and c2 = 0 resolve to numbers; checking
+    # -a c2 + c1 = 0 at them must not need a value for the parameter a
+    sys = parse_system("system\nvars: u, v\nparams: a\nu' = -a*v\nv' = 81 - u\n")
+    assert solve_dominant(sys, (1, 2)) == []
+    assert analyze_system(sys).verdict == "fails:dominant"
+
+
 def test_solve_dominant_budget_exhaustion_is_unsolved(monkeypatch):
     sys = hamiltonian_to_system(parse_input((DATA / "henon_heiles.ham").read_text()))
     pairs = enumerate_fuchsian_exponents(sys, 10)

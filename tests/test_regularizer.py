@@ -339,3 +339,34 @@ def test_regularize_rarely_runs_the_validating_constructor(monkeypatch, gd_candi
     assert gd_candidate.balance.order == 13
     regularize(gd_candidate.balance)
     assert count < 1000
+
+
+def _products_in_normalization(monkeypatch, gd_system, order) -> int:
+    result = analyze_system(gd_system, bound=5, order=order)
+    (cand,) = [
+        c for c in result.principal_candidates() if [str(x) for x in c.leading] == ["1", "0", "-1", "1"]
+    ]
+    count = 0
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiPoly, "__mul__", counted)
+        patch.setattr(MultiPoly, "__rmul__", counted)
+        indicial_normalization(cand.balance)
+    return count
+
+
+def test_normalization_products_stay_bounded(monkeypatch, gd_system):
+    # one power chain shared by the three compositions, each power cut where
+    # no result needs it, and baby-step/giant-step reversion: 1,610 and 9,195
+    # products at orders 16 and 30, against 5,602 and 42,929 with a full
+    # product per order for every composition and for the reversion
+    at_16 = _products_in_normalization(monkeypatch, gd_system, 16)
+    at_30 = _products_in_normalization(monkeypatch, gd_system, 30)
+    assert at_16 < 2_200
+    assert at_30 < 12_000
