@@ -425,7 +425,7 @@ def compose_many(outers: Sequence[TruncatedSeries], inner: TruncatedSeries) -> l
             # the truncation of inner^j built alone from inner truncated at `seen`
             alone = EXACT if j == first == 0 else seen + (j - 1) * m
             results[index] = results[index] + power.truncate(min(alone, bound)).scale(c)
-    for index, outer, _, _, bound in jobs:
+    for index, _, _, _, bound in jobs:
         results[index] = results[index].truncate(bound)
     return results
 
