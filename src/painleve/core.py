@@ -27,7 +27,7 @@ from .algebra import (
     solve_affine,
 )
 from .model import BalanceSpec, ODESystem
-from .series import EXACT, TruncatedSeries, substitute_poly
+from .series import EXACT, RelaxedSubstitution, TruncatedSeries, substitute_poly
 
 T0_SYMBOL = "t0"
 SERIES_VAR = "dt"  # stands for (t - t0)
@@ -49,11 +49,6 @@ class DominantData:
 
     def weights(self, sys: ODESystem) -> dict[str, int]:
         return dict(zip(sys.u_symbols, self.exponents))
-
-    def rational_leading(self) -> tuple[Fraction, ...] | None:
-        if all(c.is_constant for c in self.leading):
-            return tuple(c.constant_value() for c in self.leading)
-        return None
 
 
 @dataclass(frozen=True)
@@ -398,7 +393,6 @@ class ResonanceStructure:
     resonances: tuple[int, ...]  # -1 first, strictly increasing
     multiplicities: tuple[int, ...]
     eigenbases: dict[int, tuple[tuple[Fraction, ...], ...]]
-    diagonalizable: bool = True
 
     @property
     def partial_sums(self) -> tuple[int, ...]:
@@ -410,19 +404,8 @@ class ResonanceStructure:
         return tuple(sums)
 
     @property
-    def positive_resonances(self) -> tuple[int, ...]:
-        return tuple(r for r in self.resonances if r >= 1)
-
-    @property
     def largest(self) -> int:
         return self.resonances[-1]
-
-    def matrix(self) -> RatMatrix:
-        """Resonance matrix: eigenbasis columns, blocks in resonance order."""
-        columns = []
-        for r in self.resonances:
-            columns.extend(self.eigenbases[r])
-        return RatMatrix.from_columns(columns)
 
 
 @dataclass(frozen=True)
@@ -505,9 +488,6 @@ class Balance:
         """The time symbol as the exact series t0 + dt."""
         return TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(self.t0_symbol), 1: 1}, EXACT)
 
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.parameters)
-
     @property
     def n_s(self) -> int:
         return 1 + len(self.parameters)
@@ -526,108 +506,28 @@ def needed_parameter_count(rs: ResonanceStructure) -> int:
     return sum(m for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1)
 
 
-_ZERO = MultiPoly.zero()
-
-
-def _coeff_of(factor, n: int, j: int) -> MultiPoly:
-    """Coefficient n of a coefficient list or a `_Product`, at order j."""
-    if n < 0:
-        return _ZERO
-    if isinstance(factor, list):
-        return factor[n] if n < len(factor) else _ZERO
-    return factor.coeff(n, j)
-
-
-class _Product:
-    """Coefficients of left * right, both coefficient lists from index 0.
-
-    At order j the base lists hold their coefficients below j.  A product
-    coefficient n < j reads only those, so it is computed once and kept in
-    `done`; one at n >= j is recomputed at each order with the unsolved
-    coefficients read as zero, exactly as in the product of the partial sums.
-    """
-
-    __slots__ = ("left", "right", "done")
-
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-        self.done: list[MultiPoly] = []
-
-    def coeff(self, n: int, j: int) -> MultiPoly:
-        if n < j:
-            while len(self.done) <= n:
-                self.done.append(self._convolve(len(self.done), j))
-            return self.done[n]
-        return self._convolve(n, j)
-
-    def _convolve(self, n: int, j: int) -> MultiPoly:
-        total = _ZERO
-        for m in range(n + 1):
-            a = _coeff_of(self.left, m, j)
-            if not a.is_zero:
-                b = _coeff_of(self.right, n - m, j)
-                if not b.is_zero:
-                    total = total + a * b
-        return total
-
-
 class _RecursionRhs:
     """[x^(j - k_i - 1)] f_i(U_{<j}) for each i, one order j at a time.
 
     U_{<j} are the partial sums of the balance, read from `coeffs`, whose
     lists the recursion extends in place; the time symbol is t0 + x.  Each
-    monomial of f_i is a chain of cached products (powers of one symbol,
-    then prefix products over its symbols), so an order costs O(j)
-    coefficient products instead of the O(j^2) of expanding f(U_{<j}).
+    f_i is one term list of a `RelaxedSubstitution` over those lists, so an
+    order costs O(j) coefficient products instead of the O(j^2) of
+    expanding f(U_{<j}).
     """
 
     def __init__(self, sys: ODESystem, k: tuple[int, ...], coeffs: list[list[MultiPoly]]):
-        # each symbol's coefficient list and the order of its index 0
-        self.lists = dict(zip(sys.u_symbols, coeffs))
-        lowest = {name: -ki for name, ki in zip(sys.u_symbols, k)}
+        lists = dict(zip(sys.u_symbols, coeffs))
+        first = {name: -ki for name, ki in zip(sys.u_symbols, k)}
         if not sys.autonomous:
-            self.lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
-            lowest[sys.t_symbol] = 0
-        self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): [MultiPoly.const(1)]}
-        # per equation: (coefficient with the unbound symbols, product, shift)
-        self.terms: list[list[tuple[MultiPoly, object, int]]] = []
-        for ki, f in zip(k, sys.rhs):
-            row = []
-            for exps, c in f.terms.items():
-                factors, rest, shift = [], {}, ki + 1
-                for name, e in zip(f.symbols(), exps):
-                    if e and name in self.lists:
-                        factors.append((name, e))
-                        shift += e * lowest[name]
-                    elif e:
-                        rest[name] = e
-                coeff = MultiPoly(tuple(rest), {tuple(rest.values()): c})
-                row.append((coeff, self._node(tuple(factors)), shift))
-            self.terms.append(row)
-
-    def _node(self, factors: tuple[tuple[str, int], ...]):
-        """The coefficient list of the product of name^e over `factors`."""
-        if factors not in self.nodes:
-            name, e = factors[-1]
-            if len(factors) > 1:
-                node = _Product(self._node(factors[:-1]), self._node(factors[-1:]))
-            elif e > 1:
-                node = _Product(self._node(((name, e - 1),)), self.lists[name])
-            else:
-                node = self.lists[name]
-            self.nodes[factors] = node
-        return self.nodes[factors]
+            lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
+            first[sys.t_symbol] = 0
+        self.sub = RelaxedSubstitution(lists, first)
+        self.k = k
+        self.terms = [self.sub.terms(f) for f in sys.rhs]
 
     def __call__(self, j: int) -> list[MultiPoly]:
-        out = []
-        for row in self.terms:
-            total = _ZERO
-            for coeff, product, shift in row:
-                c = _coeff_of(product, j - shift, j)
-                if not c.is_zero:
-                    total = total + coeff * c
-            out.append(total)
-        return out
+        return [self.sub.coeff(terms, j - ki - 1, j) for ki, terms in zip(self.k, self.terms)]
 
 
 def expand_balance(

@@ -30,6 +30,7 @@ from .core import Balance, SERIES_VAR
 from .model import ODESystem
 from .series import (
     EXACT,
+    RelaxedSubstitution,
     TruncatedSeries,
     compose_many,
     rational_power_of_unit,
@@ -288,10 +289,11 @@ def absorb_resonances(
     rescales the final variable's rho coefficient.
 
     The block parameters X are the unique fixed point of X = A^(-1) (base -
-    tails(X)): the tails start at order 1, so coefficient o of tails(X) reads
-    X only below order o.  Pass `known` therefore fixes X exactly below
-    `known`, and runs at that precision only (Brent & Kung's growing
-    precision); the last pass reaches truncation M - lambda.
+    tails(X)): the tails start at order 1, so coefficient n of tails(X) reads
+    X only below order n.  One relaxed pass therefore computes X_0, X_1, ...
+    in turn, each coefficient of tails(X) read from cached product nodes
+    over the coefficients of X found so far (`series.RelaxedSubstitution`),
+    up to truncation M - lambda.
     """
     balance = nb.balance
     k = balance.dominant.exponents
@@ -372,21 +374,23 @@ def absorb_resonances(
         tails = [
             series[v].slice_from(lam - k[v] + 1).shift(k[v] - lam) for v in block_vars
         ]
-        base = [
-            TruncatedSeries.constant(tau, rho_polys[r] - a_hat[r], trunc=EXACT)
-            for r in range(m)
+        # X = A^(-1) (base - tails(X)), one coefficient of X at a time
+        lists: dict[str, list[MultiPoly]] = {nm: [] for nm in block_params}
+        sub = RelaxedSubstitution(lists, dict.fromkeys(block_params, 0))
+        tail_terms = [
+            [term for o, c in tail.coeffs.items() for term in sub.terms(c, o)] for tail in tails
         ]
-        # a pass that knows X below order known - 1 fixes it below `known`
-        X: dict[str, TruncatedSeries] = {}
-        for known in range(min(M - lam, 1), M - lam + 1):
-            adjusted = [
-                (base[r] - substitute_coeffs(tails[r].truncate(known), X)).truncate(known)
-                for r in range(m)
-            ]
-            X = {
-                nm: series_linear_combo(Ainv.row(r), adjusted, tau, known)
-                for r, nm in enumerate(block_params)
-            }
+        trunc = min([M - lam] + [tail.trunc for tail in tails])
+        base = [rho - a0 for rho, a0 in zip(rho_polys, a_hat)]
+        for n in range(trunc):
+            adjusted = base if n == 0 else [-sub.coeff(terms, n, n) for terms in tail_terms]
+            for r, nm in enumerate(block_params):
+                total = MultiPoly.zero()
+                for w, a in zip(Ainv.row(r), adjusted):
+                    if w != 0:
+                        total = total + a * w
+                lists[nm].append(total)
+        X = {nm: TruncatedSeries(tau, dict(enumerate(lists[nm])), trunc) for nm in block_params}
 
         # substitute into the variables that remain
         remaining = [v for v in remaining if v not in block_vars]
@@ -408,16 +412,6 @@ def absorb_resonances(
     return Absorption(
         stages=tuple(stages), rows=tuple(rows), order=tuple(construction_order)
     )
-
-
-def series_linear_combo(
-    weights, series_list: list[TruncatedSeries], var: str, trunc: int
-) -> TruncatedSeries:
-    total = TruncatedSeries.zero(var, trunc=EXACT)
-    for w, s in zip(weights, series_list):
-        if w != 0:
-            total = total + s.scale(w)
-    return total.truncate(trunc)
 
 
 # ----------------------------------------------------------------------
@@ -632,14 +626,13 @@ def regularize(
     rho_names: tuple[str, ...] | None = None,
     tau_name: str = TAU,
     last_factor: Fraction | None = None,
-    trunc: int | None = None,
 ) -> Regularization:
     nb = indicial_normalization(balance, pivot=pivot, tau_name=tau_name)
     absorption = absorb_resonances(
         nb, var_order=var_order, rho_names=rho_names, last_factor=last_factor
     )
     cov = build_triangular_change(nb, absorption)
-    ts = transform_system(balance.system, cov, trunc=trunc)
+    ts = transform_system(balance.system, cov)
     verdict = verify_regularity(ts)
     tb = transform_balance(nb, cov)
     return Regularization(

@@ -13,7 +13,7 @@ EXACT is a sentinel truncation for objects that are known completely
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import MultiPoly, PolyLike, Q, as_poly
 
@@ -240,77 +240,154 @@ class TruncatedSeries:
         return f"TruncatedSeries({self}, trunc={self.trunc})"
 
 
-def _power_table(
-    bindings: Mapping[str, TruncatedSeries], wanted: Iterable[tuple[MultiPoly, int]]
-) -> dict[str, list[TruncatedSeries]]:
-    """x^1 .. x^e for each binding x, e its top degree in the polynomials; x^e at [e - 1].
+_ZERO = MultiPoly.zero()
 
-    `wanted` pairs each polynomial with the order below which it is needed
-    (EXACT: all of it).  A power is multiplied out only as far as a term
-    needs it, given the orders its cofactors start at, and keeps its leading
-    coefficient, so every order is as without the bounds.  Filled in a loop:
-    a self-referencing closure would form a reference cycle that keeps every
-    cached series alive until the cyclic collector runs.
+
+def _coeff_of(factor, n: int, j: int) -> MultiPoly:
+    """Coefficient n of a coefficient list or a `_Product`, the lists known below j."""
+    if n < 0:
+        return _ZERO
+    if isinstance(factor, list):
+        return factor[n] if n < len(factor) else _ZERO
+    return factor.coeff(n, j)
+
+
+class _Product:
+    """Coefficients of left * right, both coefficient lists from index 0.
+
+    With the base lists known below index j, a product coefficient n < j
+    reads only known entries, so it is computed once and kept in `done`; one
+    at n >= j is recomputed at each j with the unknown entries read as zero,
+    exactly as in the product of the partial sums (van der Hoeven's relaxed
+    product, "Relax, but don't be too lazy", JSC 2002).
     """
-    low = {name: s._eff_min() for name, s in bindings.items()}
-    need: dict[str, list[int]] = {}  # need[x][e - 1]: x^e is wanted below this
-    for f, cap in wanted:
-        for exps in f.terms:
-            factors = [(nm, e) for nm, e in zip(f.symbols(), exps) if e and nm in bindings]
-            lift = sum(e * low[nm] for nm, e in factors)
-            for nm, e in factors:
-                row = need.setdefault(nm, [])
-                row.extend([-EXACT] * (e - len(row)))
-                bound = EXACT if cap >= EXACT else cap - lift + e * low[nm]
-                row[e - 1] = max(row[e - 1], bound, e * low[nm] + 1)
-    table: dict[str, list[TruncatedSeries]] = {}
-    for name, row in need.items():
-        for e in range(len(row) - 1, 0, -1):
-            row[e - 1] = max(row[e - 1], row[e] - low[name])
-        table[name] = [bindings[name].truncate(row[0])]
-        for bound in row[1:]:
-            table[name].append(table[name][-1].truncate(bound - low[name]) * bindings[name])
-    return table
+
+    __slots__ = ("left", "right", "done")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.done: list[MultiPoly] = []
+
+    def coeff(self, n: int, j: int) -> MultiPoly:
+        if n < j:
+            while len(self.done) <= n:
+                self.done.append(self._convolve(len(self.done), j))
+            return self.done[n]
+        return self._convolve(n, j)
+
+    def _convolve(self, n: int, j: int) -> MultiPoly:
+        total = _ZERO
+        for m in range(n + 1):
+            a = _coeff_of(self.left, m, j)
+            if not a.is_zero:
+                b = _coeff_of(self.right, n - m, j)
+                if not b.is_zero:
+                    total = total + a * b
+        return total
 
 
-def _expand(
-    f: MultiPoly, powers: Mapping[str, list[TruncatedSeries]], var: str, cap: int
-) -> TruncatedSeries:
-    """f with the symbols of a `_power_table` replaced; exact below `cap`."""
-    result = TruncatedSeries.zero(var, trunc=EXACT)
-    min_possible = None
-    for exps, c in f.terms.items():
-        residual_vars = []
-        residual_exps = []
-        acc = TruncatedSeries.constant(var, c, trunc=EXACT)
-        term_min = 0
-        dead_term = False  # a zero-series factor makes the term vanish
-        for name, e in zip(f.symbols(), exps):
-            if e == 0:
-                continue
-            if name in powers:
-                acc = acc * powers[name][e - 1]
-                if powers[name][0].is_zero:
-                    dead_term = True
-                else:
-                    term_min += e * powers[name][0]._eff_min()
+class RelaxedSubstitution:
+    """Polynomials in symbols bound to series, read one coefficient at a time.
+
+    `lists[x]` holds the coefficients of the series bound to x from its order
+    `first[x]` on; a caller may extend the lists between reads.  A polynomial
+    becomes terms (unbound part, product node, order of the node's index 0,
+    bound factors): the bound factors of each monomial are one chain of
+    cached `_Product` nodes, powers of one symbol, then prefix products,
+    shared by every polynomial read over the same lists.  Reading order o
+    of a sum of terms with the lists known below index j costs O(j)
+    coefficient products per term once the lower coefficients are cached.
+    """
+
+    def __init__(self, lists: Mapping[str, list[MultiPoly]], first: Mapping[str, int]):
+        self.lists, self.first = lists, first
+        self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): [MultiPoly.const(1)]}
+
+    def terms(self, f: MultiPoly, shift: int = 0) -> list[tuple[MultiPoly, object, int, tuple]]:
+        """The terms of f times x^shift."""
+        out = []
+        for exps, c in f.terms.items():
+            factors, rest, offset = [], {}, shift
+            for name, e in zip(f.symbols(), exps):
+                if e and name in self.lists:
+                    factors.append((name, e))
+                    offset += e * self.first[name]
+                elif e:
+                    rest[name] = e
+            unbound = MultiPoly(tuple(rest), {tuple(rest.values()): c})
+            out.append((unbound, self._node(tuple(factors)), offset, tuple(factors)))
+        return out
+
+    def _node(self, factors: tuple[tuple[str, int], ...]):
+        """The coefficient list of the product of name^e over `factors`."""
+        if factors not in self.nodes:
+            name, e = factors[-1]
+            if len(factors) > 1:
+                node = _Product(self._node(factors[:-1]), self._node(factors[-1:]))
+            elif e > 1:
+                node = _Product(self._node(((name, e - 1),)), self.lists[name])
             else:
-                residual_vars.append(name)
-                residual_exps.append(e)
-        if residual_vars:
-            acc = acc.scale(MultiPoly(tuple(residual_vars), {tuple(residual_exps): 1}))
-        result = result + acc
-        if not dead_term:
-            min_possible = term_min if min_possible is None else min(min_possible, term_min)
-    # the order cap never triggers underflow: claiming zeros below every
-    # possible contribution is valid knowledge.  Only the bindings' own
-    # truncations can starve the result (a defensive check: honest truncation
-    # propagation always leaves at least the lowest product order claimable).
-    if min_possible is not None and result.trunc <= min_possible and result.trunc < cap and powers:
-        raise TruncationUnderflow(
-            f"truncation {result.trunc} cannot reach the lowest possible order {min_possible}"
-        )
-    return result
+                node = self.lists[name]
+            self.nodes[factors] = node
+        return self.nodes[factors]
+
+    @staticmethod
+    def coeff(terms, order: int, j: int) -> MultiPoly:
+        """Coefficient at `order` of the sum of `terms`, the lists known below j."""
+        total = _ZERO
+        for unbound, node, offset, _ in terms:
+            c = _coeff_of(node, order - offset, j)
+            if not c.is_zero:
+                total = total + unbound * c
+        return total
+
+
+def _substitute(
+    var: str, polys: Mapping[int, MultiPoly], bindings: Mapping[str, TruncatedSeries], cap: int
+) -> TruncatedSeries:
+    """The sum of polys[o](bindings) x^o, known below `cap` at most.
+
+    With m_x the first order of a binding (its truncation when it is zero)
+    and T_x its truncation, a term c prod x^e is known below
+    sum e m_x + min(T_x - m_x) over its truncated factors, and completely
+    (EXACT) when all its bound factors are.  The order cap never causes an
+    underflow: claiming zeros below every possible contribution is valid
+    knowledge.  Only the bindings' own truncations can starve a polynomial,
+    which happens only through a truncated zero binding.
+    """
+    first = {nm: s._eff_min() for nm, s in bindings.items()}
+    lists = {
+        nm: [s.coeffs.get(o, _ZERO) for o in range(first[nm], s.max_exp + 1)] if s.coeffs else []
+        for nm, s in bindings.items()
+    }
+    reach = {nm: s.trunc - first[nm] for nm, s in bindings.items() if s.trunc < EXACT}
+    sub = RelaxedSubstitution(lists, first)
+    trunc, live = cap, []
+    for o, f in polys.items():
+        known, lowest = EXACT, None  # relative to o, as for f alone
+        for term in sub.terms(f, o):
+            offset, factors = term[2] - o, term[3]
+            reaches = [reach[nm] for nm, _ in factors if nm in reach]
+            if reaches:
+                known = min(known, offset + min(reaches))
+            if all(lists[nm] for nm, _ in factors):  # no zero binding
+                lowest = offset if lowest is None else min(lowest, offset)
+                live.append(term)
+        if lowest is not None and known <= lowest and known < (cap - o if cap < EXACT else EXACT):
+            raise TruncationUnderflow(
+                f"truncation {known} cannot reach the lowest possible order {lowest}"
+            )
+        if known < EXACT:
+            trunc = min(trunc, o + known)
+    out: dict[int, MultiPoly] = {}
+    for unbound, node, offset, factors in live:
+        span = 1 + sum(e * (len(lists[nm]) - 1) for nm, e in factors)
+        for n in range(min(span, trunc - offset)):
+            c = _coeff_of(node, n, n + 1)  # the lists are complete
+            if not c.is_zero:
+                prev = out.get(offset + n)
+                out[offset + n] = unbound * c if prev is None else prev + unbound * c
+    return TruncatedSeries(var, out, trunc)
 
 
 def substitute_poly(
@@ -322,8 +399,8 @@ def substitute_poly(
 
     Unbound symbols stay inside the coefficient polynomials (this is how the
     time symbol and not-yet-absorbed parameters ride along).  `order` caps
-    the truncation of the result; bindings impose their own caps through the
-    ordinary truncation bookkeeping.
+    the truncation of the result; bindings impose their own caps, as set
+    out in `_substitute`.
     """
     if not bindings:
         raise ValueError("substitute_poly needs at least one binding")
@@ -333,25 +410,20 @@ def substitute_poly(
             raise VariableMismatch("bindings use different series variables")
     if f.is_zero:
         return TruncatedSeries.zero(var, trunc=order)
-    return _expand(f, _power_table(bindings, [(f, order)]), var, order).truncate(order)
+    return _substitute(var, {0: f}, bindings, order)
 
 
 def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """Replace symbols inside the coefficients of `s` by series in its variable.
 
     Coefficient a_o becomes a_o(bindings) x^o, expanded only below the
-    truncation of `s`.  Each binding's powers are built once for all
-    coefficients.  Returns `s` when no coefficient uses a bound symbol.
+    truncation of `s`.  Returns `s` when no coefficient uses a bound symbol.
     """
     bound = {o: p for o, p in s.coeffs.items() if any(v in bindings for v in p.symbols())}
     if not bound:
         return s
-    caps = {o: s.trunc - o if s.trunc < EXACT else EXACT for o in bound}
-    powers = _power_table(bindings, [(p, caps[o]) for o, p in bound.items()])
-    out = TruncatedSeries(s.var, {o: p for o, p in s.coeffs.items() if o not in bound}, EXACT)
-    for o, poly in bound.items():
-        out = out + _expand(poly, powers, s.var, caps[o]).shift(o)
-    return out.truncate(s.trunc)
+    out = _substitute(s.var, bound, bindings, s.trunc)
+    return out + TruncatedSeries(s.var, {o: p for o, p in s.coeffs.items() if o not in bound}, EXACT)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:

@@ -1,12 +1,31 @@
 import dataclasses
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from oracles import ladd, lmul, lneg, lpow, lscale, poly_series, residual_orders
+from oracles import (
+    absorb_resonances_by_growing_precision,
+    ladd,
+    lmul,
+    lneg,
+    lpow,
+    lscale,
+    poly_series,
+    residual_orders,
+)
 from painleve.algebra import MultiPoly
+from painleve.cli import main
 from painleve.core import SERIES_VAR, T0_SYMBOL, analyze_system
-from painleve.model import BalanceSpec, parse_system
+from painleve.model import (
+    BalanceSpec,
+    ODESystem,
+    ParseError,
+    hamiltonian_to_system,
+    parse_input,
+    parse_system,
+)
 from painleve.regularize import (
     ChangeOfVariable,
     NoRationalRootPivot,
@@ -341,11 +360,16 @@ def test_regularize_rarely_runs_the_validating_constructor(monkeypatch, gd_candi
     assert count < 1000
 
 
-def _products_in_normalization(monkeypatch, gd_system, order) -> int:
+def _gd_balance(gd_system, order):
     result = analyze_system(gd_system, bound=5, order=order)
     (cand,) = [
         c for c in result.principal_candidates() if [str(x) for x in c.leading] == ["1", "0", "-1", "1"]
     ]
+    return cand.balance
+
+
+def _products(monkeypatch, fn, *args) -> int:
+    """The number of MultiPoly products in fn(*args)."""
     count = 0
     mul = MultiPoly.__mul__
 
@@ -357,7 +381,7 @@ def _products_in_normalization(monkeypatch, gd_system, order) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(MultiPoly, "__mul__", counted)
         patch.setattr(MultiPoly, "__rmul__", counted)
-        indicial_normalization(cand.balance)
+        fn(*args)
     return count
 
 
@@ -366,7 +390,78 @@ def test_normalization_products_stay_bounded(monkeypatch, gd_system):
     # no result needs it, and baby-step/giant-step reversion: 1,610 and 9,195
     # products at orders 16 and 30, against 5,602 and 42,929 with a full
     # product per order for every composition and for the reversion
-    at_16 = _products_in_normalization(monkeypatch, gd_system, 16)
-    at_30 = _products_in_normalization(monkeypatch, gd_system, 30)
+    at_16, at_30 = (
+        _products(monkeypatch, indicial_normalization, _gd_balance(gd_system, order))
+        for order in (16, 30)
+    )
     assert at_16 < 2_200
     assert at_30 < 12_000
+
+
+def test_absorption_products_stay_bounded(monkeypatch, gd_system):
+    # one relaxed pass over cached product nodes: 1,881 and 8,521 products
+    # at orders 20 and 30, against 8,953 and 65,993 when every precision
+    # re-substituted the tails
+    at_20, at_30 = (
+        _products(monkeypatch, absorb_resonances, indicial_normalization(_gd_balance(gd_system, order)))
+        for order in (20, 30)
+    )
+    assert at_20 < 3_000
+    assert at_30 < 12_000
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _principal_balances(order):
+    for path in sorted(DATA.iterdir()):
+        try:
+            system = parse_input(path.read_text())
+        except ParseError:
+            continue  # nonpoly.sys
+        if not isinstance(system, ODESystem):
+            system = hamiltonian_to_system(system)
+        for cand in analyze_system(system, order=order).principal_candidates():
+            yield f"{path.name} k={cand.exponents}", cand.balance
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as err:  # the construction's own refusals
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("order", [13, 20])
+def test_absorption_matches_growing_precision(order):
+    compared = []
+    for name, balance in _principal_balances(order):
+        try:
+            nb = indicial_normalization(balance)
+        except NoRationalRootPivot:
+            continue
+        new = _outcome(absorb_resonances, nb)
+        assert new == _outcome(absorb_resonances_by_growing_precision, nb), name
+        compared.append(name)
+    assert len(compared) >= 15
+
+
+@pytest.mark.parametrize("name", ["gd.ham", "painleve1.ham"])
+def test_canonical_absorption_matches_growing_precision(monkeypatch, capsys, name):
+    # the hamiltonian command absorbs in the symplectic order, with the
+    # last variable's coefficient rescaled
+    home = sys.modules["painleve.regularize"]
+    absorb, calls = home.absorb_resonances, []
+
+    def recorded(nb, **kwargs):
+        calls.append((nb, kwargs, absorb(nb, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(home, "absorb_resonances", recorded)
+    for order in ("13", "20"):
+        assert main(["hamiltonian", str(DATA / name), "--order", order, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    for nb, kwargs, absorption in calls:
+        assert kwargs["var_order"] is not None and kwargs["last_factor"] is not None
+        assert absorption == absorb_resonances_by_growing_precision(nb, **kwargs)

@@ -1,13 +1,28 @@
-"""The shared, truncation-bounded composition and the baby-step/giant-step
-reversion against the one-product-per-order loops they replaced.  Series
-equality includes the truncation, so `==` checks both."""
+"""The shared, truncation-bounded composition, the baby-step/giant-step
+reversion and the coefficient-stream substitution against the
+one-product-per-order loops and the table of series powers they replaced.
+Series equality includes the truncation, so `==` checks both."""
 
 import random
 from fractions import Fraction as Q
 
-from oracles import compose_by_power_loop, revert_by_power_loop
+from oracles import (
+    compose_by_power_loop,
+    revert_by_power_loop,
+    substitute_coeffs_by_power_table,
+    substitute_poly_by_power_table,
+)
 from painleve.algebra import MultiPoly
-from painleve.series import EXACT, TruncatedSeries, compose, compose_many, revert_series
+from painleve.series import (
+    EXACT,
+    TruncatedSeries,
+    TruncationUnderflow,
+    compose,
+    compose_many,
+    revert_series,
+    substitute_coeffs,
+    substitute_poly,
+)
 
 X = "x"
 R, P = MultiPoly.var("r"), MultiPoly.var("p")
@@ -107,3 +122,86 @@ def test_revert_matches_power_loop():
                 coeffs[order] = _coefficient(rng, with_params)
         s = TruncatedSeries(X, coeffs, trunc)
         assert revert_series(s) == revert_by_power_loop(s)
+
+
+# Substitution.  The table of powers shifts EXACT truncations into values
+# such as EXACT - 4, which mean "exact" too; the coefficient stream keeps
+# them at EXACT.  Truncations are compared exactly below 2^29 only.
+NEAR_EXACT = 1 << 29
+A, B, T = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("t")
+
+
+def _binding(rng):
+    """A first order from -2 to 2, a truncation one to five orders on or
+    EXACT; sometimes the zero series, truncated or exact."""
+    lo = rng.randint(-2, 2)
+    if rng.random() < 0.12:
+        return TruncatedSeries.zero(X, trunc=rng.choice((lo, lo + 2, EXACT)))
+    trunc = rng.choice((lo + 1, lo + rng.randint(2, 5), EXACT))
+    top = trunc if trunc < EXACT else lo + rng.randint(1, 4)
+    coeffs = {lo: _coefficient(rng, with_params=True)}
+    for order in range(lo + 1, top):
+        if rng.random() < 0.6:
+            coeffs[order] = _coefficient(rng, with_params=True)
+    return TruncatedSeries(X, coeffs, trunc)
+
+
+def _polynomial(rng):
+    """One to four monomials in a, b (bound or not) and the unbound t, p."""
+    total = MultiPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = MultiPoly.const(Q(rng.choice((1, -1, 2, 3)), rng.choice((1, 2))))
+        for symbol, top in ((A, 3), (B, 2), (T, 1), (P, 1)):
+            term = term * symbol ** rng.randint(0, top)
+        total = total + term
+    return total
+
+
+def _bindings(rng):
+    return {name: _binding(rng) for name in rng.choice((("a",), ("a", "b")))}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationUnderflow:
+        return TruncationUnderflow
+
+
+def _kind(new, ref):
+    """Asserts that two substitution outcomes agree; returns what they were."""
+    if ref is TruncationUnderflow or new is TruncationUnderflow:
+        assert new is ref
+        return "underflow"
+    assert new.var == ref.var and new.coeffs == ref.coeffs
+    if ref.trunc >= NEAR_EXACT:
+        assert new.trunc >= NEAR_EXACT
+        return "exact"
+    assert new.trunc == ref.trunc
+    return "truncated"
+
+
+def test_substitute_poly_matches_power_table():
+    rng = random.Random(20261018)
+    kinds = []
+    for _ in range(1500):
+        bindings = _bindings(rng)
+        f = _polynomial(rng)
+        cap = rng.choice(list(range(-10, 11)) + [EXACT] * 4)
+        new = _outcome(substitute_poly, f, bindings, cap)
+        kinds.append(_kind(new, _outcome(substitute_poly_by_power_table, f, bindings, cap)))
+    assert min(kinds.count(kind) for kind in ("underflow", "exact", "truncated")) >= 10
+
+
+def test_substitute_coeffs_matches_power_table():
+    rng = random.Random(8128)
+    kinds = []
+    for _ in range(800):
+        bindings = _bindings(rng)
+        lo = rng.randint(-3, 2)
+        trunc = rng.choice((lo + rng.randint(0, 6), EXACT))
+        top = trunc if trunc < EXACT else lo + rng.randint(1, 4)
+        s = TruncatedSeries(X, {o: _polynomial(rng) for o in range(lo, top)}, trunc)
+        new = _outcome(substitute_coeffs, s, bindings)
+        kinds.append(_kind(new, _outcome(substitute_coeffs_by_power_table, s, bindings)))
+    assert min(kinds.count(kind) for kind in ("underflow", "exact", "truncated")) >= 10
