@@ -338,8 +338,7 @@ def cmd_regularize(args) -> int:
 def cmd_hamiltonian(args) -> int:
     system, hs, result = _analyze(args)
     if hs is None:
-        print("error: hamiltonian command requires a hamiltonian input file", file=sys.stderr)
-        return 2
+        raise UsageError("hamiltonian command requires a hamiltonian input file")
     try:
         cand = _pick_principal(result, args.balance_index)
     except LookupError as err:
@@ -355,36 +354,29 @@ def cmd_hamiltonian(args) -> int:
     c = tuple(x.constant_value() for x in cand.leading)
 
     report = candidate_report(system, cand)
-    d = check_almost_weighted_homogeneous(hs, k, l)
-    if isinstance(d, HamiltonianRejected):
-        report["hamiltonian"] = {"rejected": jsonable({"reason": d.reason, "detail": str(d.detail)})}
-        _emit(args, report, f"rejected: {d.reason} ({d.detail})")
-        return 1
-    pairing = symplectic_pairing(cand.balance.structure, d)
-    if isinstance(pairing, HamiltonianRejected):
-        report["hamiltonian"] = {
-            "d": d,
-            "rejected": jsonable({"reason": pairing.reason, "detail": str(pairing.detail)}),
-        }
-        _emit(args, report, f"rejected: {pairing.reason} ({pairing.detail})")
-        return 1
-    sd = symplectic_normalize(resonance_columns(cand.balance), d, pairing)
+    # sd is the result of the last stage run; each stage needs the one
+    # before, and a rejection reports what the earlier stages found
+    sub: dict = {}
+    sd = d = check_almost_weighted_homogeneous(hs, k, l)
+    if not isinstance(d, HamiltonianRejected):
+        sub["d"] = d
+        sd = pairing = symplectic_pairing(cand.balance.structure, d)
+        if not isinstance(pairing, HamiltonianRejected):
+            sub["pairing"] = [list(p) for p in pairing]
+            sd = symplectic_normalize(resonance_columns(cand.balance), d, pairing)
     if isinstance(sd, HamiltonianRejected):
-        report["hamiltonian"] = {
-            "d": d,
-            "pairing": [list(p) for p in pairing],
-            "rejected": jsonable({"reason": sd.reason, "detail": str(sd.detail)}),
-        }
-        _emit(args, report, f"rejected: {sd.reason}")
+        sub["rejected"] = jsonable({"reason": sd.reason, "detail": str(sd.detail)})
+        report["hamiltonian"] = sub
+        # a normalization rejection's text leaves out its detail, often a matrix
+        detail = "" if "pairing" in sub else f" ({sd.detail})"
+        print(serialize_report(report) if args.json else f"rejected: {sd.reason}{detail}")
         return 1
     sd = canonical_exchanges(sd)
     pipe = build_canonical_change(hs, k, l, c, sd, order=cand.balance.order)
     reg = pipe.regularization
     canonical = verify_canonical(pipe.change, n)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, hs.autonomous)
-    sub = {
-        "d": d,
-        "pairing": [list(p) for p in pairing],
+    sub |= {
         "S": sd.S,
         "exchange_set": list(sd.exchange_set),
         "row_swaps": [list(s) for s in sd.row_swaps],
@@ -412,13 +404,6 @@ def cmd_hamiltonian(args) -> int:
         if nh.dropped:
             print(f"dropped singular terms: {[[o, str(p)] for o, p in nh.dropped]}")
     return 0 if ok else 1
-
-
-def _emit(args, report: dict, message: str) -> None:
-    if args.json:
-        print(serialize_report(report))
-    else:
-        print(message)
 
 
 def main(argv=None) -> int:

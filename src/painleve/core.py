@@ -555,7 +555,7 @@ def expand_balance(
                 leading_params.append(s)
 
     injected = [(r, m) for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1]
-    needed = sum(m for _, m in injected)
+    needed = needed_parameter_count(rs)
     if parameter_names is None:
         parameter_names = tuple(
             f"r{i}" for i in range(2 + len(leading_params), 2 + len(leading_params) + needed)
@@ -608,21 +608,29 @@ class PrincipalVerdict:
     det: MultiPoly
 
 
+def resonance_matrix_columns(balance: Balance) -> list[tuple[int, tuple[MultiPoly, ...]]]:
+    """(resonance, column) pairs of the resonance matrix: the basic vector at
+    -1, then one column per parameter, dc/dr at 0 and the parameter's
+    eigenbasis column at a positive resonance."""
+    columns = [(-1, basic_resonance_vector(balance.dominant))]
+    for name, r in balance.parameters:
+        if r == 0:
+            column = tuple(c.partial(name) for c in balance.dominant.leading)
+        else:
+            names_at_r = [nm for nm, rr in balance.parameters if rr == r]
+            basis = balance.structure.eigenbases[r][names_at_r.index(name)]
+            column = tuple(as_poly(x) for x in basis)
+        columns.append((r, column))
+    return columns
+
+
 def check_principal(balance: Balance) -> PrincipalVerdict:
     """Principal iff the free-parameter count is n and the resonance matrix
     (basic vector | dc/dr columns | eigenbases) has nonzero determinant."""
     n = balance.system.n
-    columns: list[list[MultiPoly]] = [list(basic_resonance_vector(balance.dominant))]
-    for name, r in balance.parameters:
-        if r == 0:
-            columns.append([c.partial(name) for c in balance.dominant.leading])
-        else:
-            idx = balance.structure.eigenbases[r]
-            names_at_r = [nm for nm, rr in balance.parameters if rr == r]
-            column = idx[names_at_r.index(name)]
-            columns.append([as_poly(x) for x in column])
+    columns = [column for _, column in resonance_matrix_columns(balance)]
     n_s = len(columns)
-    rows = [[columns[jc][ir] for jc in range(n_s)] for ir in range(n)]
+    rows = [[column[ir] for column in columns] for ir in range(n)]
     if n_s == n:
         det = poly_det(rows)
     else:
@@ -703,7 +711,7 @@ _VERDICT_RANK = {
 }
 
 
-def _candidate_for(
+def analyze_candidate(
     sys: ODESystem,
     k: tuple[int, ...],
     c,
@@ -711,6 +719,8 @@ def _candidate_for(
     order: int | None,
     parameter_names: tuple[str, ...] | None,
 ) -> CandidateReport:
+    """Dominant check, Kowalevskian, spectrum, expansion and principal check
+    of one candidate (k, c); `stage` tells where a failing one stopped."""
     report = CandidateReport(exponents=k, natural=natural, stage="dominant", verdict="fails:dominant")
     dd = verify_dominant_balance(sys, k, c)
     if isinstance(dd, Rejected):
@@ -793,7 +803,7 @@ def analyze_system(
                 continue
             leadings = solved
         for c in leadings:
-            candidates.append(_candidate_for(sys, k, c, natural, spec_order, names))
+            candidates.append(analyze_candidate(sys, k, c, natural, spec_order, names))
 
     if not candidates:
         return AnalysisResult(sys, bound, [], "fails:dominant")

@@ -19,14 +19,9 @@ from fractions import Fraction
 from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rank, rref
 from .core import (
     Balance,
-    FailureAtResonance,
     ResonanceStructure,
-    Rejected,
-    basic_resonance_vector,
-    expand_balance,
-    kowalevskian,
-    resonance_structure,
-    verify_dominant_balance,
+    analyze_candidate,
+    resonance_matrix_columns,
 )
 from .model import HamiltonianSystem, ODESystem, hamiltonian_to_system
 from .regularize import (
@@ -122,25 +117,16 @@ class SymplecticData:
 
 
 def resonance_columns(balance: Balance) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """(resonance, column) pairs in resonance order: the basic vector at -1,
-    d c/d r columns at 0, eigenbasis columns at positive resonances."""
-    columns: list[tuple[int, tuple[Fraction, ...]]] = []
-    basic = []
-    for p in basic_resonance_vector(balance.dominant):
-        if not p.is_constant:
-            raise ValueError("parameterized leading data: basic vector not rational")
-        basic.append(p.constant_value())
-    columns.append((-1, tuple(basic)))
-    for name, r in balance.parameters:
-        if r == 0:
-            col = [c.partial(name) for c in balance.dominant.leading]
-            if not all(x.is_constant for x in col):
-                raise ValueError("leading data is not affine in its parameters")
-            columns.append((0, tuple(x.constant_value() for x in col)))
-    for r in balance.structure.resonances:
-        if r >= 1:
-            for v in balance.structure.eigenbases[r]:
-                columns.append((r, tuple(v)))
+    """`core.resonance_matrix_columns` over the rationals."""
+    columns = []
+    for r, column in resonance_matrix_columns(balance):
+        if not all(x.is_constant for x in column):
+            raise ValueError(
+                "parameterized leading data: basic vector not rational"
+                if r == -1
+                else "leading data is not affine in its parameters"
+            )
+        columns.append((r, tuple(x.constant_value() for x in column)))
     return columns
 
 
@@ -282,7 +268,7 @@ def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
     symplectic and the system Hamiltonian.
     """
     n = sd.n_dof
-    S = [list(row) for row in S_rows(sd.S)]
+    S = [list(row) for row in sd.S.data]
     first_cols = [[S[i][j] for j in range(n)] for i in range(2 * n)]
     picks = _transversal_rows(first_cols, n)
     if picks is None:
@@ -311,10 +297,6 @@ def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
         exchange_set=exchange_set,
         row_swaps=tuple(swaps),
     )
-
-
-def S_rows(S: RatMatrix) -> list[list[Fraction]]:
-    return [list(row) for row in S.data]
 
 
 def apply_exchanges(
@@ -411,16 +393,10 @@ def build_canonical_change(
     esys = hamiltonian_to_system(ehs)
     n = ehs.n_dof
     k_full = tuple(ek) + tuple(el)
-    dd = verify_dominant_balance(esys, k_full, ec)
-    if isinstance(dd, Rejected):
-        raise AssertionError(f"exchanged leading data rejected: {dd}")
-    K = kowalevskian(esys, dd)
-    rs = resonance_structure(K)
-    if not isinstance(rs, ResonanceStructure):
-        raise AssertionError(f"exchanged system lost its resonance structure: {rs}")
-    balance = expand_balance(esys, dd, rs, order)
-    if isinstance(balance, FailureAtResonance):
-        raise AssertionError(f"exchanged recursion inconsistent: {balance}")
+    report = analyze_candidate(esys, k_full, ec, True, order, None)
+    balance = report.balance
+    if balance is None:
+        raise AssertionError(f"exchanged candidate fails at {report.stage}: {report.detail}")
     tau_name, rho_names = canonical_variable_names(n)
     # construction order: q_2..q_n then p_n..p_1 (indices into the 2n system)
     var_order = tuple(range(1, n)) + tuple(range(2 * n - 1, n - 1, -1))
@@ -464,15 +440,8 @@ def verify_canonical(
     """Expand sum dq_i ^ dp_i under the substitution and compare with
     sum dQ_i ^ dP_i, coefficient by coefficient, exactly."""
     names = cov.new_names()
-    subs = cov.substitution()
     n2 = 2 * n_dof
-    partials: list[list[TruncatedSeries]] = []
-    for i in range(n2):
-        phi = subs[i]
-        row = [phi.var_derivative()]
-        for name in names[1:]:
-            row.append(phi.map_coeffs(lambda p, nm=name: p.partial(nm)))
-        partials.append(row)
+    partials = cov.jacobian()
     pos = {name: a for a, name in enumerate(names)}
     for a in range(n2):
         for b in range(a + 1, n2):
@@ -504,6 +473,17 @@ class NewHamiltonian:
     dropped: tuple[tuple[int, MultiPoly], ...]  # singular coefficients (order, poly)
 
 
+def _regular_part(s: TruncatedSeries) -> MultiPoly:
+    """The polynomial sum of c_o tau^o over the orders o >= 0 of a Laurent
+    series in tau."""
+    tau = MultiPoly.var(s.var)
+    total = MultiPoly.zero()
+    for o in s.orders():
+        if o >= 0:
+            total = total + s.coeffs[o] * tau**o
+    return total
+
+
 def new_hamiltonian(
     H: MultiPoly,
     cov: ChangeOfVariable,
@@ -518,15 +498,8 @@ def new_hamiltonian(
     subs = cov.substitution()
     bindings = {u_symbols[i]: s for i, s in subs.items()}
     expanded = substitute_poly(H, bindings, order=EXACT)
-    tau_poly = MultiPoly.var(cov.tau_name)
-    regular = MultiPoly.zero()
-    dropped = []
-    for o in expanded.orders():
-        coeff = expanded.coeffs[o]
-        if o >= 0:
-            regular = regular + coeff * tau_poly**o
-        else:
-            dropped.append((o, coeff))
+    regular = _regular_part(expanded)
+    dropped = [(o, expanded.coeffs[o]) for o in expanded.orders() if o < 0]
     if autonomous and dropped:
         raise AssertionError(
             f"autonomous Hamiltonian produced singular terms: {dropped}"
@@ -539,15 +512,12 @@ def hamilton_equations_match(
 ) -> bool:
     """Hamilton's equations of the regular part equal the transformed right
     sides exactly (autonomous finite check)."""
-    n = pipeline.hamiltonian.n_dof
     ts = pipeline.regularization.transformed
     h0 = nh.regular
     for m, name in enumerate(ts.names):
-        g_poly = MultiPoly.zero()
-        for o in ts.g[m].orders():
-            if o < 0:
-                return False
-            g_poly = g_poly + ts.g[m].coeffs[o] * MultiPoly.var(ts.tau_name) ** o
+        if any(o < 0 for o in ts.g[m].coeffs):
+            return False
+        g_poly = _regular_part(ts.g[m])
         if name.startswith("Q"):
             expected = h0.partial("P" + name[1:])
         else:

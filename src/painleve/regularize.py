@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix, as_poly, rank
+from .algebra import MultiPoly, Q, RatMatrix, as_poly, rank, rref
 from .core import Balance, SERIES_VAR
 from .model import ODESystem
 from .series import (
@@ -126,16 +126,19 @@ class NormalizedBalance:
         ])
 
 
+def _pivot_root(balance: Balance, i: int) -> Fraction | None:
+    """beta = c_i^(-1/k_i) if variable i can be the pivot: k_i c_i != 0 and
+    the root is rational; None otherwise."""
+    k, c = balance.dominant.exponents[i], balance.dominant.leading[i]
+    if k == 0 or not c.is_constant or c.constant_value() == 0:
+        return None
+    return rational_root(1 / c.constant_value(), k)
+
+
 def choose_pivot(balance: Balance) -> int:
     """Smallest index with k_i c_i != 0 and a rational (-k_i)-th root of c_i."""
-    k = balance.dominant.exponents
-    for i, c in enumerate(balance.dominant.leading):
-        if k[i] == 0 or not c.is_constant:
-            continue
-        value = c.constant_value()
-        if value == 0:
-            continue
-        if rational_root(1 / value, k[i]) is not None:
+    for i in range(balance.system.n):
+        if _pivot_root(balance, i) is not None:
             return i
     raise NoRationalRootPivot(
         "no variable with a nonzero rational leading coefficient admitting "
@@ -143,78 +146,38 @@ def choose_pivot(balance: Balance) -> int:
     )
 
 
-def _reexpanded_coeffs(balance: Balance) -> list[list[MultiPoly]]:
-    """Coefficients as polynomials in t instead of t0.
-
-    Substituting t0 = t - (t-t0) and regathering powers turns a_{i,j}(t0)
-    into sum_m (-1)^m/m! (d^m a_{i,j-m}/d t0^m)(t).  Exact because the
-    time dependence is polynomial; a no-op for autonomous systems.
-    """
-    t0 = balance.t0_symbol
-    t = balance.system.t_symbol
-    if all(t0 not in p.symbols() for row in balance.coeffs for p in row):
-        return [list(row) for row in balance.coeffs]
-    out: list[list[MultiPoly]] = []
-    t_poly = MultiPoly.var(t)
-    for row in balance.coeffs:
-        new_row = []
-        for j in range(len(row)):
-            total = MultiPoly.zero()
-            factor = Q(1)
-            derivative = row[j]
-            for m in range(j + 1):
-                if m > 0:
-                    factor *= Q(-1, m)
-                    derivative = row[j - m]
-                    for _ in range(m):
-                        derivative = derivative.partial(t0)
-                    if derivative.is_zero:
-                        continue
-                total = total + derivative.replace({t0: t_poly}) * factor
-            new_row.append(total)
-        out.append(new_row)
-    return out
-
-
 def indicial_normalization(
     balance: Balance, pivot: int | None = None, tau_name: str = TAU
 ) -> NormalizedBalance:
     """Introduce tau with u_pivot = tau^(-k), revert, re-expand the others.
 
-    All construction-side coefficients are rewritten in terms of t first, so
-    the resulting substitution is a genuine coordinate change u = phi(t, ...).
+    All construction-side coefficients are rewritten in terms of t first, by
+    substituting t0 = t - (t - t0), so the resulting substitution is a
+    genuine coordinate change u = phi(t, ...); exact because the time
+    dependence is polynomial, and a no-op for autonomous systems.
     """
     sysm = balance.system
     k = balance.dominant.exponents
     if pivot is None:
         pivot = choose_pivot(balance)
-    c_piv = balance.dominant.leading[pivot]
-    if k[pivot] == 0 or not c_piv.is_constant or c_piv.constant_value() == 0:
-        raise NoRationalRootPivot(f"variable {pivot} cannot serve as the pivot")
-    beta = rational_root(1 / c_piv.constant_value(), k[pivot])
+    beta = _pivot_root(balance, pivot)
     if beta is None:
         raise NoRationalRootPivot(
-            f"leading coefficient {c_piv} has no rational root of order {k[pivot]}"
+            f"leading coefficient {balance.dominant.leading[pivot]} has no rational "
+            f"root of order {k[pivot]}"
         )
 
-    M = balance.order
-    c_value = c_piv.constant_value()
-    table = _reexpanded_coeffs(balance)
-    # u_pivot = c (t-t0)^(-k) (1 + w); tau = beta (t-t0) (1 + w)^(-1/k)
-    unit = TruncatedSeries(
-        SERIES_VAR,
-        {0: 1, **{j: table[pivot][j] * (Q(1) / c_value) for j in range(1, M)}},
-        M,
-    )
+    t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(sysm.t_symbol), 1: -1}, EXACT)
+    t0_binding = {balance.t0_symbol: t_minus_dt}
+    in_t = [substitute_coeffs(balance.series(i), t0_binding) for i in range(sysm.n)]
+    # u_pivot = c (t-t0)^(-k) (1 + w); tau = beta (t-t0) (1 + w)^(-1/k), beta^k = 1/c
+    unit = in_t[pivot].shift(k[pivot]).scale(beta ** k[pivot])
     root_part = rational_power_of_unit(unit, -1, k[pivot])
     tau_in_dt = root_part.shift(1).scale(beta)
     dt_in_tau = revert_series(tau_in_dt).rename_var(tau_name)
 
     others = [i for i in range(sysm.n) if i != pivot]
-    u_others = [
-        TruncatedSeries(tau_name, {j - k[i]: table[i][j] for j in range(M)}, M - k[i])
-        for i in others
-    ]
+    u_others = [in_t[i].rename_var(tau_name) for i in others]
     series = dict(zip(others, compose_many(u_others, dt_in_tau)))
     return NormalizedBalance(
         balance=balance,
@@ -262,17 +225,12 @@ class Absorption:
 
 
 def _greedy_rows(columns_matrix: list[list[Fraction]], m: int) -> list[int]:
-    """Indices of the first rows whose block-column submatrix reaches rank m."""
-    chosen: list[int] = []
-    picked_rows: list[list[Fraction]] = []
-    for idx, row in enumerate(columns_matrix):
-        trial = picked_rows + [row]
-        if rank(trial) == len(trial):
-            chosen.append(idx)
-            picked_rows = trial
-        if len(chosen) == m:
-            return chosen
-    raise PivotSelectionError("no invertible pivot block; balance is not principal")
+    """Indices of the first m rows each independent of the rows before it:
+    the Gauss-Jordan pivot columns of the transposed block."""
+    pivots = rref([list(column) for column in zip(*columns_matrix)])[1]
+    if len(pivots) < m:
+        raise PivotSelectionError("no invertible pivot block; balance is not principal")
+    return pivots[:m]
 
 
 def absorb_resonances(
@@ -444,6 +402,16 @@ class ChangeOfVariable:
             subs[row.index] = TruncatedSeries(self.tau_name, terms, EXACT)
         return subs
 
+    def jacobian(self) -> dict[int, list[TruncatedSeries]]:
+        """Original variable index -> d phi / d(tau, rho...), in the order of
+        `new_names`."""
+        rhos = self.new_names()[1:]
+        return {
+            i: [phi.var_derivative()]
+            + [phi.map_coeffs(lambda p, nm=nm: p.partial(nm)) for nm in rhos]
+            for i, phi in self.substitution().items()
+        }
+
 
 @dataclass(frozen=True)
 class TransformedSystem:
@@ -493,44 +461,36 @@ def transform_system(
     bindings = {sys.u_symbols[i]: s for i, s in subs.items()}
     order = cov.order
     n = len(order)
-    new_syms = cov.new_names()
-
-    def J_entry(m: int, c: int) -> TruncatedSeries:
-        phi = subs[order[m]]
-        if c == 0:
-            return phi.var_derivative()
-        return phi.map_coeffs(lambda p: p.partial(new_syms[c]))
+    jacobian = cov.jacobian()
 
     g: list[TruncatedSeries] = []
     min_exps: list[int] = []
     for m in range(n):
         i = order[m]
+        J = jacobian[i]
         rhs = substitute_poly(sys.rhs[i], bindings, order=EXACT)
         phi_t = subs[i].map_coeffs(lambda p: p.partial(sys.t_symbol))
         rhs = rhs - phi_t
         for c in range(m):
-            Jmc = J_entry(m, c)
-            if not Jmc.is_zero:
-                rhs = rhs - Jmc * g[c]
+            if not J[c].is_zero:
+                rhs = rhs - J[c] * g[c]
         if m == 0:
             kp = cov.k[cov.pivot]
             gm = rhs.shift(kp + 1).scale(Q(-1, kp))
         else:
             row = cov.rows[m - 1]
-            diag = J_entry(m, m)
             expo = row.exponent(cov.k)
-            if diag.orders() != [expo] or diag.coeffs[expo] != as_poly(row.rho_factor):
+            if J[m].orders() != [expo] or J[m].coeffs[expo] != as_poly(row.rho_factor):
                 raise AssertionError("Jacobian diagonal is not the expected monomial")
             gm = rhs.shift(-expo).scale(1 / row.rho_factor)
-        for c in range(m + 1, n):
-            if not J_entry(m, c).is_zero:
-                raise AssertionError("Jacobian is not lower triangular")
+        if not all(J[c].is_zero for c in range(m + 1, n)):
+            raise AssertionError("Jacobian is not lower triangular")
         g.append(gm)
         min_exps.append(gm.min_exp if gm.min_exp is not None else 0)
     if trunc is not None:
         g = [gm.truncate(trunc) for gm in g]
     return TransformedSystem(
-        tau_name=tau, names=new_syms, g=tuple(g), min_exponents=tuple(min_exps)
+        tau_name=tau, names=cov.new_names(), g=tuple(g), min_exponents=tuple(min_exps)
     )
 
 

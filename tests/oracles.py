@@ -10,7 +10,9 @@ the `MultiPoly` ring operations as first written: build the raw term dict,
 then let the validating constructor `MultiPoly(vars, dict)` normalize it,
 series composition and reversion with one full series product per
 order, polynomial substitution over a table of truncated series powers,
-and resonance absorption by growing precision.
+resonance absorption by growing precision, the Taylor re-expansion of a
+balance in t instead of t0, and the pick of pivot rows with one rank per
+row.
 """
 
 from __future__ import annotations
@@ -577,3 +579,51 @@ def series_linear_combo(
         if w != 0:
             total = total + s.scale(w)
     return total.truncate(trunc)
+
+
+def reexpanded_coeffs_by_taylor(balance: Balance) -> list[list[MultiPoly]]:
+    """The balance coefficients as polynomials in t instead of t0, by hand.
+
+    Substituting t0 = t - (t-t0) and regathering powers turns a_{i,j}(t0)
+    into sum_m (-1)^m/m! (d^m a_{i,j-m}/d t0^m)(t).  Exact because the
+    time dependence is polynomial; a no-op for autonomous systems.
+    """
+    t0 = balance.t0_symbol
+    t = balance.system.t_symbol
+    if all(t0 not in p.symbols() for row in balance.coeffs for p in row):
+        return [list(row) for row in balance.coeffs]
+    out: list[list[MultiPoly]] = []
+    t_poly = MultiPoly.var(t)
+    for row in balance.coeffs:
+        new_row = []
+        for j in range(len(row)):
+            total = MultiPoly.zero()
+            factor = Q(1)
+            derivative = row[j]
+            for m in range(j + 1):
+                if m > 0:
+                    factor *= Q(-1, m)
+                    derivative = row[j - m]
+                    for _ in range(m):
+                        derivative = derivative.partial(t0)
+                    if derivative.is_zero:
+                        continue
+                total = total + derivative.replace({t0: t_poly}) * factor
+            new_row.append(total)
+        out.append(new_row)
+    return out
+
+
+def greedy_rows_by_rank(columns_matrix: list[list[Q]], m: int) -> list[int]:
+    """Indices of the first rows whose submatrix reaches rank m, one rank
+    computation per row tried."""
+    chosen: list[int] = []
+    picked_rows: list[list[Q]] = []
+    for idx, row in enumerate(columns_matrix):
+        trial = picked_rows + [row]
+        if rank(trial) == len(trial):
+            chosen.append(idx)
+            picked_rows = trial
+        if len(chosen) == m:
+            return chosen
+    raise PivotSelectionError("no invertible pivot block; balance is not principal")

@@ -323,3 +323,50 @@ def test_internal_fault_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: truncation 0")
+
+
+def test_hamiltonian_non_hamiltonian_input_message(capsys):
+    code, out, err = run(capsys, "hamiltonian", str(DATA / "pole2.sys"), "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: hamiltonian command requires a hamiltonian input file\n"
+
+
+# The three symplectic rejections of `painleve hamiltonian`, which no input
+# in tests/data reaches: each stage is made to reject GD in turn.  The
+# report keeps what the earlier stages found; the text is one line.
+REJECTIONS = [
+    (
+        "check_almost_weighted_homogeneous",
+        {"rejected": {"reason": "forced", "detail": "why"}},
+        "rejected: forced (why)\n",
+        "5361d581600cb2a3fe84e6f9e2fe0cb8acf81f5ee46606ebdd60096479e1829a",
+    ),
+    (
+        "symplectic_pairing",
+        {"d": 8, "rejected": {"reason": "forced", "detail": "why"}},
+        "rejected: forced (why)\n",
+        "e424436a0a0f75b48160c3a77fe03ee6dc734aab0a7f0d735ff4b8590957c3ae",
+    ),
+    (
+        "symplectic_normalize",
+        {"d": 8, "pairing": [[-1, 8], [2, 5]], "rejected": {"reason": "forced", "detail": "why"}},
+        "rejected: forced\n",
+        "d5c155c0afb35b4c0a342e57d3c044a7762f0fc5a01c5eff6ade18d0ebccbd24",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "stage,sub,text,digest", REJECTIONS, ids=[stage for stage, *_ in REJECTIONS]
+)
+def test_hamiltonian_rejection_reports_pinned(capsys, monkeypatch, stage, sub, text, digest):
+    import painleve.cli
+    from painleve.hamiltonian import HamiltonianRejected
+
+    monkeypatch.setattr(painleve.cli, stage, lambda *args: HamiltonianRejected("forced", "why"))
+    argv = ("hamiltonian", str(DATA / "gd.ham"), "--bound", "5")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["hamiltonian"] == sub
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert run(capsys, *argv) == (1, text, "")

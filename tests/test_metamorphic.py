@@ -6,6 +6,9 @@ must get related results.
   by lambda_i.
 * Reversing the variable order reverses the exponents and the leading data
   and keeps the verdicts and resonances.
+* Shifting time, t -> t + a, in a non-autonomous system keeps every
+  candidate, and `regularize` of each principal balance stays regular or
+  not: the shift only moves the pole, t0 -> t0 - a.
 
 Only the analysis is compared.  A rescaled system need not regularize: the
 pivot needs a rational k-th root of 1/c, which a rescaling can take away.
@@ -18,7 +21,8 @@ import pytest
 
 from painleve.algebra import MultiPoly
 from painleve.core import analyze_system
-from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input
+from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
+from painleve.regularize import Regular, regularize
 
 DATA = Path(__file__).parent / "data"
 SCALES = (Q(2), Q(-3, 2), Q(5), Q(1, 3))
@@ -36,6 +40,14 @@ def _systems():
 
 
 SYSTEMS = list(_systems())
+# the non-autonomous inputs, with Riccati and Painleve I variants beside
+# painleve1.ham, the only one in tests/data
+TIMED = [(name, system) for name, system in SYSTEMS if not system.autonomous] + [
+    ("riccati_t", parse_system("system\nvars: u\nu' = u^2 + t\n")),
+    ("riccati_t3", parse_system("system\nvars: u\nu' = u^2 + t^3 - 2*t\n")),
+    ("painleve1_t2_t3", parse_system("system\nvars: u1,u2\nu1' = u2 + t^3\nu2' = 6*u1^2 - 3*t^2 + t\n")),
+]
+SHIFTS = (Q(1), Q(-2, 3))
 
 
 def _rescaled(system: ODESystem, scales) -> ODESystem:
@@ -49,6 +61,13 @@ def _reversed(system: ODESystem) -> ODESystem:
     return ODESystem(
         system.u_symbols[::-1], system.rhs[::-1], system.t_symbol, system.param_symbols
     )
+
+
+def _shifted(system: ODESystem, a) -> ODESystem:
+    """The system for v(t) = u(t + a)."""
+    into = {system.t_symbol: MultiPoly.var(system.t_symbol) + a}
+    rhs = tuple(f.replace(into) for f in system.rhs)
+    return ODESystem(system.u_symbols, rhs, system.t_symbol, system.param_symbols)
 
 
 def _summary(system: ODESystem, order, leading=lambda c: c, exponents=lambda k: k):
@@ -85,3 +104,21 @@ def test_reversing_the_variables_reverses_the_candidates(name, system, order):
         _reversed(system), order, leading=lambda c: c[::-1], exponents=lambda k: k[::-1]
     )
     assert reverse == original
+
+
+def _regular(system: ODESystem, order) -> list[bool]:
+    return [
+        isinstance(regularize(cand.balance).regularity, Regular)
+        for cand in analyze_system(system, order=order).principal_candidates()
+    ]
+
+
+@pytest.mark.parametrize("a", SHIFTS, ids=str)
+@pytest.mark.parametrize("order", [None, 12])
+@pytest.mark.parametrize("name,system", TIMED, ids=[name for name, _ in TIMED])
+def test_time_shift_keeps_the_candidates_and_regularity(name, system, order, a):
+    shifted = _shifted(system, a)
+    assert shifted.rhs != system.rhs
+    assert _summary(shifted, order) == _summary(system, order)
+    regular = _regular(system, order)
+    assert regular and _regular(shifted, order) == regular
