@@ -85,13 +85,18 @@ class UsageError(ValueError):
     pass
 
 
+class NoPrincipalBalance(Exception):
+    """The analysis found no principal balance to regularize."""
+
+
 # Exit code per exception class, looked up along the raised exception's MRO;
 # an exception with no entry there propagates as a traceback.
 EXIT_CODES: dict[type, int] = {
     # usage or parse error; a plain ValueError is one of core's argument checks
     UsageError: 2, ParseError: 2, FileNotFoundError: 2, ValueError: 2,
-    # structural rejection of the balance
-    NoRationalRootPivot: 1, PivotSelectionError: 1, NonConstantResonanceBlock: 1, NotReversible: 1,
+    # no principal balance, or a structural rejection of it
+    NoPrincipalBalance: 1, NoRationalRootPivot: 1, PivotSelectionError: 1,
+    NonConstantResonanceBlock: 1, NotReversible: 1,
     # internal error
     TruncationUnderflow: 3, VariableMismatch: 3, ShapeError: 3, UnboundSymbol: 3, AssertionError: 3,
 }
@@ -287,7 +292,7 @@ def _analyze(args) -> tuple[ODESystem, HamiltonianSystem | None, AnalysisResult]
 def _pick_principal(result: AnalysisResult, index: int) -> CandidateReport:
     principal = result.principal_candidates()
     if not principal:
-        raise LookupError("no principal balance found")
+        raise NoPrincipalBalance(f"no principal balance found (verdict {result.verdict})")
     if not 0 <= index < len(principal):
         raise UsageError(
             f"--balance-index {index} out of range (found {len(principal)} principal balances)"
@@ -315,11 +320,7 @@ def cmd_test(args) -> int:
 
 def cmd_regularize(args) -> int:
     system, _, result = _analyze(args)
-    try:
-        cand = _pick_principal(result, args.balance_index)
-    except LookupError as err:
-        print(f"error: {err} (verdict {result.verdict})", file=sys.stderr)
-        return 1
+    cand = _pick_principal(result, args.balance_index)
     assert cand.balance is not None
     reg = regularize(cand.balance)
     report = candidate_report(system, cand)
@@ -339,11 +340,7 @@ def cmd_hamiltonian(args) -> int:
     system, hs, result = _analyze(args)
     if hs is None:
         raise UsageError("hamiltonian command requires a hamiltonian input file")
-    try:
-        cand = _pick_principal(result, args.balance_index)
-    except LookupError as err:
-        print(f"error: {err} (verdict {result.verdict})", file=sys.stderr)
-        return 1
+    cand = _pick_principal(result, args.balance_index)
     assert cand.balance is not None and cand.leading is not None
     n = hs.n_dof
     k = tuple(cand.exponents[:n])

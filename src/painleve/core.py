@@ -113,16 +113,9 @@ def is_fuchsian(sys: ODESystem, k: tuple[int, ...]) -> bool:
 EXPONENT_BUDGET = 250_000
 
 
-def enumerate_fuchsian_exponents(
-    sys: ODESystem, bound: int = 10
-) -> list[tuple[tuple[int, ...], bool]]:
+def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[int, ...]]:
     """All exponent vectors 0 <= k_i <= bound (not all zero) passing the
-    Fuchsian inequality, tagged with the natural-candidate filter, in
-    lexicographic order.
-
-    The tag is a necessary condition for a balance with every c_i nonzero:
-    each equation must either have a nonempty slice at degree k_i + 1 or
-    have k_i = 0.
+    Fuchsian inequality, in lexicographic order.
 
     The search assigns k_1, k_2, ... depth first and drops a prefix as soon
     as a partial weighted degree exceeds its cap: k_i + 1 once k_i is
@@ -143,11 +136,7 @@ def enumerate_fuchsian_exponents(
         # sums[r] is the weighted degree of row r over k_1..k_d
         if d == n:
             if any(k):
-                natural = all(
-                    ki == 0 or any(s == ki + 1 for s, (i, _) in zip(sums, rows) if i == e)
-                    for e, ki in enumerate(k)
-                )
-                found.append((tuple(k), natural))
+                found.append(tuple(k))
             return
         for v in range(bound + 1):
             budget[0] -= 1
@@ -217,9 +206,7 @@ def _divide_out(eq: MultiPoly, name: str, e: int) -> MultiPoly:
     return MultiPoly(eq.symbols(), terms)
 
 
-def solve_dominant(
-    sys: ODESystem, k, require_nonzero: bool = False
-) -> list[tuple[Fraction, ...]] | Unsolved:
+def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
     """Rational solutions of the dominant-balance equations by successive
     elimination.
 
@@ -239,44 +226,38 @@ def solve_dominant(
     if any(T0_SYMBOL in e.symbols() for e in equations):
         return Unsolved("time-dependent dominant equations")
 
-    solutions: list[dict[str, Fraction]] = []
+    solutions: set[tuple[Fraction, ...]] = set()
     budget = [SEARCH_BUDGET]
+    stalled = []
 
-    def finish(assignments: dict[str, MultiPoly]) -> None:
-        # resolve the substitution chain to numbers; drop families
+    def finish(assigned: list[tuple[str, MultiPoly]]) -> None:
+        # a substituted value mentions only unknowns assigned after it, so
+        # one backward pass resolves the chain; a family stays non-constant
         values: dict[str, Fraction] = {}
-        pending = dict(assignments)
-        for _ in range(len(names) + 1):
-            progress = False
-            for nm, expr in list(pending.items()):
-                resolved = expr.replace({m: MultiPoly.const(v) for m, v in values.items()})
-                if resolved.is_constant:
-                    values[nm] = resolved.constant_value()
-                    del pending[nm]
-                    progress = True
-                else:
-                    pending[nm] = resolved
-            if not pending:
-                break
-            if not progress:
+        for nm, expr in reversed(assigned):
+            value = expr.replace(values)
+            if not value.is_constant:
                 return
-        if pending or set(values) != set(names):
-            return
+            values[nm] = value.constant_value()
         # branching may overshoot (divided-out factors): verify on the
         # originals, identically in any parameters they carry
-        numbers = {nm: MultiPoly.const(v) for nm, v in values.items()}
-        if all(eq.replace(numbers).is_zero for eq in equations):
-            solutions.append(values)
+        vec = tuple(values[nm] for nm in names)
+        if any(vec) and all(eq.replace(values).is_zero for eq in equations):
+            solutions.add(vec)
 
-    def search(eqs: list[MultiPoly], assignments: dict[str, MultiPoly], free: set[str]) -> None:
+    def assign(eqs: list[MultiPoly], i: int, assigned, free, nm: str, value: MultiPoly) -> None:
+        # equation i is used up: substitute into the others and go on
+        rest = [e.replace({nm: value}) for e in eqs[:i] + eqs[i + 1 :]]
+        search(rest, assigned + [(nm, value)], free - {nm})
+
+    def search(eqs: list[MultiPoly], assigned: list[tuple[str, MultiPoly]], free: set[str]) -> None:
         if budget[0] <= 0:
             raise _SearchIncomplete("search budget exhausted")
         budget[0] -= 1
         eqs = [e for e in eqs if not e.is_zero]
         if not eqs:
-            if free:
-                return  # parameterized family: not auto-emitted
-            finish(assignments)
+            if not free:  # a free unknown left is a parameterized family: not auto-emitted
+                finish(assigned)
             return
         # rule 1: equation linear in an unknown with constant coefficient
         for i, eq in enumerate(eqs):
@@ -286,27 +267,19 @@ def solve_dominant(
                 coeff = eq.partial(nm)
                 if not coeff.is_constant:
                     continue
-                a = coeff.constant_value()
-                expr = (eq.replace({nm: MultiPoly.const(0)})) * (Q(-1) / a)
-                rest = [e.replace({nm: expr}) for e in eqs[:i] + eqs[i + 1 :]]
-                search(rest, {**assignments, nm: expr}, free - {nm})
+                expr = eq.replace({nm: MultiPoly.const(0)}) * (Q(-1) / coeff.constant_value())
+                assign(eqs, i, assigned, free, nm, expr)
                 return
         # rule 2: univariate equation, branch on rational roots
         for i, eq in enumerate(eqs):
             syms = [s for s in eq.symbols() if s in free]
             if len(syms) != 1 or len(eq.symbols()) != len(syms):
                 continue
-            nm = syms[0]
-            roots = _rational_roots(eq, nm)
+            roots = _rational_roots(eq, syms[0])
             if roots is None:
                 continue
-            rest = eqs[:i] + eqs[i + 1 :]
             for root in roots:
-                search(
-                    [e.replace({nm: MultiPoly.const(root)}) for e in rest],
-                    {**assignments, nm: MultiPoly.const(root)},
-                    free - {nm},
-                )
+                assign(eqs, i, assigned, free, syms[0], MultiPoly.const(root))
             return
         # rule 3: common monomial factor: the variable vanishes or divides out
         for i, eq in enumerate(eqs):
@@ -316,49 +289,18 @@ def solve_dominant(
                 content = _monomial_content(eq, nm)
                 if content < 1:
                     continue
-                zero = MultiPoly.const(0)
-                rest = eqs[:i] + eqs[i + 1 :]
-                search(
-                    [e.replace({nm: zero}) for e in rest],
-                    {**assignments, nm: zero},
-                    free - {nm},
-                )
-                search(
-                    eqs[:i] + [_divide_out(eq, nm, content)] + eqs[i + 1 :],
-                    assignments,
-                    free,
-                )
+                assign(eqs, i, assigned, free, nm, MultiPoly.const(0))
+                search(eqs[:i] + [_divide_out(eq, nm, content)] + eqs[i + 1 :], assigned, free)
                 return
         stalled.append(True)
 
-    stalled: list[bool] = []
     try:
-        search(equations, {}, set(names))
+        search(equations, [], set(names))
     except _SearchIncomplete as incomplete:
         return Unsolved(str(incomplete))
     if stalled and not solutions:
         return Unsolved()
-
-    out = []
-    seen = set()
-    for values in solutions:
-        vec = tuple(values[nm] for nm in names)
-        if all(v == 0 for v in vec):
-            continue
-        if require_nonzero and any(v == 0 for v in vec):
-            continue
-        if vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-    out.sort()
-    if not out and stalled:
-        return Unsolved()
-    return out
-
-
-def solve_natural_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
-    """Dominant-balance solutions with every leading coefficient nonzero."""
-    return solve_dominant(sys, k, require_nonzero=True)
+    return sorted(solutions)
 
 
 # ----------------------------------------------------------------------
@@ -393,15 +335,6 @@ class ResonanceStructure:
     resonances: tuple[int, ...]  # -1 first, strictly increasing
     multiplicities: tuple[int, ...]
     eigenbases: dict[int, tuple[tuple[Fraction, ...], ...]]
-
-    @property
-    def partial_sums(self) -> tuple[int, ...]:
-        sums = []
-        total = 0
-        for m in self.multiplicities:
-            total += m
-            sums.append(total)
-        return tuple(sums)
 
     @property
     def largest(self) -> int:
@@ -487,10 +420,6 @@ class Balance:
     def time_series(self) -> TruncatedSeries:
         """The time symbol as the exact series t0 + dt."""
         return TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(self.t0_symbol), 1: 1}, EXACT)
-
-    @property
-    def n_s(self) -> int:
-        return 1 + len(self.parameters)
 
 
 @dataclass(frozen=True)
@@ -678,7 +607,6 @@ def residual_check(sys: ODESystem, balance: Balance) -> int | ResidualWitness:
 @dataclass
 class CandidateReport:
     exponents: tuple[int, ...]
-    natural: bool
     stage: str  # dominant | kowalevskian | spectrum | resonance | balance
     verdict: str  # principal | not_principal | fails:<stage>
     leading: tuple[MultiPoly, ...] | None = None
@@ -715,13 +643,12 @@ def analyze_candidate(
     sys: ODESystem,
     k: tuple[int, ...],
     c,
-    natural: bool,
     order: int | None,
     parameter_names: tuple[str, ...] | None,
 ) -> CandidateReport:
     """Dominant check, Kowalevskian, spectrum, expansion and principal check
     of one candidate (k, c); `stage` tells where a failing one stopped."""
-    report = CandidateReport(exponents=k, natural=natural, stage="dominant", verdict="fails:dominant")
+    report = CandidateReport(exponents=k, stage="dominant", verdict="fails:dominant")
     dd = verify_dominant_balance(sys, k, c)
     if isinstance(dd, Rejected):
         report.detail = dd
@@ -777,33 +704,23 @@ def analyze_system(
 
     if spec is not None and spec.exponents is not None:
         k = tuple(spec.exponents)
-        pairs: list[tuple[tuple[int, ...], bool]] = [(k, True)] if is_fuchsian(sys, k) else []
-        if not pairs:
-            return AnalysisResult(sys, bound, [], "fails:exponents")
+        exponents = [k] if is_fuchsian(sys, k) else []
     else:
-        pairs = enumerate_fuchsian_exponents(sys, bound)
-        if not pairs:
-            return AnalysisResult(sys, bound, [], "fails:exponents")
+        exponents = enumerate_fuchsian_exponents(sys, bound)
+    if not exponents:
+        return AnalysisResult(sys, bound, [], "fails:exponents")
 
-    for k, natural in sorted(pairs):
+    for k in exponents:
         if spec is not None and spec.leading is not None:
             leadings: list = [spec.leading]
         else:
             solved = solve_dominant(sys, k)
             if isinstance(solved, Unsolved):
-                candidates.append(
-                    CandidateReport(
-                        exponents=k,
-                        natural=natural,
-                        stage="dominant",
-                        verdict="fails:dominant",
-                        detail=solved,
-                    )
-                )
+                candidates.append(CandidateReport(k, "dominant", "fails:dominant", detail=solved))
                 continue
             leadings = solved
         for c in leadings:
-            candidates.append(analyze_candidate(sys, k, c, natural, spec_order, names))
+            candidates.append(analyze_candidate(sys, k, c, spec_order, names))
 
     if not candidates:
         return AnalysisResult(sys, bound, [], "fails:dominant")

@@ -13,6 +13,7 @@ non-autonomous case the regular part is the new Hamiltonian.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,26 +238,15 @@ def symplectic_normalize(
 def _transversal_rows(block: list[list[Fraction]], n: int) -> list[int] | None:
     """Pick one of rows {i, n+i} per dof so the picked rows are independent.
 
-    Backtracking, preferring the q-row; the Lagrangian-frame property of a
-    symplectic matrix guarantees a solution exists.
+    The first choice in `itertools.product` order, q-rows first, whose rows
+    have full rank: the pick of a backtracking search, since every prefix of
+    an independent set is independent.  The Lagrangian-frame property of a
+    symplectic matrix guarantees a choice exists.
     """
-    choice: list[int] = []
-
-    def backtrack(i: int, picked: list[list[Fraction]]) -> bool:
-        if i == n:
-            return True
-        for pick in (i, n + i):
-            trial = picked + [block[pick]]
-            if rank(trial) == len(trial):
-                choice.append(pick)
-                if backtrack(i + 1, trial):
-                    return True
-                choice.pop()
-        return False
-
-    if not backtrack(0, []):
-        return None
-    return choice
+    for picks in itertools.product(*[(i, n + i) for i in range(n)]):
+        if rank([block[p] for p in picks]) == n:
+            return list(picks)
+    return None
 
 
 def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
@@ -393,7 +383,7 @@ def build_canonical_change(
     esys = hamiltonian_to_system(ehs)
     n = ehs.n_dof
     k_full = tuple(ek) + tuple(el)
-    report = analyze_candidate(esys, k_full, ec, True, order, None)
+    report = analyze_candidate(esys, k_full, ec, order, None)
     balance = report.balance
     if balance is None:
         raise AssertionError(f"exchanged candidate fails at {report.stage}: {report.detail}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix, as_poly, rank, rref
+from .algebra import MultiPoly, Q, RatMatrix, ShapeError, as_poly, rref
 from .core import Balance, SERIES_VAR
 from .model import ODESystem
 from .series import (
@@ -284,17 +284,15 @@ def absorb_resonances(
 
         # pivot block A[v][p] = d a_{v,lam} / d r_p over the remaining rows
         full = [[_resonance_entry(series, k, v, lam, nm) for nm in block_params] for v in remaining]
-        if var_order is None:
-            pick = _greedy_rows(full, m)
-        else:
-            pick = list(range(m))
-            if rank([full[i] for i in pick]) != m:
-                raise PivotSelectionError(
-                    f"prescribed rows {remaining[:m]} give a singular block at resonance {lam}"
-                )
+        pick = _greedy_rows(full, m) if var_order is None else list(range(m))
         block_vars = [remaining[i] for i in pick]
         A = RatMatrix([full[i] for i in pick])
-        Ainv = A.inverse()
+        try:
+            Ainv = A.inverse()
+        except ShapeError:  # only a prescribed block can be singular
+            raise PivotSelectionError(
+                f"prescribed rows {block_vars} give a singular block at resonance {lam}"
+            ) from None
 
         # record the substitution rows for the block variables
         names_here = []

@@ -11,8 +11,9 @@ then let the validating constructor `MultiPoly(vars, dict)` normalize it,
 series composition and reversion with one full series product per
 order, polynomial substitution over a table of truncated series powers,
 resonance absorption by growing precision, the Taylor re-expansion of a
-balance in t instead of t0, and the pick of pivot rows with one rank per
-row.
+balance in t instead of t0, the pick of pivot rows with one rank per
+row, the dominant-balance solver that resolves its substitution chain by
+repeated sweeps, and the Lagrangian transversal found by backtracking.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from dataclasses import replace
 from fractions import Fraction as Q
 from typing import Iterable, Mapping
 
-from painleve.algebra import Inconsistent, MultiPoly, RatMatrix, as_poly, rank, solve_affine
+from painleve import core
+from painleve.algebra import (
+    Inconsistent,
+    MultiPoly,
+    RatMatrix,
+    _SearchIncomplete,
+    as_poly,
+    rank,
+    solve_affine,
+)
 from painleve.core import (
     SERIES_VAR,
     T0_SYMBOL,
@@ -30,7 +40,11 @@ from painleve.core import (
     DominantData,
     FailureAtResonance,
     ResonanceStructure,
-    dominant_part,
+    Unsolved,
+    _divide_out,
+    _dominant_residuals,
+    _monomial_content,
+    _rational_roots,
 )
 from painleve.model import ODESystem
 from painleve.regularize import (
@@ -196,11 +210,10 @@ def expand_balance_by_substitution(
     )
 
 
-def enumerate_fuchsian_by_product(sys: ODESystem, bound: int) -> list[tuple[tuple[int, ...], bool]]:
+def enumerate_fuchsian_by_product(sys: ODESystem, bound: int) -> list[tuple[int, ...]]:
     """The exponent enumeration as the engine first ran it: every vector of
     the box {0..bound}^n, in `itertools.product` order, kept when each f_i
-    has weighted degree at most k_i + 1, tagged natural when each f_i with
-    k_i > 0 has a nonzero slice at degree k_i + 1."""
+    has weighted degree at most k_i + 1."""
     found = []
     for k in itertools.product(range(bound + 1), repeat=sys.n):
         if not any(k):
@@ -211,12 +224,130 @@ def enumerate_fuchsian_by_product(sys: ODESystem, bound: int) -> list[tuple[tupl
             for ki, f in zip(k, sys.rhs)
         ):
             continue
-        natural = all(
-            ki == 0 or not dominant_part(f, weights, ki + 1).is_zero
-            for ki, f in zip(k, sys.rhs)
-        )
-        found.append((k, natural))
+        found.append(k)
     return found
+
+
+def solve_dominant_by_fixed_point(sys: ODESystem, k) -> list[tuple[Q, ...]] | Unsolved:
+    """`core.solve_dominant` as first written: the same three moves, but the
+    substitution chain is resolved by sweeping it until nothing changes (at
+    most n + 1 sweeps), solutions are collected in a list and deduplicated
+    afterwards, and a stall is checked before and after dropping the zero
+    vector.  Reads `core.SEARCH_BUDGET` at call time."""
+    k = tuple(int(x) for x in k)
+    names = [f"_c{i}" for i in range(sys.n)]
+    c_polys = [MultiPoly.var(nm) for nm in names]
+    equations = [e for e in _dominant_residuals(sys, k, c_polys) if not e.is_zero]
+    if any(T0_SYMBOL in e.symbols() for e in equations):
+        return Unsolved("time-dependent dominant equations")
+
+    solutions: list[dict[str, Q]] = []
+    budget = [core.SEARCH_BUDGET]
+
+    def finish(assignments: dict[str, MultiPoly]) -> None:
+        values: dict[str, Q] = {}
+        pending = dict(assignments)
+        for _ in range(len(names) + 1):
+            progress = False
+            for nm, expr in list(pending.items()):
+                resolved = expr.replace({m: MultiPoly.const(v) for m, v in values.items()})
+                if resolved.is_constant:
+                    values[nm] = resolved.constant_value()
+                    del pending[nm]
+                    progress = True
+                else:
+                    pending[nm] = resolved
+            if not pending:
+                break
+            if not progress:
+                return
+        if pending or set(values) != set(names):
+            return
+        numbers = {nm: MultiPoly.const(v) for nm, v in values.items()}
+        if all(eq.replace(numbers).is_zero for eq in equations):
+            solutions.append(values)
+
+    def search(eqs: list[MultiPoly], assignments: dict[str, MultiPoly], free: set[str]) -> None:
+        if budget[0] <= 0:
+            raise _SearchIncomplete("search budget exhausted")
+        budget[0] -= 1
+        eqs = [e for e in eqs if not e.is_zero]
+        if not eqs:
+            if free:
+                return
+            finish(assignments)
+            return
+        for i, eq in enumerate(eqs):
+            for nm in eq.symbols():
+                if nm not in free or eq.degree_in(nm) != 1:
+                    continue
+                coeff = eq.partial(nm)
+                if not coeff.is_constant:
+                    continue
+                a = coeff.constant_value()
+                expr = (eq.replace({nm: MultiPoly.const(0)})) * (Q(-1) / a)
+                rest = [e.replace({nm: expr}) for e in eqs[:i] + eqs[i + 1 :]]
+                search(rest, {**assignments, nm: expr}, free - {nm})
+                return
+        for i, eq in enumerate(eqs):
+            syms = [s for s in eq.symbols() if s in free]
+            if len(syms) != 1 or len(eq.symbols()) != len(syms):
+                continue
+            nm = syms[0]
+            roots = _rational_roots(eq, nm)
+            if roots is None:
+                continue
+            rest = eqs[:i] + eqs[i + 1 :]
+            for root in roots:
+                search(
+                    [e.replace({nm: MultiPoly.const(root)}) for e in rest],
+                    {**assignments, nm: MultiPoly.const(root)},
+                    free - {nm},
+                )
+            return
+        for i, eq in enumerate(eqs):
+            for nm in eq.symbols():
+                if nm not in free:
+                    continue
+                content = _monomial_content(eq, nm)
+                if content < 1:
+                    continue
+                zero = MultiPoly.const(0)
+                rest = eqs[:i] + eqs[i + 1 :]
+                search(
+                    [e.replace({nm: zero}) for e in rest],
+                    {**assignments, nm: zero},
+                    free - {nm},
+                )
+                search(
+                    eqs[:i] + [_divide_out(eq, nm, content)] + eqs[i + 1 :],
+                    assignments,
+                    free,
+                )
+                return
+        stalled.append(True)
+
+    stalled: list[bool] = []
+    try:
+        search(equations, {}, set(names))
+    except _SearchIncomplete as incomplete:
+        return Unsolved(str(incomplete))
+    if stalled and not solutions:
+        return Unsolved()
+
+    out = []
+    seen = set()
+    for values in solutions:
+        vec = tuple(values[nm] for nm in names)
+        if all(v == 0 for v in vec):
+            continue
+        if vec not in seen:
+            seen.add(vec)
+            out.append(vec)
+    out.sort()
+    if not out and stalled:
+        return Unsolved()
+    return out
 
 
 def _on_union(a: MultiPoly, b: MultiPoly):
@@ -627,3 +758,26 @@ def greedy_rows_by_rank(columns_matrix: list[list[Q]], m: int) -> list[int]:
         if len(chosen) == m:
             return chosen
     raise PivotSelectionError("no invertible pivot block; balance is not principal")
+
+
+def transversal_rows_by_backtracking(block: list[list[Q]], n: int) -> list[int] | None:
+    """One of rows {i, n+i} per degree of freedom with the picked rows
+    independent, by backtracking that prefers the q-row and checks each
+    trial set with one rank."""
+    choice: list[int] = []
+
+    def backtrack(i: int, picked: list[list[Q]]) -> bool:
+        if i == n:
+            return True
+        for pick in (i, n + i):
+            trial = picked + [block[pick]]
+            if rank(trial) == len(trial):
+                choice.append(pick)
+                if backtrack(i + 1, trial):
+                    return True
+                choice.pop()
+        return False
+
+    if not backtrack(0, []):
+        return None
+    return choice

@@ -142,9 +142,9 @@ def test_regularize_riccati(capsys):
 
 
 def test_regularize_non_principal_exit_1(capsys):
-    code, _, err = run(capsys, "regularize", str(DATA / "cubic.sys"))
-    assert code == 1
-    assert "no principal balance" in err
+    code, out, err = run(capsys, "regularize", str(DATA / "cubic.sys"))
+    assert (code, out) == (1, "")
+    assert err == "error: no principal balance found (verdict fails:exponents)\n"
 
 
 def test_regularize_gd(capsys):
@@ -182,8 +182,9 @@ def test_hamiltonian_requires_hamiltonian_input(capsys):
 def test_hamiltonian_rejects_degenerate(capsys, tmp_path):
     path = tmp_path / "bilinear.ham"
     path.write_text("hamiltonian\nvars: q; p\nH = q*p\n")
-    code, _, err = run(capsys, "hamiltonian", str(path))
-    assert code == 1
+    code, out, err = run(capsys, "hamiltonian", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: no principal balance found (verdict fails:dominant)\n"
 
 
 # SHA-256 of exact --json reports: GD deeper than the benchmark runs it,

@@ -67,7 +67,7 @@ def _assert_permutation_invariant(sys: ODESystem, perm: list[int], bound: int) -
         sys.param_symbols,
     )
     found = enumerate_fuchsian_exponents(sys, bound)
-    expected = [(tuple(k[p] for p in perm), nat) for k, nat in found]
+    expected = [tuple(k[p] for p in perm) for k in found]
     assert sorted(enumerate_fuchsian_exponents(permuted, bound)) == sorted(expected)
 
 
@@ -86,7 +86,7 @@ def test_matches_product_loop_on_random_systems():
         sys, bound = _random_system(rng)
         found = enumerate_fuchsian_exponents(sys, bound)
         assert found == enumerate_fuchsian_by_product(sys, bound)
-        fuchsian = {k for k, _ in found}
+        fuchsian = set(found)
         for _ in range(5):
             k = tuple(rng.randint(0, bound) for _ in range(sys.n))
             assert is_fuchsian(sys, k) == (k in fuchsian or not any(k))
@@ -117,7 +117,7 @@ def test_bound_monotonicity(name, bound):
     # bound 29 + 7 = 36 is 37^4 = 1.87M vectors: affordable only with pruning
     sys = DATA_SYSTEMS[name]
     wider = enumerate_fuchsian_exponents(sys, bound + 7)
-    narrow = [(k, nat) for k, nat in wider if max(k) <= bound]
+    narrow = [k for k in wider if max(k) <= bound]
     assert enumerate_fuchsian_exponents(sys, bound) == narrow
 
 
@@ -126,7 +126,7 @@ def test_search_space_guard_still_applies(monkeypatch):
     # (38^4 = 2.09M vectors, refused by the box guard) tries about 20,500
     sys = DATA_SYSTEMS["henon_heiles.ham"]
     wider = enumerate_fuchsian_exponents(sys, 37)
-    narrow = [(k, nat) for k, nat in wider if max(k) <= 36]
+    narrow = [k for k in wider if max(k) <= 36]
     assert enumerate_fuchsian_exponents(sys, 36) == narrow
     monkeypatch.setattr(core, "EXPONENT_BUDGET", 20_000)
     with pytest.raises(ValueError, match="exponent search space too large"):

@@ -1,8 +1,8 @@
 """Differential tests for the regularizer and Hamiltonian layer routines that
 now call the engine's own kernels: the re-expansion of a balance in t, the
-pick of pivot rows and the resonance-matrix columns.  Each is compared with
-the code it replaced (kept in tests/oracles.py) or with an independent
-construction.
+pick of pivot rows, the Lagrangian transversal and the resonance-matrix
+columns.  Each is compared with the code it replaced (kept in
+tests/oracles.py) or with an independent construction.
 """
 
 import random
@@ -11,10 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import greedy_rows_by_rank, reexpanded_coeffs_by_taylor
-from painleve.algebra import MultiPoly, as_poly
+from oracles import (
+    greedy_rows_by_rank,
+    reexpanded_coeffs_by_taylor,
+    transversal_rows_by_backtracking,
+)
+from painleve.algebra import MultiPoly, RatMatrix, as_poly
 from painleve.core import SERIES_VAR, analyze_system, basic_resonance_vector, resonance_matrix_columns
-from painleve.hamiltonian import resonance_columns
+from painleve.hamiltonian import J_matrix, _transversal_rows, resonance_columns
 from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
 from painleve.regularize import (
     PivotSelectionError,
@@ -127,6 +131,59 @@ def test_pivot_rows_match_the_rank_loop():
         assert _pick(_greedy_rows, matrix, m) == expected, (matrix, m)
         outcomes.add(isinstance(expected, str))
     assert outcomes == {True, False}  # both picks and failures were exercised
+
+
+def _seeded_symplectic(rng: random.Random, n: int) -> RatMatrix:
+    """[[I, 0], [B, I]] [[I, C], [0, I]] with B, C symmetric and often
+    sparse, then q_i <-> p_i exchanges (rows i, n+i -> -row n+i, row i) on a
+    random subset of the degrees of freedom."""
+
+    def symmetric() -> list[list[Q]]:
+        m = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    m[i][j] = m[j][i] = Q(rng.randint(-2, 2), rng.randint(1, 2))
+        return m
+
+    def blocks(top_left, top_right, bottom_left, bottom_right) -> RatMatrix:
+        top = [a + b for a, b in zip(top_left, top_right)]
+        return RatMatrix(top + [a + b for a, b in zip(bottom_left, bottom_right)])
+
+    eye = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    zero = [[Q(0)] * n for _ in range(n)]
+    S = blocks(eye, zero, symmetric(), eye) * blocks(eye, symmetric(), zero, eye)
+    rows = [list(r) for r in S.data]
+    for i in range(n):
+        if rng.random() < 0.5:
+            rows[i], rows[n + i] = [-x for x in rows[n + i]], rows[i]
+    return RatMatrix(rows)
+
+
+def test_transversal_rows_match_the_backtracking():
+    rng = random.Random(20131)
+    p_rows = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        S = _seeded_symplectic(rng, n)
+        assert S.transpose() * J_matrix(n) * S == J_matrix(n)
+        block = [list(row[:n]) for row in S.data]
+        picks = _transversal_rows(block, n)
+        assert picks is not None and picks == transversal_rows_by_backtracking(block, n)
+        p_rows += any(p >= n for p in picks)
+    assert p_rows > 100  # many frames need a p-row
+    # the search is the same on any block: q1 alone is independent, but
+    # neither row of the second pair extends it, so the pick starts at p1
+    block = [[Q(1), Q(0)], [Q(1), Q(0)], [Q(0), Q(1)], [Q(2), Q(0)]]
+    assert _transversal_rows(block, 2) == transversal_rows_by_backtracking(block, 2) == [2, 1]
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        block = _seeded_matrix(rng, 2 * n, n)
+        picks = _transversal_rows(block, n)
+        assert picks == transversal_rows_by_backtracking(block, n), block
+        outcomes.add(picks is None)
+    assert outcomes == {True, False}
 
 
 # four balances at bound 1; on (1, 1, 1), K = diag(-1, 2, 2) gives two

@@ -26,7 +26,6 @@ from painleve.core import (
     resonance_structure,
     residual_check,
     solve_dominant,
-    solve_natural_dominant,
     verify_dominant_balance,
 )
 from painleve.model import BalanceSpec, ODESystem, hamiltonian_to_system, parse_input, parse_system
@@ -66,13 +65,11 @@ def test_enumerate_cubic_empty():
 
 
 def test_enumerate_pole2(pole2_system):
-    pairs = enumerate_fuchsian_exponents(pole2_system, bound=10)
-    assert ((2, 3), True) in pairs
+    assert (2, 3) in enumerate_fuchsian_exponents(pole2_system, bound=10)
 
 
 def test_enumerate_gd(gd_system):
-    pairs = enumerate_fuchsian_exponents(gd_system, bound=5)
-    ks = [k for k, _ in pairs]
+    ks = enumerate_fuchsian_exponents(gd_system, bound=5)
     assert (2, 4, 5, 3) in ks
     assert (2, 2, 5, 3) not in ks  # the natural exponents are not Fuchsian
 
@@ -101,21 +98,10 @@ def test_verify_dominant_gd(gd_system):
     assert not isinstance(dd, Rejected)
 
 
-def test_solve_natural_riccati(riccati_system):
-    assert solve_natural_dominant(riccati_system, (1,)) == [(Q(-1),)]
-
-
-def test_solve_natural_pole2(pole2_system):
-    assert solve_natural_dominant(pole2_system, (2, 3)) == [(Q(1), Q(-2))]
-
-
 def test_solve_dominant_gd_lifted(gd_system):
     solutions = solve_dominant(gd_system, (2, 4, 5, 3))
     assert (Q(1), Q(0), Q(-1), Q(1)) in solutions
     assert (Q(3), Q(9), Q(9), Q(3)) in solutions
-    # the all-nonzero filter drops the lifted balance
-    natural = solve_natural_dominant(gd_system, (2, 4, 5, 3))
-    assert (Q(1), Q(0), Q(-1), Q(1)) not in natural
 
 
 def test_solve_dominant_branches_on_common_factor():
@@ -162,11 +148,11 @@ def test_solve_dominant_checks_parameterized_equations_identically():
 
 def test_solve_dominant_budget_exhaustion_is_unsolved(monkeypatch):
     sys = hamiltonian_to_system(parse_input((DATA / "henon_heiles.ham").read_text()))
-    pairs = enumerate_fuchsian_exponents(sys, 10)
-    assert all(not isinstance(solve_dominant(sys, k), Unsolved) for k, _ in pairs)
+    exponents = enumerate_fuchsian_exponents(sys, 10)
+    assert all(not isinstance(solve_dominant(sys, k), Unsolved) for k in exponents)
     monkeypatch.setattr(core, "SEARCH_BUDGET", 5)
     budget = Unsolved("search budget exhausted")
-    exhausted = [k for k, _ in pairs if solve_dominant(sys, k) == budget]
+    exhausted = [k for k in exponents if solve_dominant(sys, k) == budget]
     assert exhausted
     reports = {c.exponents: c for c in analyze_system(sys).candidates}
     for k in exhausted:
@@ -225,7 +211,6 @@ def test_resonance_structure_pole2():
     assert isinstance(rs, ResonanceStructure)
     assert rs.resonances == (-1, 6)
     assert rs.multiplicities == (1, 1)
-    assert rs.partial_sums == (1, 2)
 
 
 def test_resonance_structure_failures():

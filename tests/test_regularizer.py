@@ -29,6 +29,7 @@ from painleve.model import (
 from painleve.regularize import (
     ChangeOfVariable,
     NoRationalRootPivot,
+    PivotSelectionError,
     Regular,
     SingularWitness,
     TransformedSystem,
@@ -334,6 +335,14 @@ def test_absorption_respects_prescribed_order(gd_candidate):
     cov = build_triangular_change(nb, absorption)
     ts = transform_system(gd_candidate.balance.system, cov)
     assert isinstance(verify_regularity(ts), Regular)
+
+
+def test_prescribed_singular_block_is_rejected(gd_candidate):
+    # with rows (1, 2, 3), the block at resonance 5 is variable 2's row alone, and it is singular
+    nb = indicial_normalization(gd_candidate.balance)
+    with pytest.raises(PivotSelectionError) as err:
+        absorb_resonances(nb, var_order=(1, 2, 3))
+    assert str(err.value) == "prescribed rows [2] give a singular block at resonance 5"
 
 
 def test_transform_system_report_truncation(pole2_candidate):
