@@ -219,8 +219,10 @@ def transformed_system_report(reg: Regularization) -> dict:
     }
 
 
-def transformed_balance_report(reg: Regularization) -> dict:
+def transformed_balance_report(reg: Regularization) -> dict | None:
     tb = reg.transformed_balance
+    if tb is None:  # a singular transformed system has no Taylor solution
+        return None
     return {
         "tau_series": tb.tau.rename_var(DT_DISPLAY),
         "rho_series": {nm: s.rename_var(DT_DISPLAY) for nm, s in tb.rho.items()},

@@ -28,6 +28,7 @@ from .model import HamiltonianSystem, ODESystem, hamiltonian_to_system
 from .regularize import (
     ChangeOfVariable,
     Regularization,
+    regular_part,
     regularize,
 )
 from .series import EXACT, TruncatedSeries, substitute_poly
@@ -463,17 +464,6 @@ class NewHamiltonian:
     dropped: tuple[tuple[int, MultiPoly], ...]  # singular coefficients (order, poly)
 
 
-def _regular_part(s: TruncatedSeries) -> MultiPoly:
-    """The polynomial sum of c_o tau^o over the orders o >= 0 of a Laurent
-    series in tau."""
-    tau = MultiPoly.var(s.var)
-    total = MultiPoly.zero()
-    for o in s.orders():
-        if o >= 0:
-            total = total + s.coeffs[o] * tau**o
-    return total
-
-
 def new_hamiltonian(
     H: MultiPoly,
     cov: ChangeOfVariable,
@@ -488,7 +478,7 @@ def new_hamiltonian(
     subs = cov.substitution()
     bindings = {u_symbols[i]: s for i, s in subs.items()}
     expanded = substitute_poly(H, bindings, order=EXACT)
-    regular = _regular_part(expanded)
+    regular = regular_part(expanded)
     dropped = [(o, expanded.coeffs[o]) for o in expanded.orders() if o < 0]
     if autonomous and dropped:
         raise AssertionError(
@@ -507,7 +497,7 @@ def hamilton_equations_match(
     for m, name in enumerate(ts.names):
         if any(o < 0 for o in ts.g[m].coeffs):
             return False
-        g_poly = _regular_part(ts.g[m])
+        g_poly = regular_part(ts.g[m])
         if name.startswith("Q"):
             expected = h0.partial("P" + name[1:])
         else:

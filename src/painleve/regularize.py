@@ -1,6 +1,6 @@
 """Triangular change of variable that resolves a movable singularity.
 
-Given a principal balance, the construction proceeds in two phases:
+Given a principal balance, the construction proceeds in three phases:
 
 1. Indicial normalization: a pivot variable with a pole is rewritten as
    u_1 = tau^(-k_1).  Taking the (-k_1)-th root of its series gives tau as
@@ -12,12 +12,16 @@ Given a principal balance, the construction proceeds in two phases:
    there becomes a new dependent variable.  Substituting the inverted
    relation into the remaining series removes the block's free parameters.
 
+3. The transformed balance: the new system is regular at tau = 0, so the
+   balance in the new variables is its Taylor solution.
+
 The result is the substitution u_i = (head polynomial in tau, t, earlier
 new variables) + rho_i * tau^(lambda - k_i), triangular by construction.
 Because the right sides are polynomial and each substitution row is a
 finite Laurent polynomial in tau, the transformed right sides are finite
 Laurent polynomials too; regularity is checked exactly, not just to a
-truncation.
+truncation.  Phases 1 and 2 read the balance only up to its largest
+resonance; only the Taylor solution runs to the full order.
 """
 
 from __future__ import annotations
@@ -201,6 +205,7 @@ class Stage:
     rho_names: tuple[str, ...]
     pivot_block: RatMatrix  # A^(l), invertible
     param_series: dict[str, TruncatedSeries]  # absorbed parameters as tau-series
+    a_lam: tuple[MultiPoly, ...]  # a_(v, lambda) per block variable: its rho at tau = 0
 
 
 @dataclass(frozen=True)
@@ -360,6 +365,7 @@ def absorb_resonances(
                 rho_names=tuple(names_here),
                 pivot_block=A,
                 param_series=X,
+                a_lam=tuple(a_lam),
             )
         )
 
@@ -514,53 +520,48 @@ class TransformedBalance:
     initial_values: dict[str, MultiPoly]  # values at t = t0
 
 
-def transform_balance(nb: NormalizedBalance, cov: ChangeOfVariable) -> TransformedBalance:
-    """Convert the Laurent balance into power series for the new variables.
+def regular_part(s: TruncatedSeries) -> MultiPoly:
+    """The polynomial sum of c_o tau^o over the orders o >= 0 of a Laurent
+    series in tau."""
+    tau = MultiPoly.var(s.var)
+    return sum((s.coeffs[o] * tau**o for o in s.orders() if o >= 0), MultiPoly.zero())
 
-    tau(t0) = 0 with tau'(t0) = beta != 0, and each rho series must carry no
-    negative orders; an implementation fault there is surfaced loudly.
+
+def transform_balance(
+    balance: Balance, absorption: Absorption, cov: ChangeOfVariable, ts: TransformedSystem
+) -> TransformedBalance:
+    """The Taylor solution x_j = [g(x)]_(j-1) / j of the regular transformed
+    system, with t = t0 + (t - t0), tau(t0) = 0 and rho_v(t0) = a_(v,lambda)
+    at the earlier initial values over the row's factor.  Each g_i is one
+    `RelaxedSubstitution` term list over the lists the recursion extends.
+    Like the composition with the balance of order M, tau stops below M + 1
+    and a rho absorbed at lambda below M - lambda; reading a capped x_k past
+    its end (a monomial of g_i with x_k and a tau exponent below
+    T_i - 1 - T_k, T the truncations) is refused as a fault.
     """
-    balance = nb.balance
-    t_series = balance.time_series()
-    tau_s = substitute_coeffs(nb.tau_in_dt, {balance.system.t_symbol: t_series})
-    rho_series: dict[str, TruncatedSeries] = {}
+    M, t, t0 = balance.order, balance.system.t_symbol, MultiPoly.var(balance.t0_symbol)
+    factors = {row.rho_name: row.rho_factor for row in cov.rows}
     initial: dict[str, MultiPoly] = {}
-
-    tau_pows: dict[int, TruncatedSeries] = {}
-
-    def tau_power(e: int) -> TruncatedSeries:
-        if e not in tau_pows:
-            tau_pows[e] = tau_s**e
-        return tau_pows[e]
-
-    for row in cov.rows:
-        u_series = balance.series(row.index)
-        head_total = TruncatedSeries.zero(SERIES_VAR, trunc=EXACT)
-        for o, poly in row.head:
-            if poly.is_zero:
-                continue
-            bound = {
-                nm: rho_series[nm] for nm in poly.symbols() if nm in rho_series
-            }
-            if balance.system.t_symbol in poly.symbols():
-                bound[balance.system.t_symbol] = t_series
-            coeff_series = (
-                substitute_poly(poly, bound, order=EXACT)
-                if bound
-                else TruncatedSeries.constant(SERIES_VAR, poly, trunc=EXACT)
-            )
-            head_total = head_total + coeff_series * tau_power(o)
-        expo = row.exponent(cov.k)
-        remainder = (u_series - head_total) * tau_power(-expo)
-        rho = remainder.scale(1 / row.rho_factor)
-        if rho.min_exp is not None and rho.min_exp < 0:
-            raise AssertionError(
-                f"transformed balance for {row.rho_name} has a negative order "
-                f"{rho.min_exp}: {rho.coeffs[rho.min_exp]}"
-            )
-        rho_series[row.rho_name] = rho
-        initial[row.rho_name] = rho.coeff(0) if rho.trunc > 0 else MultiPoly.zero()
-    return TransformedBalance(tau=tau_s, rho=rho_series, initial_values=initial)
+    for stage in absorption.stages:
+        at_t0 = {**initial, t: t0}
+        for rho, a in zip(stage.rho_names, stage.a_lam):
+            initial[rho] = a.replace(at_t0) * (1 / factors[rho])
+    tau, rhos = ts.names[0], ts.names[1:]
+    truncs = dict(zip(ts.names, [M + 1] + [M - row.resonance for row in cov.rows]))
+    lists = {tau: [], t: [t0, MultiPoly.const(1)], **{nm: [initial[nm]] for nm in rhos}}
+    sub = RelaxedSubstitution(lists, {**dict.fromkeys(lists, 0), tau: 1})
+    equations = [(nm, sub.terms(regular_part(g))) for nm, g in zip(ts.names, ts.g)]
+    for nm, terms in equations:
+        for _, _, tau_exponent, bound in terms:  # the offset counts tau only
+            if any(tau_exponent < truncs[nm] - 1 - truncs.get(x, EXACT) for x, _ in bound):
+                raise AssertionError(f"{nm}' reads a series beyond its truncation")
+    for j in range(1, M + 1):  # order j - 1 of g reads no x_j: append each as found
+        for nm, terms in equations:
+            if j < truncs[nm]:
+                lists[nm].append(sub.coeff(terms, j - 1, j) * Q(1, j))
+    rho = {nm: TruncatedSeries(SERIES_VAR, dict(enumerate(lists[nm])), truncs[nm]) for nm in rhos}
+    tau_series = TruncatedSeries(SERIES_VAR, dict(enumerate(lists[tau], start=1)), M + 1)
+    return TransformedBalance(tau=tau_series, rho=rho, initial_values=initial)
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +575,7 @@ class Regularization:
     change: ChangeOfVariable
     transformed: TransformedSystem
     regularity: Regular | SingularWitness
-    transformed_balance: TransformedBalance
+    transformed_balance: TransformedBalance | None  # None for a singular system
 
 
 def regularize(
@@ -585,14 +586,18 @@ def regularize(
     tau_name: str = TAU,
     last_factor: Fraction | None = None,
 ) -> Regularization:
-    nb = indicial_normalization(balance, pivot=pivot, tau_name=tau_name)
+    """Phases 1 and 2 run on the balance cut after its largest resonance
+    (at least at order 1): they read nothing beyond it."""
+    cut = min(balance.order, max(balance.structure.largest + 1, 1))
+    truncated = replace(balance, order=cut, coeffs=tuple(row[:cut] for row in balance.coeffs))
+    nb = indicial_normalization(truncated, pivot=pivot, tau_name=tau_name)
     absorption = absorb_resonances(
         nb, var_order=var_order, rho_names=rho_names, last_factor=last_factor
     )
     cov = build_triangular_change(nb, absorption)
     ts = transform_system(balance.system, cov)
     verdict = verify_regularity(ts)
-    tb = transform_balance(nb, cov)
+    tb = transform_balance(balance, absorption, cov, ts) if isinstance(verdict, Regular) else None
     return Regularization(
         normalized=nb,
         absorption=absorption,

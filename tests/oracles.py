@@ -11,9 +11,11 @@ then let the validating constructor `MultiPoly(vars, dict)` normalize it,
 series composition and reversion with one full series product per
 order, polynomial substitution over a table of truncated series powers,
 resonance absorption by growing precision, the Taylor re-expansion of a
-balance in t instead of t0, the pick of pivot rows with one rank per
-row, the dominant-balance solver that resolves its substitution chain by
-repeated sweeps, and the Lagrangian transversal found by backtracking.
+balance in t instead of t0, the transformed balance by composing the
+Laurent balance with the inverted change of variable, the pick of pivot
+rows with one rank per row, the dominant-balance solver that resolves its
+substitution chain by repeated sweeps, and the Lagrangian transversal found
+by backtracking.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ from painleve.core import (
 from painleve.model import ODESystem
 from painleve.regularize import (
     Absorption,
+    ChangeOfVariable,
     NormalizedBalance,
     PivotSelectionError,
     Stage,
+    TransformedBalance,
     VariableRow,
     _greedy_rows,
     _resonance_entry,
@@ -62,6 +66,8 @@ from painleve.series import (
     TruncatedSeries,
     TruncationUnderflow,
     VariableMismatch,
+    substitute_coeffs,
+    substitute_poly,
 )
 
 Laurent = dict  # order -> Fraction
@@ -691,6 +697,7 @@ def absorb_resonances_by_growing_precision(
                 rho_names=tuple(names_here),
                 pivot_block=A,
                 param_series=X,
+                a_lam=tuple(a_lam),
             )
         )
 
@@ -743,6 +750,57 @@ def reexpanded_coeffs_by_taylor(balance: Balance) -> list[list[MultiPoly]]:
             new_row.append(total)
         out.append(new_row)
     return out
+
+
+def transform_balance_by_composition(nb: NormalizedBalance, cov: ChangeOfVariable) -> TransformedBalance:
+    """`regularize.transform_balance` as the engine first ran it: invert
+    each row of the change of variable on the Laurent balance.
+
+    With tau_s the normalization's tau as a series in t - t0, each rho is
+    (u - head(tau_s, earlier rho's, t)) tau_s^(k - lambda) over the row's
+    factor, one power of tau_s per exponent; `nb` must be the normalization
+    of the balance at its full order.  tau(t0) = 0 with tau'(t0) = beta != 0,
+    and each rho series must carry no negative orders.
+    """
+    balance = nb.balance
+    t_series = balance.time_series()
+    tau_s = substitute_coeffs(nb.tau_in_dt, {balance.system.t_symbol: t_series})
+    rho_series: dict[str, TruncatedSeries] = {}
+    initial: dict[str, MultiPoly] = {}
+
+    tau_pows: dict[int, TruncatedSeries] = {}
+
+    def tau_power(e: int) -> TruncatedSeries:
+        if e not in tau_pows:
+            tau_pows[e] = tau_s**e
+        return tau_pows[e]
+
+    for row in cov.rows:
+        u_series = balance.series(row.index)
+        head_total = TruncatedSeries.zero(SERIES_VAR, trunc=EXACT)
+        for o, poly in row.head:
+            if poly.is_zero:
+                continue
+            bound = {nm: rho_series[nm] for nm in poly.symbols() if nm in rho_series}
+            if balance.system.t_symbol in poly.symbols():
+                bound[balance.system.t_symbol] = t_series
+            coeff_series = (
+                substitute_poly(poly, bound, order=EXACT)
+                if bound
+                else TruncatedSeries.constant(SERIES_VAR, poly, trunc=EXACT)
+            )
+            head_total = head_total + coeff_series * tau_power(o)
+        expo = row.exponent(cov.k)
+        remainder = (u_series - head_total) * tau_power(-expo)
+        rho = remainder.scale(1 / row.rho_factor)
+        if rho.min_exp is not None and rho.min_exp < 0:
+            raise AssertionError(
+                f"transformed balance for {row.rho_name} has a negative order "
+                f"{rho.min_exp}: {rho.coeffs[rho.min_exp]}"
+            )
+        rho_series[row.rho_name] = rho
+        initial[row.rho_name] = rho.coeff(0) if rho.trunc > 0 else MultiPoly.zero()
+    return TransformedBalance(tau=tau_s, rho=rho_series, initial_values=initial)
 
 
 def greedy_rows_by_rank(columns_matrix: list[list[Q]], m: int) -> list[int]:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -14,6 +15,7 @@ from oracles import (
     lscale,
     poly_series,
     residual_orders,
+    transform_balance_by_composition,
 )
 from painleve.algebra import MultiPoly
 from painleve.cli import main
@@ -63,7 +65,10 @@ def test_rational_root_branch():
 
 def _roundtrip(balance, reg):
     """Substituting the transformed balance into the change of variable must
-    reproduce the original Laurent balance order by order."""
+    reproduce the original Laurent balance order by order, and the Taylor
+    solution must equal the composition route exactly."""
+    nb = indicial_normalization(balance, pivot=reg.change.pivot, tau_name=reg.change.tau_name)
+    assert reg.transformed_balance == transform_balance_by_composition(nb, reg.change)
     sysm = balance.system
     subs = reg.change.substitution()
     tb = reg.transformed_balance
@@ -198,6 +203,22 @@ def test_non_autonomous_riccati():
     assert reg.transformed.g[0].coeffs == {0: MultiPoly.const(-1), 2: -t}
     _roundtrip(balance, reg)
     _transformed_balance_solves_system(reg)
+
+
+def test_painleve_ii_initial_value_is_read_at_t0():
+    # Painleve II with alpha = 1/2: the coefficient that rho2 takes over at
+    # the resonance 4 depends on t, so its initial value is taken at t = t0
+    sysm = parse_system("system\nvars: u1,u2\nu1' = u2\nu2' = 2*u1^3 + t*u1 + 1/2\n")
+    result = analyze_system(sysm, bound=4, order=9)
+    assert len(result.principal_candidates()) == 2
+    for cand in result.principal_candidates():
+        reg = regularize(cand.balance)
+        assert isinstance(reg.regularity, Regular)
+        (a_lam,) = reg.absorption.stages[0].a_lam
+        assert "t" in a_lam.symbols()
+        assert reg.transformed_balance.initial_values["rho2"] == a_lam.replace({"t": MultiPoly.var(T0_SYMBOL)})
+        _roundtrip(cand.balance, reg)
+        _transformed_balance_solves_system(reg)
 
 
 def test_no_rational_root_pivot():
@@ -474,3 +495,73 @@ def test_canonical_absorption_matches_growing_precision(monkeypatch, capsys, nam
     for nb, kwargs, absorption in calls:
         assert kwargs["var_order"] is not None and kwargs["last_factor"] is not None
         assert absorption == absorb_resonances_by_growing_precision(nb, **kwargs)
+
+
+def test_regularize_products_stay_bounded(monkeypatch, gd_system):
+    # the construction runs on the balance cut after its largest resonance
+    # and the transformed balance is the Taylor solution of the new system:
+    # 1,855 and 8,993 products at orders 16 and 30, against 4,454 and 26,017
+    # at full order with the balance composed with the inverted change
+    at_16, at_30 = (
+        _products(monkeypatch, regularize, _gd_balance(gd_system, order)) for order in (16, 30)
+    )
+    assert at_16 < 2_500
+    assert at_30 < 12_000
+
+
+@pytest.mark.parametrize("order", [13, 20])
+def test_transformed_balance_matches_composition(order):
+    compared = []
+    for name, balance in _principal_balances(order):
+        try:
+            nb = indicial_normalization(balance)
+        except NoRationalRootPivot:
+            continue
+        reg = regularize(balance)
+        assert reg.transformed_balance == transform_balance_by_composition(nb, reg.change), name
+        compared.append(name)
+    assert len(compared) >= 15
+
+
+@pytest.mark.parametrize("name", ["gd.ham", "painleve1.ham"])
+def test_canonical_transformed_balance_matches_composition(monkeypatch, capsys, name):
+    # the hamiltonian command's change of variable, in the symplectic order
+    # with the last variable's coefficient rescaled
+    home = sys.modules["painleve.regularize"]
+    taylor, calls = home.transform_balance, []
+
+    def recorded(balance, absorption, cov, ts):
+        calls.append((balance, cov, taylor(balance, absorption, cov, ts)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(home, "transform_balance", recorded)
+    for order in ("13", "20"):
+        assert main(["hamiltonian", str(DATA / name), "--order", order, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    for balance, cov, tb in calls:
+        assert cov.rows[-1].rho_factor != 1
+        nb = indicial_normalization(balance, pivot=cov.pivot, tau_name=cov.tau_name)
+        assert tb == transform_balance_by_composition(nb, cov)
+
+
+def test_taylor_solution_refuses_to_read_a_capped_series(pole2_candidate):
+    # tau' = 1 - rho2/2 tau^6 reads rho2 up to the last order it keeps,
+    # M - 6; with tau^5 it would read one order past it
+    reg = regularize(pole2_candidate.balance)
+    g_tau, g_rho = reg.transformed.g
+    early = TruncatedSeries(g_tau.var, {0: g_tau.coeffs[0], 5: g_tau.coeffs[6]}, EXACT)
+    ts = dataclasses.replace(reg.transformed, g=(early, g_rho))
+    with pytest.raises(AssertionError, match="tau' reads a series beyond its truncation"):
+        transform_balance(pole2_candidate.balance, reg.absorption, reg.change, ts)
+
+
+def test_singular_system_has_no_transformed_balance(monkeypatch, capsys, pole2_candidate):
+    # a singular transformed system has no Taylor solution to read
+    witness = SingularWitness(index=1, name="rho2", order=-1, coefficient=MultiPoly.const(1))
+    monkeypatch.setattr(sys.modules["painleve.regularize"], "verify_regularity", lambda ts: witness)
+    assert regularize(pole2_candidate.balance).transformed_balance is None
+    assert main(["regularize", str(DATA / "pole2.sys"), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["transformed_system"]["regular"] is False
+    assert report["transformed_balance"] is None
