@@ -10,6 +10,7 @@ parameters can enter the series.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,9 @@ from .algebra import (
     rational_roots,
     solve_affine,
 )
-from .model import BalanceSpec, ODESystem
+from .model import T0_SYMBOL, BalanceSpec, ODESystem
 from .series import EXACT, RelaxedSubstitution, TruncatedSeries, substitute_poly
 
-T0_SYMBOL = "t0"
 SERIES_VAR = "dt"  # stands for (t - t0)
 
 
@@ -486,9 +486,9 @@ def expand_balance(
     injected = [(r, m) for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1]
     needed = needed_parameter_count(rs)
     if parameter_names is None:
-        parameter_names = tuple(
-            f"r{i}" for i in range(2 + len(leading_params), 2 + len(leading_params) + needed)
-        )
+        declared = set(sys.u_symbols) | set(sys.param_symbols)
+        fresh = (f"r{i}" for i in itertools.count(2 + len(leading_params)))
+        parameter_names = tuple(itertools.islice((nm for nm in fresh if nm not in declared), needed))
     if len(parameter_names) != needed:
         raise ValueError(f"need {needed} parameter names, got {len(parameter_names)}")
     if order <= rs.largest:
@@ -671,8 +671,11 @@ def analyze_candidate(
     report.structure = rs
     report.stage = "resonance"
     M = order if order is not None else max(rs.largest + 5, 2)
-    if parameter_names is not None and len(parameter_names) != needed_parameter_count(rs):
-        parameter_names = None  # declared names do not fit this candidate
+    if parameter_names is not None and (
+        len(parameter_names) != needed_parameter_count(rs)
+        or any(nm in f.symbols() for f in (*sys.rhs, *dd.leading) for nm in parameter_names)
+    ):
+        parameter_names = None  # declared names do not fit this candidate or already mean something
     balance = expand_balance(sys, dd, rs, M, parameter_names)
     if isinstance(balance, FailureAtResonance):
         report.verdict = "fails:resonance"

@@ -12,6 +12,8 @@ Input grammar (UTF-8 text, one item per line, blank lines ignored):
 
 In hamiltonian mode the vars line splits position symbols from momentum
 symbols with ";".  The time symbol is always "t" and needs no declaration.
+No declared name may be "t0" or start with "_", and no parameter may be
+"tau", "rho<n>", "Q<n>" or "P<n>": the engine uses those names itself.
 Only exact rational literals are accepted; "^" takes a non-negative integer
 exponent and "/" is valid only inside a rational literal.
 """
@@ -25,6 +27,11 @@ from fractions import Fraction
 from .algebra import MultiPoly, RatMatrix
 
 T_SYMBOL = "t"
+T0_SYMBOL = "t0"  # the pole position of a balance
+
+# Parameters live on into the regularized and canonical systems, whose new
+# variables are tau and rho<n> (regularize) or Q<n> and P<n> (hamiltonian).
+_NEW_VARIABLE = re.compile(r"tau|(rho|Q|P)\d+")
 
 
 class ParseError(ValueError):
@@ -338,6 +345,10 @@ def _parse_declarations(lines, *, hamiltonian: bool):
     declared = u_names + (p_names or []) + params
     if T_SYMBOL in declared:
         raise ParseError(f"'{T_SYMBOL}' is reserved for the time variable", lines[0][0])
+    for name in declared:
+        # names starting with "_" are the engine's own unknowns
+        if name == T0_SYMBOL or name.startswith("_") or (name in params and _NEW_VARIABLE.fullmatch(name)):
+            raise ParseError(f"'{name}' is reserved for the engine", lines[0][0])
     if len(set(declared)) != len(declared):
         raise ParseError("duplicate declaration", lines[0][0])
     return u_names, p_names, params, body

@@ -12,7 +12,6 @@ EXACT is a sentinel truncation for objects that are known completely
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Mapping, Sequence
 
 from .algebra import MultiPoly, PolyLike, Q, as_poly
@@ -167,10 +166,7 @@ class TruncatedSeries:
             if n < 0:
                 raise NotReversible("cannot invert the zero series")
             return TruncatedSeries.zero(self.var, trunc=n * self.trunc)
-        lead = self.coeffs[m]
-        if not lead.is_constant or lead.constant_value() == 0:
-            raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
-        c = lead.constant_value()
+        c = _constant_lead(self)
         unit = self.shift(-m).scale(1 / c)
         return rational_power_of_unit(unit, n, 1).shift(n * m).scale(c**n)
 
@@ -241,6 +237,15 @@ class TruncatedSeries:
 
 
 _ZERO = MultiPoly.zero()
+
+
+def _constant_lead(s: TruncatedSeries) -> Q:
+    """The leading coefficient of a nonzero series, an invertible rational;
+    NotReversible otherwise."""
+    lead = s.coeffs[s.min_exp]
+    if not lead.is_constant or lead.constant_value() == 0:
+        raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
+    return lead.constant_value()
 
 
 def _coeff_of(factor, n: int, j: int) -> MultiPoly:
@@ -343,9 +348,16 @@ class RelaxedSubstitution:
 
 
 def _substitute(
-    var: str, polys: Mapping[int, MultiPoly], bindings: Mapping[str, TruncatedSeries], cap: int
-) -> TruncatedSeries:
-    """The sum of polys[o](bindings) x^o, known below `cap` at most.
+    var: str,
+    bindings: Mapping[str, TruncatedSeries],
+    sums: Sequence[tuple[Mapping[int, MultiPoly], int]],
+) -> list[TruncatedSeries]:
+    """For each (polys, cap) of `sums`, the sum of polys[o](bindings) x^o,
+    known below `cap` at most.
+
+    All sums are read over one `RelaxedSubstitution`, so a power or product
+    of the bindings that several of them need is multiplied out once, as
+    far as the deepest of them reads it.
 
     With m_x the first order of a binding (its truncation when it is zero)
     and T_x its truncation, a term c prod x^e is known below
@@ -362,32 +374,35 @@ def _substitute(
     }
     reach = {nm: s.trunc - first[nm] for nm, s in bindings.items() if s.trunc < EXACT}
     sub = RelaxedSubstitution(lists, first)
-    trunc, live = cap, []
-    for o, f in polys.items():
-        known, lowest = EXACT, None  # relative to o, as for f alone
-        for term in sub.terms(f, o):
-            offset, factors = term[2] - o, term[3]
-            reaches = [reach[nm] for nm, _ in factors if nm in reach]
-            if reaches:
-                known = min(known, offset + min(reaches))
-            if all(lists[nm] for nm, _ in factors):  # no zero binding
-                lowest = offset if lowest is None else min(lowest, offset)
-                live.append(term)
-        if lowest is not None and known <= lowest and known < (cap - o if cap < EXACT else EXACT):
-            raise TruncationUnderflow(
-                f"truncation {known} cannot reach the lowest possible order {lowest}"
-            )
-        if known < EXACT:
-            trunc = min(trunc, o + known)
-    out: dict[int, MultiPoly] = {}
-    for unbound, node, offset, factors in live:
-        span = 1 + sum(e * (len(lists[nm]) - 1) for nm, e in factors)
-        for n in range(min(span, trunc - offset)):
-            c = _coeff_of(node, n, n + 1)  # the lists are complete
-            if not c.is_zero:
-                prev = out.get(offset + n)
-                out[offset + n] = unbound * c if prev is None else prev + unbound * c
-    return TruncatedSeries(var, out, trunc)
+    results = []
+    for polys, cap in sums:
+        trunc, live = cap, []
+        for o, f in polys.items():
+            known, lowest = EXACT, None  # relative to o, as for f alone
+            for term in sub.terms(f, o):
+                offset, factors = term[2] - o, term[3]
+                reaches = [reach[nm] for nm, _ in factors if nm in reach]
+                if reaches:
+                    known = min(known, offset + min(reaches))
+                if all(lists[nm] for nm, _ in factors):  # no zero binding
+                    lowest = offset if lowest is None else min(lowest, offset)
+                    live.append(term)
+            if lowest is not None and known <= lowest and known < (cap - o if cap < EXACT else EXACT):
+                raise TruncationUnderflow(
+                    f"truncation {known} cannot reach the lowest possible order {lowest}"
+                )
+            if known < EXACT:
+                trunc = min(trunc, o + known)
+        out: dict[int, MultiPoly] = {}
+        for unbound, node, offset, factors in live:
+            span = 1 + sum(e * (len(lists[nm]) - 1) for nm, e in factors)
+            for n in range(min(span, trunc - offset)):
+                c = _coeff_of(node, n, n + 1)  # the lists are complete
+                if not c.is_zero:
+                    prev = out.get(offset + n)
+                    out[offset + n] = unbound * c if prev is None else prev + unbound * c
+        results.append(TruncatedSeries(var, out, trunc))
+    return results
 
 
 def substitute_poly(
@@ -410,7 +425,7 @@ def substitute_poly(
             raise VariableMismatch("bindings use different series variables")
     if f.is_zero:
         return TruncatedSeries.zero(var, trunc=order)
-    return _substitute(var, {0: f}, bindings, order)
+    return _substitute(var, bindings, [({0: f}, order)])[0]
 
 
 def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
@@ -422,8 +437,14 @@ def substitute_coeffs(s: TruncatedSeries, bindings: Mapping[str, TruncatedSeries
     bound = {o: p for o, p in s.coeffs.items() if any(v in bindings for v in p.symbols())}
     if not bound:
         return s
-    out = _substitute(s.var, bound, bindings, s.trunc)
+    out = _substitute(s.var, bindings, [(bound, s.trunc)])[0]
     return out + TruncatedSeries(s.var, {o: p for o, p in s.coeffs.items() if o not in bound}, EXACT)
+
+
+# The symbols that composition and reversion bind to the inner series and to
+# its inverse.  They are not identifiers, so no symbol of a coefficient (an
+# input's names, the engine's own) can be one of them.
+_INNER, _INVERSE = "(inner)", "(inner)^-1"
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -441,12 +462,10 @@ def compose_many(outers: Sequence[TruncatedSeries], inner: TruncatedSeries) -> l
     first power of the inner series (negative orders included) requires an
     invertible rational inner leading coefficient; NotReversible otherwise.
 
-    The powers inner^j are built once for all outers, one at a time from
-    the lowest order to the highest, restarting at j = 0.  Each is
-    multiplied out only below the highest order an outer still needs from
-    it or from a later power, and is cut to each outer's own bound before
-    it is scaled, so every coefficient and truncation is as if each outer
-    were composed alone with the full powers.
+    Each outer is a polynomial in two symbols, one bound to the inner
+    series and one to its inverse (for the negative orders), and all of
+    them are read through `_substitute` over one set of bindings, so the
+    powers of the inner series are built once for all outers.
     """
     for outer in outers:
         if outer.var != inner.var:
@@ -454,92 +473,56 @@ def compose_many(outers: Sequence[TruncatedSeries], inner: TruncatedSeries) -> l
     if inner.is_zero or inner.min_exp < 1:
         raise ValueError("inner series must have min_exp >= 1")
     m = inner.min_exp
-    results: list[TruncatedSeries] = []
-    jobs = []  # (index, outer, lowest order, inner truncation it sees, result bound)
-    for index, outer in enumerate(outers):
+    if min((outer.min_exp for outer in outers if not outer.is_zero), default=0) not in (0, 1):
+        _constant_lead(inner)
+    sums, seen = [], []  # seen: the inner truncation each negative outer needs
+    for outer in outers:
         if outer.is_zero:
-            results.append(TruncatedSeries.zero(outer.var, trunc=outer.trunc * m))
+            sums.append(({}, outer.trunc * m))
             continue
         lo = outer.min_exp
-        hi = outer.trunc if outer.trunc < EXACT else outer.max_exp + 1  # exclusive
-        # below hi * m, a negative power of the inner needs no more than this;
-        # it keeps negative powers of an exactly-known inner finite objects
-        seen = inner.trunc if lo >= 0 else min(inner.trunc, (hi - lo) * m + 2)
-        bound = outer.trunc * m if outer.trunc < EXACT else math.inf
-        jobs.append((index, outer, lo, seen, bound))
-        results.append(TruncatedSeries.zero(outer.var, trunc=EXACT))
-    if not jobs:
-        return results
-    lo = min(job[2] for job in jobs)
-    hi = max(max(job[1].coeffs) + 1 for job in jobs)
-    # need[j - lo]: inner^j is wanted below this order (j m: not at all).
-    # A bound exceeds the order of the coefficient it serves, so every power
-    # on the way to a wanted one keeps its leading coefficient.
-    need = [j * m for j in range(lo, hi)]
-    for _, outer, _, _, bound in jobs:
-        for j in outer.coeffs:
-            need[j - lo] = max(need[j - lo], bound)
-    for j in range(hi - 2, lo - 1, -1):
-        if j != -1:  # inner^0 is not built from inner^-1
-            need[j - lo] = max(need[j - lo], need[j + 1 - lo] - m)
-    negative = inner.truncate(max((job[3] for job in jobs if job[2] < 0), default=EXACT))
-    for j in range(lo, hi):
-        base = negative if j < 0 else inner
-        if j in (lo, 0):
-            # inner^j with truncation min(t + (j - 1) m, need), t that of the base
-            power = base.truncate(need[j - lo] - (j - 1) * m) ** j
-        else:
-            power = power.truncate(need[j - lo] - m) * base
-        for index, outer, first, seen, bound in jobs:
-            c = outer.coeffs.get(j)
-            if c is None:
-                continue
-            # the truncation of inner^j built alone from inner truncated at `seen`
-            alone = EXACT if j == first == 0 else seen + (j - 1) * m
-            results[index] = results[index] + power.truncate(min(alone, bound)).scale(c)
-    for index, _, _, _, bound in jobs:
-        results[index] = results[index].truncate(bound)
-    return results
+        cap = outer.trunc * m if outer.trunc < EXACT else EXACT
+        if lo < 0:
+            hi = outer.trunc if outer.trunc < EXACT else outer.max_exp + 1  # exclusive
+            # below hi * m, a negative power of the inner needs no more than
+            # this; it keeps the inverse of an exactly-known inner finite
+            seen.append(min(inner.trunc, (hi - lo) * m + 2))
+            # inner^lo built from that cut is known below this; the one
+            # inverse of all outers may be cut deeper for another outer
+            cap = min(cap, seen[-1] + (lo - 1) * m)
+        poly = _ZERO
+        for j, c in outer.coeffs.items():
+            poly = poly + c * MultiPoly((_INNER if j >= 0 else _INVERSE,), {(abs(j),): 1})
+        sums.append(({0: poly}, cap))
+    bindings = {_INNER: inner}
+    if seen:
+        bindings[_INVERSE] = inner.truncate(max(seen)).inverse()
+    return _substitute(inner.var, bindings, sums)
 
 
 def revert_series(s: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse w with s(w(x)) = x modulo x^trunc.
 
-    Lagrange inversion: with phi = (s/x)^(-1), the coefficients are
-    [x^n] w = [x^(n-1)] phi^n / n.  The identity holds over any coefficient
-    ring containing Q, so the result is exact.  With T = trunc - 1 and
-    K = isqrt(T), baby steps phi^0 .. phi^K and giant steps phi^(gK) give
-    [x^(n-1)] phi^n for n = gK + i as one dot product of the coefficients of
-    phi^(gK) and phi^i (Brent and Kung, JACM 1978): one inverse and about
-    K + T / K products instead of T, all truncated at T.
+    With c the leading coefficient of s and g = s - c x, w solves
+    c w + g(w) = x: w_1 = 1/c and w_n = -[x^n] g(w) / c.  Since g starts at
+    order 2, [x^n] g(w) reads only w_1 .. w_(n-1), so w is the relaxed
+    fixed point of one `RelaxedSubstitution` list, extended one coefficient
+    at a time (van der Hoeven, JSC 2002).  Exact over any coefficient ring
+    containing Q.
     """
     if s.is_zero or s.min_exp != 1:
         raise NotReversible("reversion needs min_exp exactly 1")
-    lead = s.coeffs[1]
-    if not lead.is_constant or lead.constant_value() == 0:
-        raise NotReversible(f"leading coefficient {lead} is not an invertible constant")
-    phi = s.shift(-1).inverse()
-    top = s.trunc - 1
-    step = math.isqrt(top)
-    baby = [TruncatedSeries.constant(s.var, 1), phi]
-    while len(baby) <= step:
-        baby.append(baby[-1] * phi)
-    coeffs = {}
-    giant = baby[0]
-    for start in range(0, top + 1, step):
-        if start:
-            giant = giant * baby[step] if start > step else baby[step]
-        for i, small in enumerate(baby[:step]):
-            n = start + i
-            if not 1 <= n <= top:
-                continue
-            acc = MultiPoly.zero()
-            for a, p in giant.coeffs.items():
-                q = small.coeffs.get(n - 1 - a)
-                if q is not None:
-                    acc = acc + p * q
-            coeffs[n] = acc * Q(1, n)
-    return TruncatedSeries(s.var, coeffs, s.trunc)
+    scale = -1 / _constant_lead(s)
+    g = _ZERO
+    for k, c in s.coeffs.items():
+        if k != 1:
+            g = g + c * MultiPoly((_INNER,), {(k,): 1})
+    w = [MultiPoly.const(-scale)]
+    sub = RelaxedSubstitution({_INNER: w}, {_INNER: 1})
+    terms = sub.terms(g)
+    for n in range(2, s.trunc):
+        w.append(sub.coeff(terms, n, n - 1) * scale)
+    return TruncatedSeries(s.var, dict(enumerate(w, 1)), s.trunc)
 
 
 def rational_power_of_unit(s: TruncatedSeries, num: int, den: int) -> TruncatedSeries:

@@ -257,6 +257,58 @@ def test_regularize_resonance_zero_through_cli(capsys):
     assert report["change_of_variable"]["rows"]["u2"] == [[0, "rho2"]]
 
 
+# one resonance parameter, at resonance 6
+RESONANCE_SIX = "system\nvars: u1,u2\nparams: {}\nu1' = u2\nu2' = 6*u1^2 + {}\n"
+
+
+@pytest.mark.parametrize("params,term,name", [("a", "a", "r2"), ("r2", "r2", "r3"), ("k", "0", "k")])
+def test_declared_params_name_the_resonance_parameters_only_when_unused(
+    capsys, tmp_path, params, term, name
+):
+    # a declared name that occurs in a right side is a parameter of the
+    # system, not the free coefficient at resonance 6, and the default
+    # names skip every declared name
+    path = tmp_path / "six.sys"
+    path.write_text(RESONANCE_SIX.format(params, term))
+    code, out, _ = run(capsys, "test", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["parameters"] == [{"name": name, "resonance": 6}]
+    code, _, err = run(capsys, "regularize", str(path))
+    assert code == 0, err
+
+
+def test_declared_param_of_the_leading_data_names_no_resonance_parameter(capsys, tmp_path):
+    path = tmp_path / "lead.sys"
+    path.write_text("system\nvars: u1,u2,u3\nparams: r\nu1' = u2\nu2' = 6*u1^2\nu3' = u3\n")
+    code, out, _ = run(capsys, "test", str(path), "--exponents=2,3,0", "--leading=1,-2,r", "--json")
+    assert code == 0
+    assert json.loads(out)["parameters"] == [
+        {"name": "r", "resonance": 0},
+        {"name": "r3", "resonance": 6},
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "system\nvars: u\nparams: t0\nu' = u^2 + t0*t\n",
+        "system\nvars: u\nparams: tau\nu' = u^2 + tau*t\n",
+        "system\nvars: u1,u2\nparams: rho2,b\nu1' = u2\nu2' = 6*u1^2 + rho2\n",
+        "system\nvars: u\nparams: _c0\nu' = _c0*u^2\n",
+        "system\nvars: t0\nt0' = t0^2\n",
+        "system\nvars: _u\n_u' = _u^2\n",
+        "hamiltonian\nvars: q; p\nparams: Q1\nH = p^2 + Q1*q^3\n",
+        "hamiltonian\nvars: q; p\nparams: P1\nH = p^2 + P1*q^3\n",
+    ],
+)
+def test_engine_names_are_reserved(capsys, tmp_path, text):
+    path = tmp_path / "reserved.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "test", str(path))
+    assert code == 2
+    assert "reserved" in err
+
+
 def test_balance_index_out_of_range(capsys):
     code, _, err = run(
         capsys, "regularize", str(DATA / "riccati.sys"), "--balance-index", "5"

@@ -85,6 +85,16 @@ def test_parse_reserved_time_symbol():
         parse_system("system\nvars: t\nt' = t\n")
 
 
+def test_new_variable_names_are_reserved_for_parameters_only():
+    # tau, rho<n>, Q<n> and P<n> name new variables, which replace the old
+    # ones but live beside the parameters
+    sys = parse_system("system\nvars: tau,rho2\nparams: rho\ntau' = rho2\nrho2' = rho*tau^2\n")
+    assert sys.u_symbols == ("tau", "rho2")
+    for name in ("tau", "rho2", "Q1", "P3"):
+        with pytest.raises(ParseError, match="reserved"):
+            parse_system(f"system\nvars: u\nparams: {name}\nu' = u^2\n")
+
+
 def test_parse_hamiltonian_gd():
     hs = parse_hamiltonian(
         "hamiltonian\nvars: q1,q2; p1,p2\nH = -q1*p2^2 - 2*p1*p2 + 3*q1^2*q2 - q1^4 - q2^2\n"

@@ -416,8 +416,9 @@ def _products(monkeypatch, fn, *args) -> int:
 
 
 def test_normalization_products_stay_bounded(monkeypatch, gd_system):
-    # one power chain shared by the three compositions, each power cut where
-    # no result needs it, and baby-step/giant-step reversion: 1,610 and 9,195
+    # the three compositions are polynomials read over one relaxed
+    # substitution, which shares the powers of the inner series and of its
+    # inverse, and the reversion is a relaxed fixed point: 1,509 and 10,519
     # products at orders 16 and 30, against 5,602 and 42,929 with a full
     # product per order for every composition and for the reversion
     at_16, at_30 = (

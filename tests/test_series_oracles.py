@@ -1,7 +1,6 @@
-"""The shared, truncation-bounded composition, the baby-step/giant-step
-reversion and the coefficient-stream substitution against the
-one-product-per-order loops and the table of series powers they replaced.
-Series equality includes the truncation, so `==` checks both."""
+"""Composition, reversion and the coefficient-stream substitution against
+the one-product-per-order loops and the table of series powers they
+replaced.  Series equality includes the truncation, so `==` checks both."""
 
 import random
 from fractions import Fraction as Q
@@ -108,6 +107,33 @@ def test_compose_many_with_a_parameter_lead():
 
 def test_compose_many_of_no_outers():
     assert compose_many([], TruncatedSeries(X, {1: 1}, 5)) == []
+
+
+# The engine's own names: solve_dominant's unknowns start with "_" and the
+# regularizer's new variable is tau.  Composition and reversion bind symbols
+# of their own, which must capture none of them.
+ENGINE_NAMES = {"r": MultiPoly.var("_c0"), "p": MultiPoly.var("tau") + MultiPoly.var("_inner")}
+
+
+def _engine_named(s):
+    return s.map_coeffs(lambda c: c.replace(ENGINE_NAMES))
+
+
+def test_compose_and_revert_with_engine_names_in_the_coefficients():
+    for inner, outers in _cases(1618, 60):
+        inner = _engine_named(inner)
+        for outer in map(_engine_named, outers):
+            assert compose(outer, inner) == compose_by_power_loop(outer, inner)
+    rng = random.Random(2718)
+    symbols = set()
+    for _ in range(20):
+        trunc = rng.randint(3, 9)
+        coeffs = {1: Q(rng.choice((1, -2, 3)), rng.choice((1, 2)))}
+        coeffs.update({order: _coefficient(rng, with_params=True) for order in range(2, trunc)})
+        s = _engine_named(TruncatedSeries(X, coeffs, trunc))
+        assert revert_series(s) == revert_by_power_loop(s)
+        symbols.update(*(c.symbols() for c in s.coeffs.values()))
+    assert symbols == {"_c0", "_inner", "tau"}
 
 
 def test_revert_matches_power_loop():
