@@ -8,6 +8,8 @@ abstract polynomial compare equal structurally.
 
 The public constructor validates its input; the ring operations build their
 results, already canonical, through the trusted `MultiPoly._canonical`.
+`sum_of_products` is the one product loop: `*` of two polynomials and every
+series convolution form their sums of products there, on integer numerators.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Q = Fraction
 
@@ -195,15 +197,7 @@ class MultiPoly:
             return _scaled(self, other.terms.get((), Q(0)))
         if not self.vars:
             return _scaled(other, self.terms.get((), Q(0)))
-        vars, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(map(add, ea, eb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        # degrees add over an integral domain: the top term in each variable survives
-        return MultiPoly._canonical(vars, {e: c for e, c in out.items() if c})
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -373,6 +367,38 @@ def _merge_into(acc: dict, terms: Mapping[tuple[int, ...], Fraction]) -> bool:
                 del acc[e]
                 cancelled = True
     return cancelled
+
+
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of a * b over `pairs`: the one product loop of the package.
+
+    The left factors are written over the lcm of their denominators and the
+    right ones over theirs, so every term product is a product of integer
+    numerators, summed per exponent key; each surviving key then gets one
+    Fraction.  Pairs with a zero factor are skipped.
+    """
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    if not pairs:
+        return _ZERO
+    symbols: set[str] = set()
+    for a, b in pairs:
+        symbols.update(a.vars, b.vars)
+    union = tuple(sorted(symbols))
+    da = lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
+    db = lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for a, b in pairs:
+        right = [(e, c.numerator * (db // c.denominator)) for e, c in _remap(b, union).items()]
+        for ea, ca in _remap(a, union).items():
+            na = ca.numerator * (da // ca.denominator)
+            for eb, nb in right:
+                key = tuple(map(add, ea, eb))
+                acc[key] = get(key, 0) + na * nb
+    d = da * db
+    out = {e: Q(v, d) for e, v in acc.items() if v}
+    # a variable can vanish from every term only where some key cancelled
+    return MultiPoly._canonical(union, out, len(out) < len(acc))
 
 
 def as_poly(value: PolyLike) -> MultiPoly:

@@ -320,9 +320,11 @@ def _parse_declarations(lines, *, hamiltonian: bool):
     u_names: list[str] | None = None
     p_names: list[str] | None = None
     params: list[str] = []
+    at: dict[str, int] = {}  # the line of each declaration list
     body = []
     for lineno, line in lines:
         if line.startswith("vars:"):
+            at["vars"] = lineno
             rest = line[len("vars:") :]
             if hamiltonian:
                 if ";" not in rest:
@@ -337,20 +339,30 @@ def _parse_declarations(lines, *, hamiltonian: bool):
                     raise ParseError("';' is only valid in hamiltonian mode", lineno)
                 u_names = _split_idents(rest, lineno)
         elif line.startswith("params:"):
+            at["params"] = lineno
             params = _split_idents(line[len("params:") :], lineno)
         else:
             body.append((lineno, line))
     if u_names is None:
         raise ParseError("missing vars: line", lines[0][0] if lines else 1)
-    declared = u_names + (p_names or []) + params
-    if T_SYMBOL in declared:
-        raise ParseError(f"'{T_SYMBOL}' is reserved for the time variable", lines[0][0])
-    for name in declared:
+    # (name, line, is a parameter), in file order
+    declared = sorted(
+        [(nm, at["vars"], False) for nm in u_names + (p_names or [])]
+        + [(nm, at["params"], True) for nm in params],
+        key=lambda d: d[1],
+    )
+    for name, lineno, _ in declared:
+        if name == T_SYMBOL:
+            raise ParseError(f"'{T_SYMBOL}' is reserved for the time variable", lineno)
+    for name, lineno, param in declared:
         # names starting with "_" are the engine's own unknowns
-        if name == T0_SYMBOL or name.startswith("_") or (name in params and _NEW_VARIABLE.fullmatch(name)):
-            raise ParseError(f"'{name}' is reserved for the engine", lines[0][0])
-    if len(set(declared)) != len(declared):
-        raise ParseError("duplicate declaration", lines[0][0])
+        if name == T0_SYMBOL or name.startswith("_") or (param and _NEW_VARIABLE.fullmatch(name)):
+            raise ParseError(f"'{name}' is reserved for the engine", lineno)
+    seen: set[str] = set()
+    for name, lineno, _ in declared:
+        if name in seen:
+            raise ParseError("duplicate declaration", lineno)
+        seen.add(name)
     return u_names, p_names, params, body
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import MultiPoly, Q, RatMatrix, ShapeError, as_poly, rref
+from .algebra import MultiPoly, Q, RatMatrix, ShapeError, as_poly, rref, sum_of_products
 from .core import Balance, SERIES_VAR
 from .model import ODESystem
 from .series import (
@@ -343,14 +343,11 @@ def absorb_resonances(
         ]
         trunc = min([M - lam] + [tail.trunc for tail in tails])
         base = [rho - a0 for rho, a0 in zip(rho_polys, a_hat)]
+        weights = [[MultiPoly.const(w) for w in row] for row in Ainv.data]
         for n in range(trunc):
             adjusted = base if n == 0 else [-sub.coeff(terms, n, n) for terms in tail_terms]
             for r, nm in enumerate(block_params):
-                total = MultiPoly.zero()
-                for w, a in zip(Ainv.row(r), adjusted):
-                    if w != 0:
-                        total = total + a * w
-                lists[nm].append(total)
+                lists[nm].append(sum_of_products(zip(adjusted, weights[r])))
         X = {nm: TruncatedSeries(tau, dict(enumerate(lists[nm])), trunc) for nm in block_params}
 
         # substitute into the variables that remain

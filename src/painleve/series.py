@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .algebra import MultiPoly, PolyLike, Q, as_poly
+from .algebra import MultiPoly, PolyLike, Q, as_poly, sum_of_products
 
 EXACT = 1 << 30
 
@@ -125,16 +125,12 @@ class TruncatedSeries:
             self.trunc + other._eff_min(),
             other.trunc + self._eff_min(),
         )
-        out: dict[int, MultiPoly] = {}
+        pairs: dict[int, list] = {}
         for oa, pa in self.coeffs.items():
             for ob, pb in other.coeffs.items():
-                o = oa + ob
-                if o >= trunc:
-                    continue
-                prod = pa * pb
-                prev = out.get(o)
-                out[o] = prod if prev is None else prev + prod
-        return TruncatedSeries(self.var, out, trunc)
+                if oa + ob < trunc:
+                    pairs.setdefault(oa + ob, []).append((pa, pb))
+        return TruncatedSeries(self.var, {o: sum_of_products(p) for o, p in pairs.items()}, trunc)
 
     def shift(self, by: int) -> TruncatedSeries:
         return TruncatedSeries(
@@ -281,14 +277,12 @@ class _Product:
         return self._convolve(n, j)
 
     def _convolve(self, n: int, j: int) -> MultiPoly:
-        total = _ZERO
+        pairs = []
         for m in range(n + 1):
             a = _coeff_of(self.left, m, j)
-            if not a.is_zero:
-                b = _coeff_of(self.right, n - m, j)
-                if not b.is_zero:
-                    total = total + a * b
-        return total
+            if a.terms:
+                pairs.append((a, _coeff_of(self.right, n - m, j)))
+        return sum_of_products(pairs)
 
 
 class RelaxedSubstitution:
@@ -339,12 +333,9 @@ class RelaxedSubstitution:
     @staticmethod
     def coeff(terms, order: int, j: int) -> MultiPoly:
         """Coefficient at `order` of the sum of `terms`, the lists known below j."""
-        total = _ZERO
-        for unbound, node, offset, _ in terms:
-            c = _coeff_of(node, order - offset, j)
-            if not c.is_zero:
-                total = total + unbound * c
-        return total
+        return sum_of_products(
+            (unbound, _coeff_of(node, order - offset, j)) for unbound, node, offset, _ in terms
+        )
 
 
 def _substitute(
@@ -393,15 +384,13 @@ def _substitute(
                 )
             if known < EXACT:
                 trunc = min(trunc, o + known)
-        out: dict[int, MultiPoly] = {}
+        pairs: dict[int, list] = {}
         for unbound, node, offset, factors in live:
             span = 1 + sum(e * (len(lists[nm]) - 1) for nm, e in factors)
             for n in range(min(span, trunc - offset)):
-                c = _coeff_of(node, n, n + 1)  # the lists are complete
-                if not c.is_zero:
-                    prev = out.get(offset + n)
-                    out[offset + n] = unbound * c if prev is None else prev + unbound * c
-        results.append(TruncatedSeries(var, out, trunc))
+                # the lists are complete
+                pairs.setdefault(offset + n, []).append((unbound, _coeff_of(node, n, n + 1)))
+        results.append(TruncatedSeries(var, {o: sum_of_products(p) for o, p in pairs.items()}, trunc))
     return results
 
 
@@ -549,9 +538,6 @@ def rational_power_of_unit(s: TruncatedSeries, num: int, den: int) -> TruncatedS
         top = int(alpha) * max(w) + 1
     v = [MultiPoly.const(1)]
     for n in range(1, top):
-        acc = MultiPoly.zero()
-        for k, wk in w.items():
-            if k <= n and v[n - k]:
-                acc = acc + wk * v[n - k] * ((alpha + 1) * k - n)
-        v.append(acc * Q(1, n))
+        pairs = [(wk, v[n - k] * ((alpha + 1) * k - n)) for k, wk in w.items() if k <= n and v[n - k]]
+        v.append(sum_of_products(pairs) * Q(1, n))
     return TruncatedSeries(s.var, dict(enumerate(v)), s.trunc)

@@ -6,10 +6,50 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from painleve import algebra
+from painleve.algebra import MultiPoly
 from painleve.core import analyze_system
 from painleve.model import hamiltonian_to_system, parse_hamiltonian, parse_system
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """count_products(fn, *args): the number of coefficient products fn(*args)
+    forms, each counted once whether `MultiPoly.__mul__` or a pair of
+    `algebra.sum_of_products` forms it; a pair with a zero factor forms none."""
+
+    def count(fn, *args) -> int:
+        total, inside = 0, False
+        mul, kernel = MultiPoly.__mul__, algebra.sum_of_products
+
+        def counted_mul(self, other):
+            nonlocal total, inside
+            total += 1
+            inside = True  # a product of two polynomials is one kernel pair
+            try:
+                return mul(self, other)
+            finally:
+                inside = False
+
+        def counted_kernel(pairs):
+            nonlocal total
+            pairs = list(pairs)
+            if not inside:
+                total += sum(1 for a, b in pairs if a and b)
+            return kernel(pairs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "__mul__", counted_mul)
+            patch.setattr(MultiPoly, "__rmul__", counted_mul)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("painleve") and hasattr(module, "sum_of_products"):
+                    patch.setattr(module, "sum_of_products", counted_kernel)
+            fn(*args)
+        return total
+
+    return count
 
 GD_TEXT = (
     "hamiltonian\n"

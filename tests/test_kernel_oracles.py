@@ -1,12 +1,14 @@
 """sympy oracles for the exact kernels: the one elimination (`rref`) behind
 det, inverse, rank, nullspace and solve_affine, the characteristic
-polynomial, and the one rational-root search."""
+polynomial, and the one rational-root search; and the one product loop,
+`sum_of_products`, against a fold of the validating ring references."""
 
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+import oracles
 from painleve.algebra import (
     AffineSolution,
     Inconsistent,
@@ -18,6 +20,7 @@ from painleve.algebra import (
     rank,
     rational_roots,
     solve_affine,
+    sum_of_products,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -163,3 +166,76 @@ def test_rational_roots_of_zero_and_constant_polynomials():
     assert rational_roots([Q(0), Q(0)]) is None
     assert rational_roots([Q(3)]) == []
     assert rational_roots([Q(0), Q(0), Q(5)]) == [Q(0)]
+
+
+# ----------------------------------------------------------------------
+# the one product loop against a fold of oracles.poly_add(oracles.poly_mul)
+
+u, v, w = MultiPoly.var("u"), MultiPoly.var("v"), MultiPoly.var("w")
+ZERO = MultiPoly.zero()
+
+
+def _check_sum_of_products(pairs):
+    """sum_of_products(pairs) equals the fold of the references, is canonical
+    (so structural equality holds), and left every operand as it was."""
+    before = [(p.vars, dict(p.terms)) for pair in pairs for p in pair]
+    result = sum_of_products(iter(pairs))
+    assert [(p.vars, p.terms) for pair in pairs for p in pair] == before
+    expected = ZERO
+    for a, b in pairs:
+        expected = oracles.poly_add(expected, oracles.poly_mul(a, b))
+    assert result == expected
+    assert hash(result) == hash(expected)
+    assert list(result.vars) == sorted(set(result.vars))
+    assert all(any(e[i] for e in result.terms) for i in range(len(result.vars)))
+    assert all(type(c) is Q and c != 0 for c in result.terms.values())
+    return result
+
+
+def test_sum_of_products_fixed_cases():
+    cases = {
+        "no pairs": [],
+        "disjoint symbols": [(u + 1, v * Q(2, 3)), (w, w + Q(1, 2))],
+        "mixed symbols": [(u * v + Q(1, 2), u - v), (v, w * Q(5, 7) + 1), (w, u)],
+        "mixed denominators": [
+            (u * Q(1, 6) + Q(3, 4), v * Q(2, 9) - Q(1, 10)),
+            (u * Q(5, 14), v * Q(7, 15) + Q(-11, 6)),
+        ],
+        "zero operands": [(ZERO, u), (v, ZERO), (ZERO, ZERO)],
+        "constant operands": [
+            (MultiPoly.const(Q(3, 2)), MultiPoly.const(Q(-4, 5))),
+            (MultiPoly.const(2), u * v),
+            (w, MultiPoly.const(Q(1, 3))),
+        ],
+        "constants cancel": [(MultiPoly.const(2), MultiPoly.const(3)), (MultiPoly.const(-6), MultiPoly.const(1))],
+    }
+    for name, pairs in cases.items():
+        assert _check_sum_of_products(pairs) is not None, name
+    # (u + v)(u - v) + (v - u)(u + v) = 0
+    assert _check_sum_of_products([(u + v, u - v), (v - u, u + v)]).is_zero
+    # u v - u (v - w) = u w: v occurs in no term only after the cancellation
+    vanished = _check_sum_of_products([(u, v * Q(2, 3)), (u * Q(-2, 3), v - w)])
+    assert vanished.vars == ("u", "w")
+    assert vanished == u * w * Q(2, 3)
+
+
+def _kernel_operand(rng, pool):
+    names = rng.sample(pool, rng.randint(0, len(pool)))
+    raw = {}
+    for _ in range(rng.randint(0, 4)):
+        raw[tuple(rng.randint(0, 2) for _ in names)] = Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 9)))
+    return MultiPoly(names, raw)
+
+
+def test_sum_of_products_matches_fold_of_references():
+    rng = random.Random(20261018)
+    pools = (("u", "v"), ("v", "w", "x"), ("u",), ("x", "y"))
+    for _ in range(400):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            a = _kernel_operand(rng, rng.choice(pools))
+            b = _kernel_operand(rng, rng.choice(pools))
+            pairs.append((a, b))
+            if rng.random() < 0.2:  # a pair that cancels the one before
+                pairs.append((oracles.poly_neg(a), b))
+        _check_sum_of_products(pairs)

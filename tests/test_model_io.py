@@ -95,6 +95,21 @@ def test_new_variable_names_are_reserved_for_parameters_only():
             parse_system(f"system\nvars: u\nparams: {name}\nu' = u^2\n")
 
 
+def test_declaration_errors_name_the_declaring_line():
+    cases = [
+        ("system\nvars: u\nparams: t0\nu' = u^2\n", "reserved", 3),
+        ("system\n\nvars: u\nparams: a, _b\nu' = u^2\n", "reserved", 4),
+        ("system\nvars: u\nparams: t\nu' = u^2\n", "time variable", 3),
+        ("system\nvars: u, a\nparams: a\nu' = u^2\n", "duplicate", 3),
+        ("system\nparams: a\nvars: u, a\nu' = u^2\n", "duplicate", 3),
+        ("hamiltonian\nvars: q; p\nparams: b, q\nH = p^2\n", "duplicate", 3),
+    ]
+    for text, message, line in cases:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_input(text)
+        assert err.value.line == line, text
+
+
 def test_parse_hamiltonian_gd():
     hs = parse_hamiltonian(
         "hamiltonian\nvars: q1,q2; p1,p2\nH = -q1*p2^2 - 2*p1*p2 + 3*q1^2*q2 - q1^4 - q2^2\n"

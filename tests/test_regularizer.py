@@ -398,43 +398,26 @@ def _gd_balance(gd_system, order):
     return cand.balance
 
 
-def _products(monkeypatch, fn, *args) -> int:
-    """The number of MultiPoly products in fn(*args)."""
-    count = 0
-    mul = MultiPoly.__mul__
-
-    def counted(self, other):
-        nonlocal count
-        count += 1
-        return mul(self, other)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(MultiPoly, "__mul__", counted)
-        patch.setattr(MultiPoly, "__rmul__", counted)
-        fn(*args)
-    return count
-
-
-def test_normalization_products_stay_bounded(monkeypatch, gd_system):
+def test_normalization_products_stay_bounded(count_products, gd_system):
     # the three compositions are polynomials read over one relaxed
     # substitution, which shares the powers of the inner series and of its
     # inverse, and the reversion is a relaxed fixed point: 1,509 and 10,519
     # products at orders 16 and 30, against 5,602 and 42,929 with a full
     # product per order for every composition and for the reversion
     at_16, at_30 = (
-        _products(monkeypatch, indicial_normalization, _gd_balance(gd_system, order))
+        count_products(indicial_normalization, _gd_balance(gd_system, order))
         for order in (16, 30)
     )
     assert at_16 < 2_200
     assert at_30 < 12_000
 
 
-def test_absorption_products_stay_bounded(monkeypatch, gd_system):
-    # one relaxed pass over cached product nodes: 1,881 and 8,521 products
+def test_absorption_products_stay_bounded(count_products, gd_system):
+    # one relaxed pass over cached product nodes: 1,880 and 8,520 products
     # at orders 20 and 30, against 8,953 and 65,993 when every precision
     # re-substituted the tails
     at_20, at_30 = (
-        _products(monkeypatch, absorb_resonances, indicial_normalization(_gd_balance(gd_system, order)))
+        count_products(absorb_resonances, indicial_normalization(_gd_balance(gd_system, order)))
         for order in (20, 30)
     )
     assert at_20 < 3_000
@@ -498,13 +481,13 @@ def test_canonical_absorption_matches_growing_precision(monkeypatch, capsys, nam
         assert absorption == absorb_resonances_by_growing_precision(nb, **kwargs)
 
 
-def test_regularize_products_stay_bounded(monkeypatch, gd_system):
+def test_regularize_products_stay_bounded(count_products, gd_system):
     # the construction runs on the balance cut after its largest resonance
     # and the transformed balance is the Taylor solution of the new system:
-    # 1,855 and 8,993 products at orders 16 and 30, against 4,454 and 26,017
+    # 1,816 and 8,954 products at orders 16 and 30, against 4,454 and 26,017
     # at full order with the balance composed with the inverted change
     at_16, at_30 = (
-        _products(monkeypatch, regularize, _gd_balance(gd_system, order)) for order in (16, 30)
+        count_products(regularize, _gd_balance(gd_system, order)) for order in (16, 30)
     )
     assert at_16 < 2_500
     assert at_30 < 12_000

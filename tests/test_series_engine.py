@@ -345,26 +345,11 @@ def test_power_needs_an_invertible_rational_lead():
         s**2
 
 
-def _products_in_inverse(monkeypatch, trunc) -> int:
-    count = 0
-    mul = MultiPoly.__mul__
-
-    def counted(self, other):
-        nonlocal count
-        count += 1
-        return mul(self, other)
-
-    s = S({o: Q(o % 5 + 1, o % 3 + 1) for o in range(trunc)}, trunc)
-    with monkeypatch.context() as patch:
-        patch.setattr(MultiPoly, "__mul__", counted)
-        patch.setattr(MultiPoly, "__rmul__", counted)
-        s.inverse()
-    return count
-
-
-def test_inverse_products_grow_quadratically(monkeypatch):
+def test_inverse_products_grow_quadratically(count_products):
     # Miller's recurrence costs O(T^2) coefficient products, so doubling the
     # truncation multiplies the count by about 4; summing (-w)^j gives about 8
-    at_30 = _products_in_inverse(monkeypatch, 30)
-    at_60 = _products_in_inverse(monkeypatch, 60)
+    at_30, at_60 = (
+        count_products(S({o: Q(o % 5 + 1, o % 3 + 1) for o in range(trunc)}, trunc).inverse)
+        for trunc in (30, 60)
+    )
     assert at_60 / at_30 < 5
