@@ -81,6 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every call: a parser is a reference cycle that each `main`
+# call would otherwise leave to the cyclic collector
+PARSER = build_parser()
+
+
 class UsageError(ValueError):
     pass
 
@@ -350,7 +355,6 @@ def cmd_hamiltonian(args) -> int:
     if not all(c.is_constant for c in cand.leading):
         print("error: canonical construction needs rational leading data", file=sys.stderr)
         return 1
-    c = tuple(x.constant_value() for x in cand.leading)
 
     report = candidate_report(system, cand)
     # sd is the result of the last stage run; each stage needs the one
@@ -371,7 +375,7 @@ def cmd_hamiltonian(args) -> int:
         print(serialize_report(report) if args.json else f"rejected: {sd.reason}{detail}")
         return 1
     sd = canonical_exchanges(sd)
-    pipe = build_canonical_change(hs, k, l, c, sd, order=cand.balance.order)
+    pipe = build_canonical_change(hs, cand.balance, sd)
     reg = pipe.regularization
     canonical = verify_canonical(pipe.change, n)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, hs.autonomous)
@@ -406,9 +410,8 @@ def cmd_hamiltonian(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

@@ -128,27 +128,27 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
         raise ValueError("bound must be at least 1")
     n = sys.n
     rows = [(i, m) for i, ms in enumerate(_exponent_rows(sys)) for m in ms]
-    k = [0] * n
     found = []
-    budget = [EXPONENT_BUDGET]
-
-    def extend(d: int, sums: list[int]) -> None:
-        # sums[r] is the weighted degree of row r over k_1..k_d
+    tries = 0
+    # depth first over prefixes (k_1..k_d, sums), sums[r] the weighted degree
+    # of row r over the prefix; the last node on the stack is extended next
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), [0] * len(rows))]
+    while stack:
+        prefix, sums = stack.pop()
+        d = len(prefix)
         if d == n:
-            if any(k):
-                found.append(tuple(k))
-            return
-        for v in range(bound + 1):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ValueError("exponent search space too large; lower the bound")
-            k[d] = v
+            if any(prefix):
+                found.append(prefix)
+            continue
+        tries += bound + 1
+        if tries > EXPONENT_BUDGET:
+            raise ValueError("exponent search space too large; lower the bound")
+        for v in range(bound, -1, -1):  # pushed from the top, so extended from 0
+            k = prefix + (v,)
             grown = [s + v * m[d] for s, (_, m) in zip(sums, rows)]
             # the cap of equation d grows with v, so a failure here may pass at v + 1
             if all(s <= (k[i] + 1 if i <= d else bound + 1) for s, (i, _) in zip(grown, rows)):
-                extend(d + 1, grown)
-
-    extend(0, [0] * len(rows))
+                stack.append((k, grown))
     return found
 
 
@@ -206,6 +206,67 @@ def _divide_out(eq: MultiPoly, name: str, e: int) -> MultiPoly:
     return MultiPoly(eq.symbols(), terms)
 
 
+def _assign(eqs: list[MultiPoly], i: int, assigned, free, nm: str, value: MultiPoly) -> tuple:
+    """Equation i is used up: substitute nm = value into the others."""
+    rest = [e.replace({nm: value}) for e in eqs[:i] + eqs[i + 1 :]]
+    return rest, assigned + [(nm, value)], free - {nm}
+
+
+def _elimination_move(eqs: list[MultiPoly], assigned, free: set[str]) -> list[tuple] | None:
+    """The nodes the first applicable move leads to, in search order; None
+    if no move applies."""
+    # rule 1: equation linear in an unknown with constant coefficient
+    for i, eq in enumerate(eqs):
+        for nm in eq.symbols():
+            if nm not in free or eq.degree_in(nm) != 1:
+                continue
+            coeff = eq.partial(nm)
+            if not coeff.is_constant:
+                continue
+            expr = eq.replace({nm: MultiPoly.const(0)}) * (Q(-1) / coeff.constant_value())
+            return [_assign(eqs, i, assigned, free, nm, expr)]
+    # rule 2: univariate equation, branch on rational roots
+    for i, eq in enumerate(eqs):
+        syms = [s for s in eq.symbols() if s in free]
+        if len(syms) != 1 or len(eq.symbols()) != len(syms):
+            continue
+        roots = _rational_roots(eq, syms[0])
+        if roots is None:
+            continue
+        return [_assign(eqs, i, assigned, free, syms[0], MultiPoly.const(root)) for root in roots]
+    # rule 3: common monomial factor: the variable vanishes or divides out
+    for i, eq in enumerate(eqs):
+        for nm in eq.symbols():
+            if nm not in free:
+                continue
+            content = _monomial_content(eq, nm)
+            if content < 1:
+                continue
+            divided = eqs[:i] + [_divide_out(eq, nm, content)] + eqs[i + 1 :]
+            vanishes = _assign(eqs, i, assigned, free, nm, MultiPoly.const(0))
+            return [vanishes, (divided, assigned, free)]
+    return None
+
+
+def _solution(assigned: list[tuple[str, MultiPoly]], names, equations) -> tuple | None:
+    """The solution a node without equations or free unknowns stands for.
+
+    A substituted value mentions only unknowns assigned after it, so one
+    backward pass resolves the chain; a family stays non-constant.  Branching
+    may overshoot (divided-out factors): the values must solve the original
+    equations, identically in any parameters they carry."""
+    values: dict[str, Fraction] = {}
+    for nm, expr in reversed(assigned):
+        value = expr.replace(values)
+        if not value.is_constant:
+            return None
+        values[nm] = value.constant_value()
+    vec = tuple(values[nm] for nm in names)
+    if any(vec) and all(eq.replace(values).is_zero for eq in equations):
+        return vec
+    return None
+
+
 def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
     """Rational solutions of the dominant-balance equations by successive
     elimination.
@@ -227,77 +288,28 @@ def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
         return Unsolved("time-dependent dominant equations")
 
     solutions: set[tuple[Fraction, ...]] = set()
-    budget = [SEARCH_BUDGET]
-    stalled = []
-
-    def finish(assigned: list[tuple[str, MultiPoly]]) -> None:
-        # a substituted value mentions only unknowns assigned after it, so
-        # one backward pass resolves the chain; a family stays non-constant
-        values: dict[str, Fraction] = {}
-        for nm, expr in reversed(assigned):
-            value = expr.replace(values)
-            if not value.is_constant:
-                return
-            values[nm] = value.constant_value()
-        # branching may overshoot (divided-out factors): verify on the
-        # originals, identically in any parameters they carry
-        vec = tuple(values[nm] for nm in names)
-        if any(vec) and all(eq.replace(values).is_zero for eq in equations):
-            solutions.add(vec)
-
-    def assign(eqs: list[MultiPoly], i: int, assigned, free, nm: str, value: MultiPoly) -> None:
-        # equation i is used up: substitute into the others and go on
-        rest = [e.replace({nm: value}) for e in eqs[:i] + eqs[i + 1 :]]
-        search(rest, assigned + [(nm, value)], free - {nm})
-
-    def search(eqs: list[MultiPoly], assigned: list[tuple[str, MultiPoly]], free: set[str]) -> None:
-        if budget[0] <= 0:
-            raise _SearchIncomplete("search budget exhausted")
-        budget[0] -= 1
-        eqs = [e for e in eqs if not e.is_zero]
-        if not eqs:
-            if not free:  # a free unknown left is a parameterized family: not auto-emitted
-                finish(assigned)
-            return
-        # rule 1: equation linear in an unknown with constant coefficient
-        for i, eq in enumerate(eqs):
-            for nm in eq.symbols():
-                if nm not in free or eq.degree_in(nm) != 1:
-                    continue
-                coeff = eq.partial(nm)
-                if not coeff.is_constant:
-                    continue
-                expr = eq.replace({nm: MultiPoly.const(0)}) * (Q(-1) / coeff.constant_value())
-                assign(eqs, i, assigned, free, nm, expr)
-                return
-        # rule 2: univariate equation, branch on rational roots
-        for i, eq in enumerate(eqs):
-            syms = [s for s in eq.symbols() if s in free]
-            if len(syms) != 1 or len(eq.symbols()) != len(syms):
-                continue
-            roots = _rational_roots(eq, syms[0])
-            if roots is None:
-                continue
-            for root in roots:
-                assign(eqs, i, assigned, free, syms[0], MultiPoly.const(root))
-            return
-        # rule 3: common monomial factor: the variable vanishes or divides out
-        for i, eq in enumerate(eqs):
-            for nm in eq.symbols():
-                if nm not in free:
-                    continue
-                content = _monomial_content(eq, nm)
-                if content < 1:
-                    continue
-                assign(eqs, i, assigned, free, nm, MultiPoly.const(0))
-                search(eqs[:i] + [_divide_out(eq, nm, content)] + eqs[i + 1 :], assigned, free)
-                return
-        stalled.append(True)
-
+    stalled = False
+    # depth first over nodes (equations left, substitutions made in order,
+    # unknowns free): the last node on the stack is searched next
+    stack = [(equations, [], set(names))]
     try:
-        search(equations, [], set(names))
+        for _ in range(SEARCH_BUDGET):
+            if not stack:
+                break
+            eqs, assigned, free = stack.pop()
+            eqs = [e for e in eqs if not e.is_zero]
+            if eqs:
+                nodes = _elimination_move(eqs, assigned, free)
+                stalled |= nodes is None
+                stack.extend(reversed(nodes or []))
+            elif not free:  # a free unknown left is a parameterized family: not auto-emitted
+                vec = _solution(assigned, names, equations)
+                if vec is not None:
+                    solutions.add(vec)
     except _SearchIncomplete as incomplete:
         return Unsolved(str(incomplete))
+    if stack:
+        return Unsolved("search budget exhausted")
     if stalled and not solutions:
         return Unsolved()
     return sorted(solutions)

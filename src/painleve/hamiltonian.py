@@ -14,16 +14,11 @@ non-autonomous case the regular part is the new Hamiltonian.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rank, rref
-from .core import (
-    Balance,
-    ResonanceStructure,
-    analyze_candidate,
-    resonance_matrix_columns,
-)
+from .core import Balance, ResonanceStructure, resonance_matrix_columns
 from .model import HamiltonianSystem, ODESystem, hamiltonian_to_system
 from .regularize import (
     ChangeOfVariable,
@@ -250,96 +245,76 @@ def _transversal_rows(block: list[list[Fraction]], n: int) -> list[int] | None:
     return None
 
 
+def exchange_permutation(sd: SymplecticData) -> tuple[tuple[int, int], ...]:
+    """The exchanges, then the row swaps in order, as one signed permutation
+    of (q..., p...): entry a is (b, s) for new x_a = s * old x_b."""
+    n = sd.n_dof
+    perm = [(a, 1) for a in range(2 * n)]
+    for i in sd.exchange_set:
+        # (q_i, p_i) -> (p_i, -q_i): new q_i = -old p_i, new p_i = old q_i
+        perm[i], perm[n + i] = (n + i, -1), (i, 1)
+    for i, j in sd.row_swaps:
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[n + i], perm[n + j] = perm[n + j], perm[n + i]
+    return tuple(perm)
+
+
 def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
     """Make the top-left n x n block of S invertible and LU-decomposable.
 
     First q_i <-> p_i exchanges (substituting (q_i, p_i) -> (p_i, -q_i))
     choose a transversal of the Lagrangian frame; then paired row swaps
     (q_i <-> q_j together with p_i <-> p_j) order the pivots.  Both keep S
-    symplectic and the system Hamiltonian.
+    symplectic and the system Hamiltonian; S goes to P S, P the signed
+    permutation of `exchange_permutation`.
     """
     n = sd.n_dof
-    S = [list(row) for row in sd.S.data]
-    first_cols = [[S[i][j] for j in range(n)] for i in range(2 * n)]
+    first_cols = [list(row[:n]) for row in sd.S.data]
     picks = _transversal_rows(first_cols, n)
     if picks is None:
         raise AssertionError("no Lagrangian transversal; S is not symplectic")
-    exchange_set = tuple(i for i in range(n) if picks[i] == n + i)
-    for i in exchange_set:
-        # (q_i, p_i) -> (p_i, -q_i): new q-row = -old p-row, new p-row = old q-row
-        old_q = S[i][:]
-        old_p = S[n + i][:]
-        S[i] = [-x for x in old_p]
-        S[n + i] = old_q
-
     # paired row swaps so that A has an LU decomposition without pivoting:
     # the elimination's own swaps, applied by position in the same order
-    _, pivots, _, swaps = rref([row[:n] for row in S[:n]])
+    # (an exchange negates a picked row, which moves no pivot)
+    _, pivots, _, swaps = rref([first_cols[p] for p in picks])
     if len(pivots) < n:
         raise AssertionError("A is singular after exchanges")
-    for i, j in swaps:
-        S[i], S[j] = S[j], S[i]
-        S[n + i], S[n + j] = S[n + j], S[n + i]
-    return SymplecticData(
-        d=sd.d,
-        pairing=sd.pairing,
-        column_resonances=sd.column_resonances,
-        S=RatMatrix(S),
-        exchange_set=exchange_set,
-        row_swaps=tuple(swaps),
-    )
+    exchange_set = tuple(i for i in range(n) if picks[i] == n + i)
+    out = replace(sd, exchange_set=exchange_set, row_swaps=tuple(swaps))
+    S = [[x * s for x in sd.S.row(b)] for b, s in exchange_permutation(out)]
+    return replace(out, S=RatMatrix(S))
 
 
 def apply_exchanges(
-    hs: HamiltonianSystem,
-    k: tuple[int, ...],
-    l: tuple[int, ...],
-    c: tuple[Fraction, ...],
-    sd: SymplecticData,
-) -> tuple[HamiltonianSystem, tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]:
-    """Rewrite H and the balance leading data in the exchanged coordinates.
+    hs: HamiltonianSystem, balance: Balance, sd: SymplecticData
+) -> tuple[HamiltonianSystem, Balance]:
+    """Rewrite H and the balance in the exchanged coordinates.
 
-    For an exchanged dof, new q_i = -old p_i and new p_i = old q_i, i.e. the
-    substitution (q_i, p_i) -> (p_i, -q_i) inside H.  Row swaps relabel dofs
-    pairwise.  `c` is ordered (q..., p...) like the induced system.
+    The signed permutation P of `exchange_permutation` is canonical, so H
+    composed with P^T generates the exchanged system and the permuted balance
+    solves it: coefficient rows, exponents and leading data permute, K goes
+    to P K P^T and each eigenbasis vector v to P v.  The parameters and
+    their names are unchanged.
     """
-    n = hs.n_dof
-    k = list(k)
-    l = list(l)
-    cq = list(c[:n])
-    cp = list(c[n:])
-    q_syms = list(hs.q_symbols)
-    p_syms = list(hs.p_symbols)
-    H = hs.H
-    if sd.exchange_set:
-        temp = {}
-        for i in sd.exchange_set:
-            temp[q_syms[i]] = MultiPoly.var(p_syms[i])
-            temp[p_syms[i]] = -MultiPoly.var(q_syms[i])
-        H = H.replace(temp)
-        for i in sd.exchange_set:
-            k[i], l[i] = l[i], k[i]
-            cq[i], cp[i] = -cp[i], cq[i]
-    for i, j in sd.row_swaps:
-        swap = {
-            q_syms[i]: MultiPoly.var(q_syms[j]),
-            q_syms[j]: MultiPoly.var(q_syms[i]),
-            p_syms[i]: MultiPoly.var(p_syms[j]),
-            p_syms[j]: MultiPoly.var(p_syms[i]),
-        }
-        H = H.replace(swap)
-        k[i], k[j] = k[j], k[i]
-        l[i], l[j] = l[j], l[i]
-        cq[i], cq[j] = cq[j], cq[i]
-        cp[i], cp[j] = cp[j], cp[i]
-    new_hs = HamiltonianSystem(
-        q_symbols=tuple(q_syms),
-        p_symbols=tuple(p_syms),
-        H=H,
-        t_symbol=hs.t_symbol,
-        param_symbols=hs.param_symbols,
+    perm = exchange_permutation(sd)
+    u = hs.q_symbols + hs.p_symbols
+    H = hs.H.replace({u[b]: MultiPoly.var(u[a]) * s for a, (b, s) in enumerate(perm)})
+    ehs = replace(hs, H=H)
+
+    def signed(v: tuple) -> tuple:  # P v
+        return tuple(v[b] * s for b, s in perm)
+
+    dd, rs = balance.dominant, balance.structure
+    K = RatMatrix([[rs.K.entry(i, j) * si * sj for j, sj in perm] for i, si in perm])
+    structure = replace(
+        rs, K=K, eigenbases={r: tuple(map(signed, basis)) for r, basis in rs.eigenbases.items()}
     )
-    return new_hs, tuple(k), tuple(l), tuple(cq + cp)
+    dominant = replace(
+        dd, exponents=tuple(dd.exponents[b] for b, _ in perm), leading=signed(dd.leading)
+    )
+    rows = tuple(tuple(c * s for c in balance.coeffs[b]) for b, s in perm)
+    system = hamiltonian_to_system(ehs)
+    return ehs, replace(balance, system=system, dominant=dominant, structure=structure, coeffs=rows)
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +324,12 @@ def apply_exchanges(
 @dataclass(frozen=True)
 class CanonicalPipeline:
     hamiltonian: HamiltonianSystem  # exchanged coordinates
-    system: ODESystem
-    balance: Balance
-    symplectic: SymplecticData
+    balance: Balance  # of the exchanged system
     regularization: Regularization
+
+    @property
+    def system(self) -> ODESystem:
+        return self.balance.system
 
     @property
     def change(self) -> ChangeOfVariable:
@@ -367,27 +344,15 @@ def canonical_variable_names(n: int) -> tuple[str, tuple[str, ...]]:
 
 
 def build_canonical_change(
-    hs: HamiltonianSystem,
-    k: tuple[int, ...],
-    l: tuple[int, ...],
-    c: tuple[Fraction, ...],
-    sd: SymplecticData,
-    order: int,
+    hs: HamiltonianSystem, balance: Balance, sd: SymplecticData
 ) -> CanonicalPipeline:
-    """Run the triangular construction in the symplectic order.
+    """Run the triangular construction on the balance in the symplectic order.
 
     The variables go q_1, ..., q_n, p_n, ..., p_1 (after exchanges) and the
     last variable's coefficient carries the -1/k_1 factor that makes the
     2-form bookkeeping close up."""
-    exchanged = apply_exchanges(hs, k, l, c, sd)
-    ehs, ek, el, ec = exchanged
-    esys = hamiltonian_to_system(ehs)
+    ehs, balance = apply_exchanges(hs, balance, sd)
     n = ehs.n_dof
-    k_full = tuple(ek) + tuple(el)
-    report = analyze_candidate(esys, k_full, ec, order, None)
-    balance = report.balance
-    if balance is None:
-        raise AssertionError(f"exchanged candidate fails at {report.stage}: {report.detail}")
     tau_name, rho_names = canonical_variable_names(n)
     # construction order: q_2..q_n then p_n..p_1 (indices into the 2n system)
     var_order = tuple(range(1, n)) + tuple(range(2 * n - 1, n - 1, -1))
@@ -397,15 +362,9 @@ def build_canonical_change(
         var_order=var_order,
         rho_names=rho_names,
         tau_name=tau_name,
-        last_factor=Q(-1, k_full[0]),
+        last_factor=Q(-1, balance.dominant.exponents[0]),
     )
-    return CanonicalPipeline(
-        hamiltonian=ehs,
-        system=esys,
-        balance=balance,
-        symplectic=sd,
-        regularization=reg,
-    )
+    return CanonicalPipeline(hamiltonian=ehs, balance=balance, regularization=reg)
 
 
 # ----------------------------------------------------------------------

@@ -480,5 +480,25 @@ def jsonable(value):
 
 
 def serialize_report(report: dict) -> str:
-    """Deterministic JSON: insertion key order, exact rationals as strings."""
-    return json.dumps(jsonable(report), indent=2)
+    """Deterministic JSON: insertion key order, exact rationals as strings.
+    The text of `json.dumps(..., indent=2)`, whose closures would leave a
+    reference cycle per call."""
+    out: list[str] = []
+    _write_json(jsonable(report), "", out)
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        for n, (key, item) in enumerate(value.items()):
+            out += (",\n" if n else "{\n", inner, json.dumps(key), ": ")
+            _write_json(item, inner, out)
+        out += ("\n", indent, "}")
+    elif isinstance(value, list) and value:
+        for n, item in enumerate(value):
+            out += (",\n" if n else "[\n", inner)
+            _write_json(item, inner, out)
+        out += ("\n", indent, "]")
+    else:  # a scalar or an empty container
+        out.append(json.dumps(value))

@@ -448,14 +448,12 @@ def build_triangular_change(nb: NormalizedBalance, absorption: Absorption) -> Ch
     )
 
 
-def transform_system(
-    sys: ODESystem, cov: ChangeOfVariable, trunc: int | None = None
-) -> TransformedSystem:
+def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem:
     """New right sides g = J^(-1) (f o phi) - J^(-1) d(phi)/dt.
 
     The Jacobian is lower triangular in the construction order with monomial
     diagonal, so the solve is exact forward substitution and every g_i is a
-    finite Laurent polynomial in tau.  `trunc` only trims the report.
+    finite Laurent polynomial in tau.
     """
     tau = cov.tau_name
     subs = cov.substitution()
@@ -488,8 +486,6 @@ def transform_system(
             raise AssertionError("Jacobian is not lower triangular")
         g.append(gm)
         min_exps.append(gm.min_exp if gm.min_exp is not None else 0)
-    if trunc is not None:
-        g = [gm.truncate(trunc) for gm in g]
     return TransformedSystem(
         tau_name=tau, names=cov.new_names(), g=tuple(g), min_exponents=tuple(min_exps)
     )

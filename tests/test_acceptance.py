@@ -73,9 +73,7 @@ def gd_canonical(gd_hamiltonian, gd_candidate):
     d = check_almost_weighted_homogeneous(gd_hamiltonian, (2, 4), (5, 3))
     pairing = symplectic_pairing(balance.structure, d)
     sd = canonical_exchanges(symplectic_normalize(resonance_columns(balance), d, pairing))
-    pipe = build_canonical_change(
-        gd_hamiltonian, (2, 4), (5, 3), (Q(1), Q(0), Q(-1), Q(1)), sd, order=13
-    )
+    pipe = build_canonical_change(gd_hamiltonian, balance, sd)
     return d, pairing, sd, pipe
 
 
@@ -199,7 +197,8 @@ def test_criterion_6_gd_regularization(gd_canonical):
     assert isinstance(reg.regularity, Regular)
     for g in reg.transformed.g:
         assert g.min_exp is None or g.min_exp >= 0
-    ts_13 = transform_system(pipe.system, pipe.change, trunc=13)
+    ts = transform_system(pipe.system, pipe.change)
+    ts_13 = dataclasses.replace(ts, g=tuple(g.truncate(13) for g in ts.g))
     assert isinstance(verify_regularity(ts_13), Regular)
     assert isinstance(verify_canonical(pipe.change, 2), Canonical)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)

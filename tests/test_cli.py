@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -173,6 +174,20 @@ def test_hamiltonian_gd(capsys):
     assert report["transformed_system"]["regular"] is True
 
 
+def test_cli_calls_leave_no_garbage_cycle(capsys):
+    # nothing a call builds (parser, search state, JSON writer) may need the
+    # cyclic collector to be freed
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, "test", str(DATA / "henon_heiles.ham"), "--json")[0] == 0
+        assert gc.collect() == 0
+        assert run(capsys, "hamiltonian", str(DATA / "gd.ham"))[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_hamiltonian_requires_hamiltonian_input(capsys):
     code, _, err = run(capsys, "hamiltonian", str(DATA / "riccati.sys"))
     assert code == 2
@@ -275,6 +290,26 @@ def test_declared_params_name_the_resonance_parameters_only_when_unused(
     assert json.loads(out)["parameters"] == [{"name": name, "resonance": 6}]
     code, _, err = run(capsys, "regularize", str(path))
     assert code == 0, err
+
+
+def test_hamiltonian_keeps_declared_parameter_names(capsys, tmp_path):
+    # the canonical construction regularizes the balance the analysis found,
+    # so the declared name reaches the transformed balance too
+    path = tmp_path / "painleve1_a.ham"
+    path.write_text("hamiltonian\nvars: q; p\nparams: a\nH = 1/2*p^2 - 2*q^3 - t*q\n")
+    code, out, err = run(capsys, "hamiltonian", str(path), "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["parameters"] == [{"name": "a", "resonance": 6}]
+    assert report["transformed_balance"]["initial_values"] == {"P1": "-7/2*a"}
+
+
+def test_hamiltonian_henon_heiles_refused(capsys):
+    # the one corpus balance whose canonical exchange is not the identity
+    # (the row swap (0, 1)); its pivot root is imaginary
+    code, out, err = run(capsys, "hamiltonian", str(DATA / "henon_heiles.ham"))
+    assert (code, out) == (1, "")
+    assert err == "error: leading coefficient -1 has no rational root of order 2\n"
 
 
 def test_declared_param_of_the_leading_data_names_no_resonance_parameter(capsys, tmp_path):

@@ -1,10 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from painleve.algebra import MultiPoly, RatMatrix, poly_det
-from painleve.core import analyze_system, resonance_structure
+from painleve.core import (
+    analyze_candidate,
+    analyze_system,
+    check_principal,
+    residual_check,
+    resonance_structure,
+)
 from painleve.hamiltonian import (
     Canonical,
     CanonicalWitness,
@@ -16,6 +24,7 @@ from painleve.hamiltonian import (
     build_canonical_change,
     canonical_exchanges,
     check_almost_weighted_homogeneous,
+    exchange_permutation,
     hamilton_equations_match,
     new_hamiltonian,
     resonance_columns,
@@ -28,9 +37,10 @@ from painleve.model import HamiltonianSystem, hamiltonian_to_system, parse_hamil
 from painleve.regularize import ChangeOfVariable, Regular, VariableRow, regularize
 from painleve.series import EXACT, TruncatedSeries
 
+DATA = Path(__file__).parent / "data"
+
 GD_K = (2, 4)
 GD_L = (5, 3)
-GD_C = (Q(1), Q(0), Q(-1), Q(1))
 
 REF_R = RatMatrix(
     [[2, 1, -4, -2], [0, 3, -6, 9], [-5, 2, 1, -22], [3, 0, 6, 6]]
@@ -222,7 +232,19 @@ def test_canonical_exchanges_random_blocks_are_lu_decomposable():
     assert chained >= 20
 
 
-def test_apply_exchanges_preserves_hamiltonian_form():
+@pytest.fixture(scope="module")
+def henon_heiles():
+    # the principal balance whose canonical exchange is the row swap (0, 1)
+    hs = parse_hamiltonian((DATA / "henon_heiles.ham").read_text())
+    cand = analyze_system(hamiltonian_to_system(hs)).principal_candidates()[0]
+    d = check_almost_weighted_homogeneous(hs, cand.exponents[:2], cand.exponents[2:])
+    pairing = symplectic_pairing(cand.balance.structure, d)
+    sd = canonical_exchanges(symplectic_normalize(resonance_columns(cand.balance), d, pairing))
+    return hs, cand.balance, sd
+
+
+def test_apply_exchanges_preserves_hamiltonian_form(henon_heiles):
+    _, balance, _ = henon_heiles
     rng = random.Random(41)
     names = ("q1", "q2", "p1", "p2")
     for _ in range(6):
@@ -231,7 +253,6 @@ def test_apply_exchanges_preserves_hamiltonian_form():
             exps = tuple(rng.randrange(3) for _ in names)
             H = H + MultiPoly(names, {exps: rng.randint(-2, 2)})
         hs = HamiltonianSystem(q_symbols=("q1", "q2"), p_symbols=("p1", "p2"), H=H)
-        from painleve.hamiltonian import SymplecticData
 
         # force an exchange on dof 0 and a relabeling swap
         sd = SymplecticData(
@@ -242,11 +263,14 @@ def test_apply_exchanges_preserves_hamiltonian_form():
             exchange_set=(0,),
             row_swaps=((0, 1),),
         )
-        new_hs, _, _, _ = apply_exchanges(hs, (1, 1), (1, 1), (Q(1),) * 4, sd)
+        assert exchange_permutation(sd) == ((1, 1), (2, -1), (3, 1), (0, 1))
+        # the balance (of another H) is only relabelled; it carries the new system
+        new_hs, new_balance = apply_exchanges(hs, balance, sd)
         # the exchanged H generates the transformed equations: check that the
         # new system is the old one conjugated by the linear canonical map
         old = hamiltonian_to_system(hs)
         new = hamiltonian_to_system(new_hs)
+        assert new_balance.system == new
         # forward map x_new = E x_old: new q1 = old q2, new q2 = -old p1,
         # new p1 = old p2, new p2 = old q1  (exchange dof 0, then swap dofs)
         new_exprs = {
@@ -266,12 +290,42 @@ def test_apply_exchanges_preserves_hamiltonian_form():
             assert lhs == rhs, new_name
 
 
+@pytest.mark.parametrize(
+    "exchange_set,row_swaps,rederived",
+    [
+        ((), (), True),
+        ((), ((0, 1),), True),  # the balance's own canonical exchange
+        ((0,), ((0, 1),), False),
+        ((0, 1), (), False),
+    ],
+    ids=["identity", "row-swap", "exchange-0-swap", "exchange-both"],
+)
+def test_exchanged_balance_solves_exchanged_system(henon_heiles, exchange_set, row_swaps, rederived):
+    hs, balance, sd = henon_heiles
+    assert (sd.exchange_set, sd.row_swaps) == ((), ((0, 1),))
+    forced = dataclasses.replace(sd, exchange_set=exchange_set, row_swaps=row_swaps)
+    ehs, exchanged = apply_exchanges(hs, balance, forced)
+    esys = hamiltonian_to_system(ehs)
+    assert exchanged.system == esys
+    assert residual_check(esys, exchanged) == balance.order - max(balance.dominant.exponents) - 1
+    assert check_principal(exchanged).principal
+    assert exchanged.parameters == balance.parameters
+    # after a pure relabelling the analysis of the exchanged system finds the
+    # permuted balance coefficient for coefficient; after a sign flip its
+    # eigenbasis, and with it the parameters, may differ by scale
+    if rederived:
+        report = analyze_candidate(
+            esys, exchanged.dominant.exponents, exchanged.dominant.leading, balance.order, None
+        )
+        assert report.balance == exchanged
+
+
 def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
     pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
     )
-    pipe = build_canonical_change(gd_hamiltonian, GD_K, GD_L, GD_C, sd, order=13)
+    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     cov = pipe.change
     names = [pipe.system.u_symbols[i] for i in cov.order]
     assert names == ["q1", "q2", "p2", "p1"]
@@ -283,12 +337,28 @@ def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
     assert isinstance(pipe.regularization.regularity, Regular)
 
 
+@pytest.mark.parametrize("exchange_set", [(0,), (1,), (0, 1)])
+def test_forced_exchanges_give_a_canonical_change_gd(gd_hamiltonian, gd_candidate, exchange_set):
+    # the exchanged balance carries sign flips into the construction; any
+    # exchange that leaves a rational pivot root still closes the 2-form
+    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
+    sd = canonical_exchanges(
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+    )
+    forced = dataclasses.replace(sd, exchange_set=exchange_set)
+    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, forced)
+    assert isinstance(pipe.regularization.regularity, Regular)
+    assert isinstance(verify_canonical(pipe.change, 2), Canonical)
+    nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
+    assert hamilton_equations_match(nh, pipe)
+
+
 def test_verify_canonical_gd(gd_hamiltonian, gd_candidate):
     pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
     )
-    pipe = build_canonical_change(gd_hamiltonian, GD_K, GD_L, GD_C, sd, order=13)
+    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     assert isinstance(verify_canonical(pipe.change, 2), Canonical)
 
 
@@ -298,7 +368,7 @@ def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
     )
-    pipe = build_canonical_change(gd_hamiltonian, GD_K, GD_L, GD_C, sd, order=13)
+    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     cov = pipe.change
     last = cov.rows[-1]
     plain_last = VariableRow(
@@ -324,7 +394,7 @@ def test_one_dof_canonical(one_dof):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(cand.balance), d, pairing)
     )
-    pipe = build_canonical_change(hs, (2,), (3,), (Q(1), Q(-2)), sd, order=12)
+    pipe = build_canonical_change(hs, cand.balance, sd)
     cov = pipe.change
     # the momentum variable carries the -1/k factor at tau^(mu0 - l1) = tau^3
     row = cov.rows[0]
@@ -341,7 +411,7 @@ def test_new_hamiltonian_gd(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
     )
-    pipe = build_canonical_change(gd_hamiltonian, GD_K, GD_L, GD_C, sd, order=13)
+    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
     assert nh.dropped == ()
     assert not nh.regular.is_zero
@@ -366,24 +436,31 @@ def test_new_hamiltonian_substitution_mechanics():
     assert nh.regular == MultiPoly.var("P1")
 
 
-def test_non_autonomous_hamiltonian_drops_singular_terms():
-    hs = parse_hamiltonian("hamiltonian\nvars: q; p\nH = 1/2*p^2 - 2*q^3 + t*q\n")
-    sys = hamiltonian_to_system(hs)
-    result = analyze_system(sys, bound=5, order=12)
+@pytest.mark.parametrize(
+    "text,d,dropped",
+    [
+        ((DATA / "painleve1.ham").read_text(), 6, [[-1, "1"]]),
+        # Painleve II at alpha = 1/2
+        ("hamiltonian\nvars: q; p\nH = 1/2*p^2 - 1/2*q^4 - 1/2*t*q^2 - 1/2*q\n", 4, [[-1, "-1/2"]]),
+    ],
+    ids=["painleve1", "painleve2"],
+)
+def test_non_autonomous_hamiltonian_drops_singular_terms(text, d, dropped):
+    hs = parse_hamiltonian(text)
+    result = analyze_system(hamiltonian_to_system(hs), bound=5, order=12)
     assert result.verdict == "principal"
     cand = result.principal_candidates()[0]
-    d = check_almost_weighted_homogeneous(hs, (2,), (3,))
-    assert d == 6
+    assert check_almost_weighted_homogeneous(hs, cand.exponents[:1], cand.exponents[1:]) == d
     pairing = symplectic_pairing(cand.balance.structure, d)
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(cand.balance), d, pairing)
     )
-    c = tuple(x.constant_value() for x in cand.leading)
-    pipe = build_canonical_change(hs, (2,), (3,), c, sd, order=12)
+    pipe = build_canonical_change(hs, cand.balance, sd)
     assert isinstance(pipe.regularization.regularity, Regular)
     assert isinstance(verify_canonical(pipe.change, 1), Canonical)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, False)
-    assert nh.dropped != ()  # t q pulls back to singular orders
+    # the time-dependent terms pull back to singular orders
+    assert [[o, str(p)] for o, p in nh.dropped] == dropped
     # Hamilton's equations of the regular part give the transformed system
     assert hamilton_equations_match(nh, pipe)
 

@@ -368,8 +368,8 @@ def test_prescribed_singular_block_is_rejected(gd_candidate):
 
 def test_transform_system_report_truncation(pole2_candidate):
     reg = regularize(pole2_candidate.balance)
-    ts = transform_system(pole2_candidate.balance.system, reg.change, trunc=4)
-    assert all(g.trunc <= 4 for g in ts.g)
+    ts = transform_system(pole2_candidate.balance.system, reg.change)
+    assert all(g.truncate(4).trunc <= 4 for g in ts.g)
 
 
 def test_regularize_rarely_runs_the_validating_constructor(monkeypatch, gd_candidate):
