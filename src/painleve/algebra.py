@@ -10,17 +10,21 @@ The public constructor validates its input; the ring operations build their
 results, already canonical, through the trusted `MultiPoly._canonical`.
 `sum_of_products` is the one product loop: `*` of two polynomials and every
 series convolution form their sums of products there, on integer numerators.
+`rref` is the one elimination: it takes rational rows and eliminates on
+integer rows, fraction-free; the characteristic polynomial and the
+rational-root test also run on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Q = Fraction
+_Q0 = Q(0)
 
 Scalar = Union[Fraction, int]
 PolyLike = Union["MultiPoly", Fraction, int]
@@ -305,25 +309,21 @@ class MultiPoly:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
+            num, den = c.numerator, c.denominator
+            size = -num if num < 0 else num
+            coeff = str(size) if den == 1 else f"{size}/{den}"
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e]
             if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = coeff
+            elif size == 1 and den == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = coeff + "*" + "*".join(factors)
+            if parts:
+                parts.append(("- " if num < 0 else "+ ") + body)
+            else:
+                parts.append("-" + body if num < 0 else body)
+        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -483,6 +483,15 @@ class RatMatrix:
         f = _as_fraction(factor)
         return RatMatrix([[x * f for x in row] for row in self.data])
 
+    def shifted(self, c: Scalar) -> RatMatrix:
+        """M - c*I, built in one pass."""
+        if not self.is_square():
+            raise ShapeError("shift of a non-square matrix")
+        c = _as_fraction(c)
+        return RatMatrix(
+            [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(self.data)]
+        )
+
     def __mul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ShapeError("matrix product shape mismatch")
@@ -534,45 +543,67 @@ class RatMatrix:
 
 
 def rref(
-    rows: Sequence[Sequence], ncols: int | None = None
-) -> tuple[list[list], list[int], Fraction, list[tuple[int, int]]]:
+    rows: Sequence[Sequence[Scalar]], ncols: int | None = None
+) -> tuple[list[list[Fraction]], list[int], Fraction, list[tuple[int, int]]]:
     """Gauss-Jordan elimination: the one elimination routine of the package.
 
-    Pivots on the first `ncols` columns (default: all), which must be
-    rational; further columns, which may hold polynomials, are carried along.
+    Pivots on the first `ncols` columns (default: all) of rational rows.
     Each pivot is the first row with a nonzero entry, scanning columns left
     to right, which fixes the free-column convention used everywhere
     downstream.  Returns the reduced rows, the pivot columns, the signed
     product of the pivots (the determinant when they cover a square matrix)
     and the row swaps, as position swaps in the order they were made.
+
+    The elimination runs fraction-free on integer rows: each row is held as
+    its rational value times an exact scale, a row operation is
+    p*R_i - f*R_r divided by the row's content, and only the final division
+    by the pivot (or, below the rank, by the scale) builds Fractions.  The
+    reduced rows, rows below the rank included, are those of Gauss-Jordan
+    over Q.
     """
-    m = [list(row) for row in rows]
+    # integer row m[i] = (num[i] / den[i]) * rational row i
+    m: list[list[int]] = []
+    num: list[int] = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        num.append(d)
+    den = [1] * len(m)
     if ncols is None:
         ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     swaps: list[tuple[int, int]] = []
-    det = Q(1)
+    det_num = det_den = 1
     r = 0
     for col in range(ncols):
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
+            for lst in (m, num, den):
+                lst[r], lst[pivot] = lst[pivot], lst[r]
             swaps.append((r, pivot))
-            det = -det
-        det *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+            det_num = -det_num
+        prow = m[r]
+        p = prow[col]
+        det_num *= p * den[r]
+        det_den *= num[r]
         for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - y * f for x, y in zip(m[i], m[r])]
+            f = m[i][col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*row) or 1
+                m[i] = [x // g for x in row] if g > 1 else row
+                num[i] *= p
+                den[i] *= g
         pivots.append(col)
         r += 1
-    return m, pivots, det, swaps
+    out = [[Q(x, row[col]) if x else _Q0 for x in row] for row, col in zip(m, pivots)]
+    for i in range(r, len(m)):
+        out.append([Q(x * den[i], num[i]) if x else _Q0 for x in m[i]])
+    return out, pivots, Q(det_num, det_den), swaps
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -603,31 +634,30 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
 def char_poly_coeffs(matrix: RatMatrix) -> list[Fraction]:
     """Coefficients c_0..c_n of the characteristic polynomial det(x*I - M), ascending.
 
-    Faddeev-LeVerrier: division-safe (only divides by integers 1..n).
+    Faddeev-LeVerrier on the integer matrix A = d*M, d the lcm of the
+    denominators: every step stays integral and divides exactly by k, and
+    c_i(M) = c_i(A) / d^(n-i).
     """
     if not matrix.is_square():
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = matrix.rows
-    coeffs = [Q(0)] * (n + 1)
-    coeffs[n] = Q(1)
-    aux = RatMatrix.identity(n)
+    d = lcm(*(x.denominator for row in matrix.data for x in row))
+    A = [[x.numerator * (d // x.denominator) for x in row] for row in matrix.data]
+    ints = [0] * (n + 1)
+    ints[n] = 1
+    aux = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        aux = matrix * aux
-        c = -aux.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            aux = aux + RatMatrix.identity(n).scale(c)
-    return coeffs
+        aux = [[sum(map(mul, row, col)) for col in zip(*aux)] for row in A]
+        c = -sum(aux[i][i] for i in range(n)) // k
+        ints[n - k] = c
+        for i in range(n):
+            aux[i][i] += c
+    return [Q(c, d ** (n - i)) for i, c in enumerate(ints)]
 
 
 def _univariate(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
     """The polynomial sum(coeffs[i] * var^i)."""
     return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs)})
-
-
-def char_poly(matrix: RatMatrix, var: str = "lambda") -> MultiPoly:
-    """Exact monic characteristic polynomial det(x*I - M)."""
-    return _univariate(char_poly_coeffs(matrix), var)
 
 
 # Past this size the divisor search of a coefficient is too slow to run.
@@ -672,7 +702,7 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
     that search would have to factor a coefficient above ROOT_SEARCH_CAP.
     """
     den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:
@@ -688,11 +718,18 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
     elif len(ints) > 2:
         if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
             raise _SearchIncomplete("rational-root search capped")
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Q(p, q), Q(-p, q)):
-                    if _synthetic_division(ints, cand)[1] == 0:
-                        roots.add(cand)
+        for q in _divisors(lead):
+            q_powers = [q**i for i in range(len(ints))]
+            for p in _divisors(const):
+                if gcd(p, q) > 1:
+                    continue  # p/q in lowest terms is tried too
+                for sp in (p, -p):
+                    # the homogeneous Horner sum of ints[i] * sp^i * q^(deg - i)
+                    acc = 0
+                    for c, qi in zip(reversed(ints), q_powers):
+                        acc = acc * sp + c * qi
+                    if acc == 0:
+                        roots.add(Q(sp, q))
     return sorted(roots)
 
 
@@ -734,7 +771,6 @@ def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectru
     search is capped.
     """
     poly = char_poly_coeffs(matrix)
-    n = matrix.rows
     roots: dict[int, int] = {}
     for root in rational_roots(poly):
         if root.denominator != 1:
@@ -747,8 +783,7 @@ def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectru
 
     pairs = []
     for value in sorted(roots):
-        shifted = matrix - RatMatrix.identity(n).scale(value)
-        basis = nullspace(shifted)
+        basis = nullspace(matrix.shifted(value))
         pairs.append(
             EigenPair(
                 value=value,
@@ -782,8 +817,10 @@ def solve_affine(
 ) -> AffineSolution | Inconsistent:
     """Solve M x = b exactly, where b has polynomial entries.
 
-    M is constant rational, so Gaussian elimination applies entrywise to the
-    polynomial right side.  Free coordinates are set to zero; the kernel of
+    The elimination of [M | I] records in its identity block the row
+    operations E it applies (the pivots depend on M alone), so each particular
+    coordinate and each consistency witness is one row of E b, formed in one
+    `sum_of_products` pass.  Free coordinates are set to zero; the kernel of
     M is returned separately so callers can attach parameters themselves.
     """
     if not matrix.is_square():
@@ -791,13 +828,20 @@ def solve_affine(
     if len(rhs) != matrix.rows:
         raise ShapeError("right side length mismatch")
     n = matrix.rows
-    m, pivots, _, _ = rref([list(row) + [as_poly(b)] for row, b in zip(matrix.data, rhs)], n)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    m, pivots, _, _ = rref([list(row) + e for row, e in zip(matrix.data, unit)], n)
+    b = [as_poly(x) for x in rhs]
+
+    def combine(row: list[Fraction]) -> MultiPoly:
+        return sum_of_products((bk, MultiPoly.const(w)) for bk, w in zip(b, row[n:]))
+
     for row in m[len(pivots) :]:
-        if not row[n].is_zero:
-            return Inconsistent(witness=row[n])
+        witness = combine(row)
+        if not witness.is_zero:
+            return Inconsistent(witness=witness)
     particular = [MultiPoly.zero()] * n
     for row, col in zip(m, pivots):
-        particular[col] = row[n]
+        particular[col] = combine(row)
     kernel = _kernel(m, pivots, n)
     return AffineSolution(tuple(particular), tuple(tuple(v) for v in kernel))
 

@@ -400,7 +400,7 @@ def basic_resonance_check(dd: DominantData, K: RatMatrix) -> bool:
     if all(v.is_zero for v in vec):
         return False
     n = K.rows
-    shifted = K + RatMatrix.identity(n)
+    shifted = K.shifted(-1)
     for i in range(n):
         total = MultiPoly.zero()
         for j in range(n):
@@ -518,8 +518,7 @@ def expand_balance(
 
     for j in range(1, order):
         rhs = [-c for c in rhs_at(j)]
-        shifted = K - RatMatrix.identity(n).scale(j)
-        solution = solve_affine(shifted, rhs)
+        solution = solve_affine(K.shifted(j), rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
         a_j = list(solution.particular)

@@ -14,8 +14,13 @@ resonance absorption by growing precision, the Taylor re-expansion of a
 balance in t instead of t0, the transformed balance by composing the
 Laurent balance with the inverted change of variable, the pick of pivot
 rows with one rank per row, the dominant-balance solver that resolves its
-substitution chain by repeated sweeps, and the Lagrangian transversal found
-by backtracking.
+substitution chain by repeated sweeps, the Lagrangian transversal found
+by backtracking, and the exact linear algebra as first written: Gauss-Jordan
+over Fraction entries carrying a polynomial right-hand column (which the
+reference balance recursion solves with), Faddeev-LeVerrier over Fraction
+matrices, the rational-root test by Fraction synthetic division, and the
+printing of a polynomial from Fraction coefficients.  `char_poly` wraps the
+package's coefficients as a polynomial for the tests that compare it.
 """
 
 from __future__ import annotations
@@ -23,17 +28,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction as Q
+from math import lcm
 from typing import Iterable, Mapping
 
 from painleve import core
 from painleve.algebra import (
+    ROOT_SEARCH_CAP,
+    AffineSolution,
     Inconsistent,
     MultiPoly,
     RatMatrix,
+    _divisors,
     _SearchIncomplete,
     as_poly,
+    char_poly_coeffs,
     rank,
-    solve_affine,
 )
 from painleve.core import (
     SERIES_VAR,
@@ -195,7 +204,7 @@ def expand_balance_by_substitution(
             expanded = substitute_poly_by_power_table(sys.rhs[i], partials, order=j - k[i])
             rhs.append(-expanded.coeff(j - k[i] - 1))
         shifted = K - RatMatrix.identity(n).scale(j)
-        solution = solve_affine(shifted, rhs)
+        solution = solve_affine_by_elimination(shifted, rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
         a_j = list(solution.particular)
@@ -839,3 +848,145 @@ def transversal_rows_by_backtracking(block: list[list[Q]], n: int) -> list[int] 
     if not backtrack(0, []):
         return None
     return choice
+
+
+# ----------------------------------------------------------------------
+# exact linear algebra as first written: one Fraction per entry operation
+
+
+def rref_by_fractions(rows, ncols: int | None = None):
+    """Gauss-Jordan elimination over Fraction entries: each pivot row is
+    divided by its pivot and subtracted from every other row.  Columns past
+    `ncols` are carried along and may hold polynomials."""
+    m = [list(row) for row in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    det = Q(1)
+    r = 0
+    for col in range(ncols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps.append((r, pivot))
+            det = -det
+        det *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - y * f for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m, pivots, det, swaps
+
+
+def solve_affine_by_elimination(matrix: RatMatrix, rhs) -> AffineSolution | Inconsistent:
+    """`solve_affine` by eliminating [M | b] with the polynomial column b
+    carried through every row operation."""
+    n = matrix.rows
+    m, pivots, _, _ = rref_by_fractions(
+        [list(row) + [as_poly(b)] for row, b in zip(matrix.data, rhs)], n
+    )
+    for row in m[len(pivots) :]:
+        if not row[n].is_zero:
+            return Inconsistent(witness=row[n])
+    particular = [MultiPoly.zero()] * n
+    for row, col in zip(m, pivots):
+        particular[col] = row[n]
+    kernel = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [Q(0)] * n
+        vec[free] = Q(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -m[r][free]
+        kernel.append(tuple(vec))
+    return AffineSolution(tuple(particular), tuple(kernel))
+
+
+def char_poly_coeffs_by_fractions(matrix: RatMatrix) -> list[Q]:
+    """Faddeev-LeVerrier over Fraction matrices: aux_k = M aux_(k-1) + c I."""
+    n = matrix.rows
+    coeffs = [Q(0)] * (n + 1)
+    coeffs[n] = Q(1)
+    aux = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        aux = matrix * aux
+        c = -aux.trace() / k
+        coeffs[n - k] = c
+        if k < n:
+            aux = aux + RatMatrix.identity(n).scale(c)
+    return coeffs
+
+
+def char_poly(matrix: RatMatrix, var: str = "lambda") -> MultiPoly:
+    """Exact monic characteristic polynomial det(x*I - M) from the package's
+    `char_poly_coeffs`."""
+    return MultiPoly((var,), {(i,): c for i, c in enumerate(char_poly_coeffs(matrix))})
+
+
+def rational_roots_by_synthetic_division(coeffs) -> list[Q] | None:
+    """`rational_roots` with each candidate p/q tested by a Fraction Horner
+    evaluation of the integer-cleared polynomial."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        return None
+    v = 0
+    while ints[v] == 0:
+        v += 1
+    roots = {Q(0)} if v else set()
+    ints = ints[v:]
+    const, lead = ints[0], ints[-1]
+    if len(ints) == 2:
+        roots.add(Q(-const, lead))
+    elif len(ints) > 2:
+        if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
+            raise _SearchIncomplete("rational-root search capped")
+        for p in _divisors(const):
+            for q in _divisors(lead):
+                for cand in (Q(p, q), Q(-p, q)):
+                    acc = Q(0)
+                    for c in reversed(ints):
+                        acc = acc * cand + c
+                    if acc == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def poly_str(poly: MultiPoly) -> str:
+    """`str(MultiPoly)` with the sign and size of each coefficient taken
+    from Fractions."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for exps, c in poly.sorted_terms():
+        factors = []
+        for v, e in zip(poly.vars, exps):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append(f"{v}^{e}")
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        sign = "-" if c < 0 else "+"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text

@@ -133,3 +133,31 @@ def test_expansion_sums_each_coefficient_in_one_pass(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__radd__", counted)
     analyze_system(_load(DATA / "henon_heiles.ham"), order=30)
     assert count < 400
+
+
+def test_expansion_solves_each_order_without_polynomial_row_operations(monkeypatch):
+    # solve_affine forms each coordinate as one sum_of_products over the
+    # recorded row operations, so the only MultiPoly additions and scalings
+    # left are the resonance-parameter injections (12 and 12 at order 30);
+    # eliminating the polynomial column row by row made 123 and 236
+    system = _load(DATA / "henon_heiles.ham")
+    cases = [(dd, rs) for dd, rs, _ in _expandable(system)]
+    assert cases
+    counts = {"add": 0, "mul": 0}
+    add, mul = MultiPoly.__add__, MultiPoly.__mul__
+
+    def counted(name, op):
+        def wrapper(self, other):
+            counts[name] += 1
+            return op(self, other)
+
+        return wrapper
+
+    monkeypatch.setattr(MultiPoly, "__add__", counted("add", add))
+    monkeypatch.setattr(MultiPoly, "__radd__", counted("add", add))
+    monkeypatch.setattr(MultiPoly, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted("mul", mul))
+    for dd, rs in cases:
+        assert isinstance(expand_balance(system, dd, rs, 30), Balance)
+    assert counts["add"] < 30
+    assert counts["mul"] < 30

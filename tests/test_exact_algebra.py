@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import oracles
+from oracles import char_poly
 from painleve.algebra import (
     AffineSolution,
     Inconsistent,
@@ -13,7 +14,6 @@ from painleve.algebra import (
     RatMatrix,
     ShapeError,
     UnboundSymbol,
-    char_poly,
     integer_eigen_data,
     nullspace,
     poly_det,
@@ -155,6 +155,7 @@ def test_eigen_exactness_random():
             pairs = spec.pairs
         for pair in pairs:
             shifted = M - RatMatrix.identity(n).scale(pair.value)
+            assert M.shifted(pair.value) == shifted
             for vec in pair.basis:
                 assert all(x == 0 for x in shifted.matvec(list(vec)))
 

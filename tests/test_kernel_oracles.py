@@ -1,7 +1,11 @@
 """sympy oracles for the exact kernels: the one elimination (`rref`) behind
 det, inverse, rank, nullspace and solve_affine, the characteristic
 polynomial, and the one rational-root search; and the one product loop,
-`sum_of_products`, against a fold of the validating ring references."""
+`sum_of_products`, against a fold of the validating ring references.
+
+The integer-row kernels are also compared with `==` against the Fraction
+versions they replaced (`oracles.rref_by_fractions` and the routes built on
+it), so that no returned value, rows below the rank included, moved."""
 
 import random
 from fractions import Fraction as Q
@@ -9,16 +13,19 @@ from fractions import Fraction as Q
 import pytest
 
 import oracles
+from oracles import char_poly
 from painleve.algebra import (
     AffineSolution,
     Inconsistent,
     MultiPoly,
     RatMatrix,
     ShapeError,
-    char_poly,
     nullspace,
+    _SearchIncomplete,
+    char_poly_coeffs,
     rank,
     rational_roots,
+    rref,
     solve_affine,
     sum_of_products,
 )
@@ -239,3 +246,118 @@ def test_sum_of_products_matches_fold_of_references():
             if rng.random() < 0.2:  # a pair that cancels the one before
                 pairs.append((oracles.poly_neg(a), b))
         _check_sum_of_products(pairs)
+
+
+# ----------------------------------------------------------------------
+# the integer-row kernels against the Fraction versions they replaced
+
+
+def _check_rref(rows, ncols=None):
+    ours = rref(rows, ncols)
+    assert ours == oracles.rref_by_fractions(rows, ncols)
+    assert all(type(x) is Q for row in ours[0] for x in row)
+    assert type(ours[2]) is Q
+    return ours
+
+
+def _with_identity(M):
+    n = M.rows
+    return [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(M.data)]
+
+
+def test_rref_matches_fraction_elimination():
+    for M in MATRICES:
+        _check_rref(M.data)
+        _check_rref(_with_identity(M), M.rows)
+    rng = random.Random(20261020)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        block = [[_rational(rng) if rng.random() < 0.6 else Q(0) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:  # a dependent row below the others
+            block.append([2 * x - y for x, y in zip(block[0], block[-1])])
+        _check_rref(block)
+        _check_rref(block, rng.randint(0, cols))
+
+
+def test_rref_of_zero_empty_and_degenerate_rows():
+    assert _check_rref([]) == ([], [], Q(1), [])
+    _check_rref([[], []])
+    _check_rref([[Q(0)] * 3] * 4)
+    _check_rref([[Q(0), Q(0)], [Q(0), Q(3, 2)], [Q(0), Q(0)]])
+    _check_rref([[Q(5, 3)]], 0)
+    # rows below the rank keep their value, not only their span
+    m, pivots, _, _ = _check_rref([[Q(2), Q(4), Q(1, 3)], [Q(1), Q(2), Q(5, 7)], [Q(3), Q(6), Q(1)]], 2)
+    assert pivots == [0] and m[1] == [Q(0), Q(0), Q(5, 7) - Q(1, 6)]
+
+
+def _poly_vector(rng, n):
+    return [_kernel_operand(rng, ("u", "v", "w")) for _ in range(n)]
+
+
+def test_solve_affine_matches_polynomial_column_elimination():
+    rng = random.Random(20261021)
+    outcomes = []
+    for M in MATRICES:
+        n = M.rows
+        if rank([list(r) for r in M.data]) == n and rng.random() < 0.7:
+            continue  # mostly rank-deficient matrices
+        if rng.random() < 0.5:  # consistent: b = M x for a polynomial x
+            x = _poly_vector(rng, n)
+            b = [sum_of_products(zip(x, (MultiPoly.const(e) for e in row))) for row in M.data]
+        else:
+            b = _poly_vector(rng, n)
+        out = solve_affine(M, b)
+        assert out == oracles.solve_affine_by_elimination(M, b)
+        outcomes.append(type(out))
+    assert outcomes.count(Inconsistent) >= 10
+    assert outcomes.count(AffineSolution) >= 40
+
+
+def test_char_poly_coeffs_match_fraction_faddeev_leverrier():
+    rng = random.Random(20261022)
+    dens = (1, 2, 3, 4, 6, 7, 9, 10)
+    for M in MATRICES:
+        assert char_poly_coeffs(M) == oracles.char_poly_coeffs_by_fractions(M)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        M = RatMatrix([[Q(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)] for _ in range(n)])
+        coeffs = char_poly_coeffs(M)
+        assert coeffs == oracles.char_poly_coeffs_by_fractions(M)
+        assert all(type(c) is Q for c in coeffs)
+    assert char_poly_coeffs(RatMatrix([])) == [Q(1)]
+
+
+def test_rational_roots_match_synthetic_division():
+    rng = random.Random(20261023)
+    for _ in range(300):
+        coeffs = _random_polynomial(rng)
+        # a non-monic, non-integral scaling moves no root
+        coeffs = [c * Q(rng.choice((-3, -1, 2, 5)), rng.choice((1, 4, 9))) for c in coeffs]
+        assert rational_roots(coeffs) == oracles.rational_roots_by_synthetic_division(coeffs)
+    # non-monic, with negative, fractional and double roots
+    for coeffs, roots in (
+        ([Q(-6), Q(-17), Q(-1), Q(10)], [Q(-1), Q(-2, 5), Q(3, 2)]),
+        ([Q(c, 6) for c in (-16, -60, -68, -15, 9)], [Q(-1), Q(-2, 3), Q(4)]),  # (3x + 2)^2 (x - 4)(x + 1) / 6
+    ):
+        ours = rational_roots(coeffs)
+        assert ours == oracles.rational_roots_by_synthetic_division(coeffs)
+        assert ours == roots
+    capped = [Q(10**12 + 1), Q(0), Q(1)]
+    for search in (rational_roots, oracles.rational_roots_by_synthetic_division):
+        with pytest.raises(_SearchIncomplete):
+            search(capped)
+
+
+def test_str_matches_fraction_printing():
+    rng = random.Random(20261024)
+    coeffs = (Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-1, 2), Q(7, 3), Q(-22, 7), Q(10))
+    pool = ("q1", "p1", "r2", "t0")
+    polys = [MultiPoly.zero(), MultiPoly.const(1), MultiPoly.const(-1), MultiPoly.const(Q(-5, 3))]
+    for _ in range(400):
+        names = rng.sample(pool, rng.randint(0, len(pool)))
+        raw = {}
+        for _ in range(rng.randint(1, 6)):
+            raw[tuple(rng.randint(0, 3) for _ in names)] = rng.choice(coeffs)
+        polys.append(MultiPoly(names, raw))
+    for poly in polys:
+        assert str(poly) == oracles.poly_str(poly)
