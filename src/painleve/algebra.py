@@ -234,38 +234,85 @@ class MultiPoly:
     # substitution
 
     def replace(self, bindings: Mapping[str, PolyLike]) -> MultiPoly:
-        """Substitute the given symbols; symbols without a binding are kept."""
+        """Substitute the given symbols at once; symbols without a binding are kept.
+
+        A symbol kept or bound to at most one term (zero, a constant, a scaled
+        monomial) maps each term to at most one term, written straight into
+        its exponent key and coefficient.  The mapped terms are grouped by
+        their exponents in the symbols bound to several terms, and each group
+        times its product of powers of those bindings is summed in one
+        `sum_of_products` pass.
+        """
         if not any(v in bindings for v in self.vars):
             return self
-        polys = {v: as_poly(bindings[v]) for v in self.vars if v in bindings}
-        powers: dict[tuple[str, int], MultiPoly] = {}
-
-        def power(v: str, e: int) -> MultiPoly:
-            key = (v, e)
-            if key not in powers:
-                powers[key] = polys[v] ** e
-            return powers[key]
-
-        unbound = {v for v in self.vars if v not in polys}
-        union = tuple(sorted(unbound.union(*(p.vars for p in polys.values()))))
-        out: dict[tuple[int, ...], Fraction] = {}
+        polys = [as_poly(bindings[v]) if v in bindings else None for v in self.vars]
+        symbols = {v for v, p in zip(self.vars, polys) if p is None}
+        for p in polys:
+            if p is not None and len(p.terms) == 1:
+                symbols.update(p.vars)
+        union = tuple(sorted(symbols))
+        at = {v: j for j, v in enumerate(union)}
+        # per symbol of self: None if it maps every term it divides to zero,
+        # else the (position, multiple) pairs its exponent adds to the key and
+        # the factor its coefficient takes per unit of exponent
+        plans: list = []
+        multi: list[int] = []
+        for i, (v, p) in enumerate(zip(self.vars, polys)):
+            if p is None:
+                plans.append((((at[v], 1),), None))
+            elif not p.terms:
+                plans.append(None)
+            elif len(p.terms) == 1:
+                ((exps, c),) = p.terms.items()
+                plans.append((tuple(zip(map(at.get, p.vars), exps)), None if c == 1 else c))
+            else:
+                plans.append(((), None))
+                multi.append(i)
+        groups: dict[tuple[int, ...], dict] = {}
+        rescan = False  # a term dropped or a key cancelled: a symbol may be gone
         for exps, c in self.terms.items():
-            part = MultiPoly.const(c)
-            residual_vars = []
-            residual_exps = []
-            for v, e in zip(self.vars, exps):
-                if e == 0:
+            key = [0] * len(union)
+            for e, plan in zip(exps, plans):
+                if not e:
                     continue
-                if v in polys:
-                    part = part * power(v, e)
-                else:
-                    residual_vars.append(v)
-                    residual_exps.append(e)
-            if residual_vars:
-                residual = MultiPoly._canonical(tuple(residual_vars), {tuple(residual_exps): Q(1)})
-                part = part * residual
-            _merge_into(out, _remap(part, union))
-        return MultiPoly._canonical(union, out, rescan=True)
+                if plan is None:
+                    rescan = True
+                    break
+                shifts, factor = plan
+                for j, k in shifts:
+                    key[j] += k * e
+                if factor is not None:
+                    c *= factor**e
+            else:
+                group = tuple(exps[i] for i in multi)
+                out = groups.get(group)
+                if out is None:
+                    out = groups[group] = {}
+                key = tuple(key)
+                prev = out.get(key)
+                if prev is not None:
+                    c += prev
+                    if not c:
+                        del out[key]
+                        rescan = True
+                        continue
+                out[key] = c
+        if not multi:
+            return MultiPoly._canonical(union, groups.get((), {}), rescan)
+        powers = {i: [polys[i]] for i in multi}  # powers[i][e - 1] = polys[i]**e
+        pairs = []
+        for group, out in groups.items():
+            product = None
+            for i, e in zip(multi, group):
+                if e:
+                    chain = powers[i]
+                    while len(chain) < e:
+                        chain.append(chain[-1] * chain[0])
+                    product = chain[e - 1] if product is None else product * chain[e - 1]
+            # a group may miss symbols of `union` that other groups use
+            left = MultiPoly._canonical(union, out, rescan=True)
+            pairs.append((left, product or MultiPoly.const(1)))
+        return sum_of_products(pairs)
 
     def substitute(self, bindings: Mapping[str, PolyLike]) -> MultiPoly:
         """Substitute every symbol of the polynomial.

@@ -82,7 +82,7 @@ def dominant_part(f: MultiPoly, weights: dict[str, int], degree: int | None = No
         for exps, c in f.terms.items()
         if sum(wi * ei for wi, ei in zip(w, exps)) == degree
     }
-    return MultiPoly(f.symbols(), kept)
+    return MultiPoly._canonical(f.symbols(), kept, rescan=True)
 
 
 def _exponent_rows(sys: ODESystem) -> list[list[tuple[int, ...]]]:
@@ -120,7 +120,9 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
     The search assigns k_1, k_2, ... depth first and drops a prefix as soon
     as a partial weighted degree exceeds its cap: k_i + 1 once k_i is
     assigned, bound + 1 before (the unassigned part of k . m is
-    non-negative and k_i <= bound).  Its cost follows the Fuchsian set, not
+    non-negative and k_i <= bound).  Each row's cap is linear in the next
+    k_d, so one pass over the rows gives the interval of values that keep
+    every prefix alive.  Its cost follows the Fuchsian set, not
     the (bound + 1)^n vectors it stands for.  A search that tries more than
     EXPONENT_BUDGET values of some k_i raises ValueError, with no partial list.
     """
@@ -143,12 +145,22 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
         tries += bound + 1
         if tries > EXPONENT_BUDGET:
             raise ValueError("exponent search space too large; lower the bound")
-        for v in range(bound, -1, -1):  # pushed from the top, so extended from 0
-            k = prefix + (v,)
-            grown = [s + v * m[d] for s, (_, m) in zip(sums, rows)]
-            # the cap of equation d grows with v, so a failure here may pass at v + 1
-            if all(s <= (k[i] + 1 if i <= d else bound + 1) for s, (i, _) in zip(grown, rows)):
-                stack.append((k, grown))
+        # each row asks s + v * m_d <= cap, i.e. v * slope <= room: a half-line
+        # in v, all of it or none of it; their intersection is [lo, hi]
+        lo, hi = 0, bound
+        for s, (i, m) in zip(sums, rows):
+            if i == d:  # the cap v + 1 grows with v
+                slope, room = m[d] - 1, 1 - s
+            else:
+                slope, room = m[d], (prefix[i] + 1 if i < d else bound + 1) - s
+            if slope > 0:
+                hi = min(hi, room // slope)
+            elif slope < 0:  # slope -1: v >= -room
+                lo = max(lo, -room)
+            elif room < 0:
+                hi = -1
+        for v in range(hi, lo - 1, -1):  # pushed from the top, so extended from 0
+            stack.append((prefix + (v,), [s + v * m[d] for s, (_, m) in zip(sums, rows)]))
     return found
 
 
@@ -203,7 +215,7 @@ def _divide_out(eq: MultiPoly, name: str, e: int) -> MultiPoly:
         key = list(exps)
         key[idx] -= e
         terms[tuple(key)] = c
-    return MultiPoly(eq.symbols(), terms)
+    return MultiPoly._canonical(eq.symbols(), terms, rescan=True)
 
 
 def _assign(eqs: list[MultiPoly], i: int, assigned, free, nm: str, value: MultiPoly) -> tuple:

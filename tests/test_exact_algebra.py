@@ -20,6 +20,7 @@ from painleve.algebra import (
     rank,
     solve_affine,
 )
+from test_exponent_search import DATA_SYSTEMS
 
 u = MultiPoly.var("u")
 t = MultiPoly.var("t")
@@ -312,7 +313,18 @@ def _battery(a, b, rng):
     if a.vars:
         names = rng.sample(a.vars, rng.randint(1, len(a.vars)))
         bindings = {v: rng.choice((b, a, MultiPoly.zero(), MultiPoly.const(2))) for v in names}
-        _check(lambda p, bd: p.replace(bd), oracles.poly_replace, a, bindings)
+        _check(_replace, oracles.poly_replace, a, bindings)
+        first, *rest = rng.sample(a.vars, len(a.vars))
+        # scaled monomials, and a rename onto a symbol that stays unbound
+        for one in (y * Q(-3, 2), x**2 * t * 2, MultiPoly.var(rest[0]) if rest else -t):
+            _check(_replace, oracles.poly_replace, a, {first: one})
+            if rest:  # beside a binding of several terms
+                for many in (b, x - 2 * y):
+                    _check(_replace, oracles.poly_replace, a, {first: one, rest[-1]: many})
+
+
+def _replace(p, bindings):
+    return p.replace(bindings)
 
 
 def _random_poly(rng, pool=("a", "b", "t", "x", "y")):
@@ -350,6 +362,34 @@ FIXED_PAIRS = [
 @pytest.mark.parametrize("a,b", FIXED_PAIRS, ids=[f"{a}|{b}" for a, b in FIXED_PAIRS])
 def test_ring_operations_match_reference_on_fixed_pairs(a, b):
     _battery(a, b, random.Random(3))
+
+
+REPLACE_CASES = [
+    (x + y, {"x": -y}, MultiPoly.zero()),  # cancels to zero
+    (x * y - y**2, {"x": y}, MultiPoly.zero()),
+    (x * t + y * t + 2, {"x": -y}, MultiPoly.const(2)),  # loses y and t
+    (x * y + x + y, {"x": MultiPoly.zero()}, y),  # a zero binding drops terms
+    (x * y + 3, {"x": y - 1, "y": x}, x * y - x + 3),  # simultaneous, onto a bound name
+]
+
+
+@pytest.mark.parametrize("a,bindings,expected", REPLACE_CASES, ids=[str(c[0]) for c in REPLACE_CASES])
+def test_replace_cancels_and_drops_symbols(a, bindings, expected):
+    assert _check(_replace, oracles.poly_replace, a, bindings) == expected
+
+
+def test_one_term_bindings_form_no_products(count_products):
+    # renaming every corpus right side as the dominant solve does (u_i to _c<i>,
+    # t to t0) maps each term to one term; the term-by-term route it replaces
+    # multiplied out every bound factor and counted 74 products here
+    def rename_all():
+        for sys in DATA_SYSTEMS.values():
+            bindings = {u: MultiPoly.var(f"_c{i}") for i, u in enumerate(sys.u_symbols)}
+            bindings[sys.t_symbol] = MultiPoly.var("t0")
+            for f in sys.rhs:
+                f.replace(bindings)
+
+    assert count_products(rename_all) == 0
 
 
 def test_ring_operations_cancel_variables_and_reuse_zero():

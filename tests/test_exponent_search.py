@@ -131,3 +131,29 @@ def test_search_space_guard_still_applies(monkeypatch):
     monkeypatch.setattr(core, "EXPONENT_BUDGET", 20_000)
     with pytest.raises(ValueError, match="exponent search space too large"):
         enumerate_fuchsian_exponents(sys, 37)
+
+
+# One system per branch of the interval a node's rows give the next k_d.
+# Each row asks s + k_d * m_d <= cap: for row d's own equation the cap is
+# k_d + 1, for any other row it does not depend on k_d.
+INTERVAL_CASES = {
+    # own row, m_d = 0: a lower end, k_2 >= 3 k_1 - 1
+    "own m_d = 0": ["u2", "u1^3"],
+    # own row, m_d = 1: every k_2 or none, as 2 k_1 <= 1 or not
+    "own m_d = 1": ["u1^2", "u1^2*u2"],
+    # own row, m_d >= 2: an upper end, k_2 <= (1 - k_1) // 2
+    "own m_d >= 2": ["u1^2 + u2", "u1*u2^3 + t"],
+    # another row, m_d = 0: every k_2, since a pushed prefix already keeps
+    # that row's cap (so its sum is never over the cap at the next node)
+    "other m_d = 0": ["u1^2", "u2^2 + a"],
+    # another row, m_d > 0: an upper end, k_2 <= (k_1 + 1) // 2 from row 1
+    "other m_d > 0": ["u2^2 + u1", "u1*u2 - 1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_CASES))
+def test_each_interval_branch_matches_product_loop(name):
+    f1, f2 = INTERVAL_CASES[name]
+    sys = parse_input(f"system\nvars: u1,u2\nparams: a\nu1' = {f1}\nu2' = {f2}\n")
+    for bound in range(1, 9):
+        assert enumerate_fuchsian_exponents(sys, bound) == enumerate_fuchsian_by_product(sys, bound)
