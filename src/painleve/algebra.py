@@ -30,10 +30,6 @@ Scalar = Union[Fraction, int]
 PolyLike = Union["MultiPoly", Fraction, int]
 
 
-class UnboundSymbol(KeyError):
-    """A substitution left a symbol of the polynomial without a binding."""
-
-
 class ShapeError(ValueError):
     """Matrix dimensions are inconsistent for the requested operation."""
 
@@ -314,23 +310,6 @@ class MultiPoly:
             pairs.append((left, product or MultiPoly.const(1)))
         return sum_of_products(pairs)
 
-    def substitute(self, bindings: Mapping[str, PolyLike]) -> MultiPoly:
-        """Substitute every symbol of the polynomial.
-
-        Raises UnboundSymbol if any symbol that occurs has no binding; use
-        `replace` for partial substitution.
-        """
-        missing = [v for v in self.vars if v not in bindings]
-        if missing:
-            raise UnboundSymbol(missing[0])
-        return self.replace(bindings)
-
-    def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at rational values; every symbol must be bound."""
-        return self.substitute(
-            {v: MultiPoly.const(bindings[v]) for v in self.vars if v in bindings}
-        ).constant_value()
-
     # ------------------------------------------------------------------
     # comparisons and printing
 
@@ -485,10 +464,6 @@ class RatMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> RatMatrix:
         if not columns:
             return cls([])
@@ -560,11 +535,6 @@ class RatMatrix:
 
     def transpose(self) -> RatMatrix:
         return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ShapeError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Q(0))
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -791,9 +761,6 @@ class EigenPair:
 @dataclass(frozen=True)
 class IntegerSpectrum:
     pairs: tuple[EigenPair, ...]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(p.value for p in self.pairs)
 
 
 @dataclass(frozen=True)

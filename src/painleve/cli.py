@@ -6,8 +6,9 @@
 
 Exit codes: 0 = at least one principal balance (and, for the deeper
 commands, the construction succeeded), 1 = no principal balance or a
-structural rejection, 2 = usage or parse error, 3 = internal error (see
-`EXIT_CODES`).  Reports go to stdout, diagnostics to stderr.
+structural rejection, 2 = usage or parse error, unreadable input, or a
+limit the user set, 3 = internal error (see `EXIT_CODES`).  Reports go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import MultiPoly, ShapeError, UnboundSymbol
-from .core import (
-    AnalysisResult,
-    CandidateReport,
-    analyze_system,
-)
+from .algebra import MultiPoly, ShapeError
+from .core import AnalysisResult, CandidateReport, LimitError, analyze_system
 from .hamiltonian import (
     Canonical,
     HamiltonianRejected,
@@ -97,13 +94,13 @@ class NoPrincipalBalance(Exception):
 # Exit code per exception class, looked up along the raised exception's MRO;
 # an exception with no entry there propagates as a traceback.
 EXIT_CODES: dict[type, int] = {
-    # usage or parse error; a plain ValueError is one of core's argument checks
-    UsageError: 2, ParseError: 2, FileNotFoundError: 2, ValueError: 2,
+    # usage or parse error, an unreadable input file, or a limit the user set
+    UsageError: 2, ParseError: 2, OSError: 2, UnicodeDecodeError: 2, LimitError: 2,
     # no principal balance, or a structural rejection of it
     NoPrincipalBalance: 1, NoRationalRootPivot: 1, PivotSelectionError: 1,
     NonConstantResonanceBlock: 1, NotReversible: 1,
-    # internal error
-    TruncationUnderflow: 3, VariableMismatch: 3, ShapeError: 3, UnboundSymbol: 3, AssertionError: 3,
+    # internal error: any other ValueError is a fault of the engine
+    TruncationUnderflow: 3, VariableMismatch: 3, ShapeError: 3, ValueError: 3, AssertionError: 3,
 }
 
 
@@ -134,16 +131,11 @@ def _parse_spec(args, system: ODESystem) -> BalanceSpec | None:
             raise UsageError(f"bad --leading: {err}")
         if len(leading) != system.n:
             raise UsageError(f"--leading needs {system.n} entries")
-    if exponents is None and leading is None and not system.param_symbols:
+    if exponents is None and leading is None:
         return None
-    if leading is not None and exponents is None:
+    if exponents is None:
         raise UsageError("--leading requires --exponents")
-    return BalanceSpec(
-        exponents=exponents,
-        leading=leading,
-        order=args.order,
-        parameter_names=system.param_symbols,
-    )
+    return BalanceSpec(exponents=exponents, leading=leading)
 
 
 def _validate(args) -> None:
@@ -366,7 +358,7 @@ def cmd_hamiltonian(args) -> int:
         sd = pairing = symplectic_pairing(cand.balance.structure, d)
         if not isinstance(pairing, HamiltonianRejected):
             sub["pairing"] = [list(p) for p in pairing]
-            sd = symplectic_normalize(resonance_columns(cand.balance), d, pairing)
+            sd = symplectic_normalize(resonance_columns(cand.balance), d)
     if isinstance(sd, HamiltonianRejected):
         sub["rejected"] = jsonable({"reason": sd.reason, "detail": str(sd.detail)})
         report["hamiltonian"] = sub

@@ -37,6 +37,12 @@ class NonConstantKowalevskian(ValueError):
     """A Kowalevskian entry failed to evaluate to a rational constant."""
 
 
+class LimitError(ValueError):
+    """A limit the caller sets is too tight for the input: an expansion
+    order that does not pass the largest resonance, or a bound whose
+    exponent search exceeds EXPONENT_BUDGET."""
+
+
 # ----------------------------------------------------------------------
 # dominant data
 
@@ -124,7 +130,7 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
     k_d, so one pass over the rows gives the interval of values that keep
     every prefix alive.  Its cost follows the Fuchsian set, not
     the (bound + 1)^n vectors it stands for.  A search that tries more than
-    EXPONENT_BUDGET values of some k_i raises ValueError, with no partial list.
+    EXPONENT_BUDGET values of some k_i raises LimitError, with no partial list.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -144,7 +150,7 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
             continue
         tries += bound + 1
         if tries > EXPONENT_BUDGET:
-            raise ValueError("exponent search space too large; lower the bound")
+            raise LimitError("exponent search space too large; lower the bound")
         # each row asks s + v * m_d <= cap, i.e. v * slope <= room: a half-line
         # in v, all of it or none of it; their intersection is [lo, hi]
         lo, hi = 0, bound
@@ -516,7 +522,7 @@ def expand_balance(
     if len(parameter_names) != needed:
         raise ValueError(f"need {needed} parameter names, got {len(parameter_names)}")
     if order <= rs.largest:
-        raise ValueError(f"order must exceed the largest resonance {rs.largest}")
+        raise LimitError(f"order must exceed the largest resonance {rs.largest}")
 
     name_iter = iter(parameter_names)
     by_resonance: dict[int, list[str]] = {}
@@ -630,7 +636,6 @@ def residual_check(sys: ODESystem, balance: Balance) -> int | ResidualWitness:
 @dataclass
 class CandidateReport:
     exponents: tuple[int, ...]
-    stage: str  # dominant | kowalevskian | spectrum | resonance | balance
     verdict: str  # principal | not_principal | fails:<stage>
     leading: tuple[MultiPoly, ...] | None = None
     detail: object = None
@@ -662,22 +667,17 @@ _VERDICT_RANK = {
 }
 
 
-def analyze_candidate(
-    sys: ODESystem,
-    k: tuple[int, ...],
-    c,
-    order: int | None,
-    parameter_names: tuple[str, ...] | None,
-) -> CandidateReport:
+def analyze_candidate(sys: ODESystem, k: tuple[int, ...], c, order: int | None) -> CandidateReport:
     """Dominant check, Kowalevskian, spectrum, expansion and principal check
-    of one candidate (k, c); `stage` tells where a failing one stopped."""
-    report = CandidateReport(exponents=k, stage="dominant", verdict="fails:dominant")
+    of one candidate (k, c).  The declared parameters of `sys` name its
+    resonance parameters when they fit: as many as it needs, and none of
+    them in a right side or in the leading data."""
+    report = CandidateReport(exponents=k, verdict="fails:dominant")
     dd = verify_dominant_balance(sys, k, c)
     if isinstance(dd, Rejected):
         report.detail = dd
         return report
     report.leading = dd.leading
-    report.stage = "kowalevskian"
     try:
         K = kowalevskian(sys, dd)
     except NonConstantKowalevskian as err:
@@ -685,27 +685,24 @@ def analyze_candidate(
         report.detail = str(err)
         return report
     report.K = K
-    report.stage = "spectrum"
     rs = resonance_structure(K)
     if isinstance(rs, StructureFailure):
         report.verdict = "fails:spectrum"
         report.detail = rs
         return report
     report.structure = rs
-    report.stage = "resonance"
     M = order if order is not None else max(rs.largest + 5, 2)
-    if parameter_names is not None and (
-        len(parameter_names) != needed_parameter_count(rs)
-        or any(nm in f.symbols() for f in (*sys.rhs, *dd.leading) for nm in parameter_names)
+    names: tuple[str, ...] | None = sys.param_symbols
+    if len(names) != needed_parameter_count(rs) or any(
+        nm in f.symbols() for f in (*sys.rhs, *dd.leading) for nm in names
     ):
-        parameter_names = None  # declared names do not fit this candidate or already mean something
-    balance = expand_balance(sys, dd, rs, M, parameter_names)
+        names = None  # the declared names do not fit this candidate or already mean something
+    balance = expand_balance(sys, dd, rs, M, names)
     if isinstance(balance, FailureAtResonance):
         report.verdict = "fails:resonance"
         report.detail = balance
         return report
     report.balance = balance
-    report.stage = "balance"
     verdict = check_principal(balance)
     report.principal = verdict
     report.verdict = "principal" if verdict.principal else "not_principal"
@@ -722,12 +719,6 @@ def analyze_system(
     classify.  A BalanceSpec pins the exponents and/or leading data instead
     of searching."""
     candidates: list[CandidateReport] = []
-    spec_order = order
-    names: tuple[str, ...] | None = None
-    if spec is not None:
-        spec_order = spec.order or order
-        names = spec.parameter_names or None
-
     if spec is not None and spec.exponents is not None:
         k = tuple(spec.exponents)
         exponents = [k] if is_fuchsian(sys, k) else []
@@ -742,11 +733,11 @@ def analyze_system(
         else:
             solved = solve_dominant(sys, k)
             if isinstance(solved, Unsolved):
-                candidates.append(CandidateReport(k, "dominant", "fails:dominant", detail=solved))
+                candidates.append(CandidateReport(k, "fails:dominant", detail=solved))
                 continue
             leadings = solved
         for c in leadings:
-            candidates.append(analyze_candidate(sys, k, c, spec_order, names))
+            candidates.append(analyze_candidate(sys, k, c, order))
 
     if not candidates:
         return AnalysisResult(sys, bound, [], "fails:dominant")

@@ -38,10 +38,6 @@ def J_matrix(n: int) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def T_matrix(n: int) -> RatMatrix:
-    return RatMatrix([[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n)])
-
-
 def symplectic_product(v, w, J: RatMatrix) -> Fraction:
     return sum((a * b for a, b in zip(v, J.matvec(list(w)))), Q(0))
 
@@ -102,8 +98,7 @@ def symplectic_pairing(
 @dataclass(frozen=True)
 class SymplecticData:
     d: int
-    pairing: tuple[tuple[int, int], ...]
-    column_resonances: tuple[int, ...]  # per S column, after the T_n reversal
+    column_resonances: tuple[int, ...]  # per S column, after the last n are reversed
     S: RatMatrix
     exchange_set: tuple[int, ...] = ()  # dof indices with q <-> p exchanged
     row_swaps: tuple[tuple[int, int], ...] = ()  # paired dof swaps by position, in order
@@ -159,9 +154,7 @@ def _split_merged_block(
 
 
 def symplectic_normalize(
-    columns: list[tuple[int, tuple[Fraction, ...]]],
-    d: int,
-    pairing: list[tuple[int, int]],
+    columns: list[tuple[int, tuple[Fraction, ...]]], d: int
 ) -> SymplecticData | HamiltonianRejected:
     """Reverse the last n columns and rescale them so that S^T J S = J.
 
@@ -219,12 +212,7 @@ def symplectic_normalize(
     )
     if S.transpose() * J * S != J:
         return HamiltonianRejected("not_symplectic", S)
-    return SymplecticData(
-        d=d,
-        pairing=tuple(pairing),
-        column_resonances=col_resonances,
-        S=S,
-    )
+    return SymplecticData(d=d, column_resonances=col_resonances, S=S)
 
 
 # ----------------------------------------------------------------------

@@ -107,8 +107,6 @@ class BalanceSpec:
 
     exponents: tuple[int, ...] | None = None
     leading: tuple[MultiPoly, ...] | None = None
-    order: int | None = None
-    parameter_names: tuple[str, ...] = ()
 
 
 def hamiltonian_to_system(hs: HamiltonianSystem) -> ODESystem:
@@ -414,33 +412,8 @@ def _parse_hamiltonian_body(lines) -> HamiltonianSystem:
     )
 
 
-def print_system(sys: ODESystem) -> str:
-    """Render a system back into the input grammar (round-trip stable)."""
-    lines = ["system", "vars: " + ",".join(sys.u_symbols)]
-    if sys.param_symbols:
-        lines.append("params: " + ",".join(sys.param_symbols))
-    for name, f in zip(sys.u_symbols, sys.rhs):
-        lines.append(f"{name}' = {f}")
-    return "\n".join(lines) + "\n"
-
-
-def print_hamiltonian(hs: HamiltonianSystem) -> str:
-    lines = [
-        "hamiltonian",
-        "vars: " + ",".join(hs.q_symbols) + "; " + ",".join(hs.p_symbols),
-    ]
-    if hs.param_symbols:
-        lines.append("params: " + ",".join(hs.param_symbols))
-    lines.append(f"H = {hs.H}")
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # report serialization
-
-
-def fraction_json(x: Fraction) -> str:
-    return str(x)
 
 
 def poly_json(p: MultiPoly) -> list:
@@ -448,12 +421,12 @@ def poly_json(p: MultiPoly) -> list:
     out = []
     for exps, c in p.sorted_terms():
         mono = {v: e for v, e in zip(p.symbols(), exps) if e}
-        out.append([fraction_json(c), mono])
+        out.append([str(c), mono])
     return out
 
 
 def matrix_json(m: RatMatrix) -> list:
-    return [[fraction_json(x) for x in row] for row in m.data]
+    return [[str(x) for x in row] for row in m.data]
 
 
 def jsonable(value):
@@ -461,7 +434,7 @@ def jsonable(value):
     from .series import TruncatedSeries
 
     if isinstance(value, Fraction):
-        return fraction_json(value)
+        return str(value)
     if isinstance(value, MultiPoly):
         return {"str": str(value), "terms": poly_json(value)}
     if isinstance(value, RatMatrix):

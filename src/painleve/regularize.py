@@ -116,18 +116,7 @@ class NormalizedBalance:
     beta: Fraction  # tau'(t0) = c_pivot^(-1/k_pivot)
     tau_name: str
     tau_in_dt: TruncatedSeries  # tau as a power series in (t - t0)
-    dt_in_tau: TruncatedSeries  # (t - t0) as a power series in tau
     series: dict[int, TruncatedSeries]  # remaining variables as tau-series
-
-    def resonance_matrix(self) -> RatMatrix:
-        """R after the normalization: one row per remaining variable, one
-        column per remaining parameter; entries must be rational constants."""
-        k = self.balance.dominant.exponents
-        return RatMatrix([
-            [_resonance_entry(self.series, k, i, r, nm) for nm, r in self.balance.parameters]
-            for i in range(self.balance.system.n)
-            if i != self.pivot
-        ])
 
 
 def _pivot_root(balance: Balance, i: int) -> Fraction | None:
@@ -189,7 +178,6 @@ def indicial_normalization(
         beta=beta,
         tau_name=tau_name,
         tau_in_dt=tau_in_dt,
-        dt_in_tau=dt_in_tau,
         series=series,
     )
 
@@ -385,7 +373,6 @@ class ChangeOfVariable:
     beta: Fraction
     order: tuple[int, ...]  # construction order, pivot first
     rows: tuple[VariableRow, ...]
-    variable_names: tuple[str, ...]  # original symbol names
 
     def new_names(self) -> tuple[str, ...]:
         return (self.tau_name,) + tuple(r.rho_name for r in self.rows)
@@ -436,15 +423,13 @@ class SingularWitness:
 
 
 def build_triangular_change(nb: NormalizedBalance, absorption: Absorption) -> ChangeOfVariable:
-    balance = nb.balance
     return ChangeOfVariable(
         tau_name=nb.tau_name,
         pivot=nb.pivot,
-        k=balance.dominant.exponents,
+        k=nb.balance.dominant.exponents,
         beta=nb.beta,
         order=absorption.order,
         rows=absorption.rows,
-        variable_names=balance.system.u_symbols,
     )
 
 

@@ -180,18 +180,6 @@ class TruncatedSeries:
             self.trunc - 1,
         )
 
-    def agrees_with(self, other: TruncatedSeries, upto: int | None = None) -> bool:
-        """Equality of coefficients on the common valid range (orders < bound)."""
-        self._check_var(other)
-        bound = min(self.trunc, other.trunc)
-        if upto is not None:
-            bound = min(bound, upto)
-        orders = {o for o in self.coeffs if o < bound} | {o for o in other.coeffs if o < bound}
-        return all(
-            self.coeffs.get(o, MultiPoly.zero()) == other.coeffs.get(o, MultiPoly.zero())
-            for o in orders
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)

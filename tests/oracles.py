@@ -57,7 +57,7 @@ from painleve.core import (
     _monomial_content,
     _rational_roots,
 )
-from painleve.model import ODESystem
+from painleve.model import HamiltonianSystem, ODESystem
 from painleve.regularize import (
     Absorption,
     ChangeOfVariable,
@@ -920,7 +920,7 @@ def char_poly_coeffs_by_fractions(matrix: RatMatrix) -> list[Q]:
     aux = RatMatrix.identity(n)
     for k in range(1, n + 1):
         aux = matrix * aux
-        c = -aux.trace() / k
+        c = -trace(aux) / k
         coeffs[n - k] = c
         if k < n:
             aux = aux + RatMatrix.identity(n).scale(c)
@@ -990,3 +990,59 @@ def poly_str(poly: MultiPoly) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+# ----------------------------------------------------------------------
+# helpers only the tests use
+
+
+def agrees_with(a: TruncatedSeries, b: TruncatedSeries, upto: int | None = None) -> bool:
+    """Equality of coefficients on the common valid range (orders < bound)."""
+    if a.var != b.var:
+        raise VariableMismatch(f"{a.var} vs {b.var}")
+    bound = min(a.trunc, b.trunc) if upto is None else min(a.trunc, b.trunc, upto)
+    orders = {o for o in a.coeffs if o < bound} | {o for o in b.coeffs if o < bound}
+    zero = MultiPoly.zero()
+    return all(a.coeffs.get(o, zero) == b.coeffs.get(o, zero) for o in orders)
+
+
+def print_system(sys: ODESystem) -> str:
+    """Render a system back into the input grammar (round-trip stable)."""
+    lines = ["system", "vars: " + ",".join(sys.u_symbols)]
+    if sys.param_symbols:
+        lines.append("params: " + ",".join(sys.param_symbols))
+    for name, f in zip(sys.u_symbols, sys.rhs):
+        lines.append(f"{name}' = {f}")
+    return "\n".join(lines) + "\n"
+
+
+def print_hamiltonian(hs: HamiltonianSystem) -> str:
+    lines = [
+        "hamiltonian",
+        "vars: " + ",".join(hs.q_symbols) + "; " + ",".join(hs.p_symbols),
+    ]
+    if hs.param_symbols:
+        lines.append("params: " + ",".join(hs.param_symbols))
+    lines.append(f"H = {hs.H}")
+    return "\n".join(lines) + "\n"
+
+
+def resonance_matrix(nb: NormalizedBalance) -> RatMatrix:
+    """R after the normalization: one row per remaining variable, one
+    column per remaining parameter; entries must be rational constants."""
+    balance = nb.balance
+    k = balance.dominant.exponents
+    return RatMatrix([
+        [_resonance_entry(nb.series, k, i, r, nm) for nm, r in balance.parameters]
+        for i in range(balance.system.n)
+        if i != nb.pivot
+    ])
+
+
+def zeros(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)])
+
+
+def trace(m: RatMatrix) -> Q:
+    assert m.is_square(), "trace of a non-square matrix"
+    return sum((m.data[i][i] for i in range(m.rows)), Q(0))

@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import residual_orders
+from oracles import agrees_with, residual_orders
 from painleve.algebra import MultiPoly, RatMatrix
 from painleve.core import (
     FailureAtResonance,
@@ -72,7 +72,7 @@ def gd_canonical(gd_hamiltonian, gd_candidate):
     balance = gd_candidate.balance
     d = check_almost_weighted_homogeneous(gd_hamiltonian, (2, 4), (5, 3))
     pairing = symplectic_pairing(balance.structure, d)
-    sd = canonical_exchanges(symplectic_normalize(resonance_columns(balance), d, pairing))
+    sd = canonical_exchanges(symplectic_normalize(resonance_columns(balance), d))
     pipe = build_canonical_change(gd_hamiltonian, balance, sd)
     return d, pairing, sd, pipe
 
@@ -179,12 +179,12 @@ def test_criterion_5_gd_symplectic_normalization(gd_candidate):
         (5, GD_R.column(2)),
         (8, GD_R.column(3)),
     ]
-    sd = symplectic_normalize(columns, d, pairing)
+    sd = symplectic_normalize(columns, d)
     J = J_matrix(2)
     assert sd.S.transpose() * J * sd.S == J
     assert sd.S == GD_S
     # the default eigenbasis normalization is symplectic as well
-    sd_default = symplectic_normalize(resonance_columns(balance), d, pairing)
+    sd_default = symplectic_normalize(resonance_columns(balance), d)
     assert sd_default.S.transpose() * J * sd_default.S == J
     report(5, "d = 8, pairing (-1,8),(2,5), S^T J S = J, S matches entrywise")
 
@@ -234,7 +234,7 @@ def test_criterion_7_desk_examples():
     values = {"r2": Q(5, 7)}
     bindings = {
         name: {
-            j - cand2.exponents[i]: cand2.balance.coeffs[i][j].evaluate(values)
+            j - cand2.exponents[i]: cand2.balance.coeffs[i][j].replace(values).constant_value()
             for j in range(cand2.balance.order)
             if not cand2.balance.coeffs[i][j].is_zero
         }
@@ -291,8 +291,8 @@ def test_criterion_8_property_suites(
                 )
         s = TruncatedSeries("x", coeffs, 8)
         w = revert_series(s)
-        assert compose(s, w).agrees_with(ident)
-        assert compose(w, s).agrees_with(ident)
+        assert agrees_with(compose(s, w), ident)
+        assert agrees_with(compose(w, s), ident)
 
     # round-trip under every emitted change of variable
     from test_regularizer import _roundtrip
@@ -315,7 +315,7 @@ def test_criterion_8_property_suites(
         assert isinstance(d, int)
         pairing = symplectic_pairing(balance.structure, d)
         assert not isinstance(pairing, HamiltonianRejected)
-        sd = symplectic_normalize(resonance_columns(balance), d, pairing)
+        sd = symplectic_normalize(resonance_columns(balance), d)
         J = J_matrix(hs.n_dof)
         assert sd.S.transpose() * J * sd.S == J
         # <v, Jw> = 0 for every eigenvector pair with lambda + mu != d - 1

@@ -384,19 +384,64 @@ def test_every_package_exception_has_an_exit_code():
 
 
 def test_exit_codes_follow_the_mro():
-    from painleve.algebra import UnboundSymbol
     from painleve.cli import UsageError, exit_code
+    from painleve.core import LimitError
     from painleve.model import UndeclaredSymbol
     from painleve.series import NotReversible, TruncationUnderflow
 
     assert exit_code(UsageError("x")) == 2
     assert exit_code(UndeclaredSymbol("x", 1)) == 2
-    assert exit_code(ValueError("x")) == 2
+    assert exit_code(LimitError("x")) == 2
+    assert exit_code(IsADirectoryError("x")) == 2
+    assert exit_code(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x")) == 2
+    assert exit_code(ValueError("x")) == 3
     assert exit_code(NotReversible("x")) == 1
     assert exit_code(TruncationUnderflow("x")) == 3
-    assert exit_code(UnboundSymbol("x")) == 3
     assert exit_code(AssertionError()) == 3
     assert exit_code(TypeError("x")) is None
+
+
+def test_directory_input_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "test", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "directory" in err
+
+
+def test_non_utf8_input_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.sys"
+    path.write_bytes("system\nvars: u\nu' = u^2 # \u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "test", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_order_below_the_largest_resonance_exit_2(capsys):
+    code, out, err = run(capsys, "test", str(DATA / "gd.ham"), "--order", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: order must exceed the largest resonance 8\n"
+
+
+def test_exponent_budget_exit_2(capsys, monkeypatch):
+    import painleve.core
+
+    monkeypatch.setattr(painleve.core, "EXPONENT_BUDGET", 10)
+    code, out, err = run(capsys, "test", str(DATA / "riccati.sys"))
+    assert (code, out) == (2, "")
+    assert err == "error: exponent search space too large; lower the bound\n"
+
+
+def test_internal_value_error_exit_3(capsys, monkeypatch):
+    # a plain ValueError inside the engine (here a series coefficient read
+    # past its truncation) is a fault of the engine, not of the input
+    import painleve.cli
+
+    def broken(balance):
+        raise ValueError("order 9 is beyond truncation 8")
+
+    monkeypatch.setattr(painleve.cli, "regularize", broken)
+    code, out, err = run(capsys, "regularize", str(DATA / "riccati.sys"))
+    assert (code, out) == (3, "")
+    assert err == "internal error: order 9 is beyond truncation 8\n"
 
 
 def test_internal_fault_exit_3(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from painleve.hamiltonian import (
     HamiltonianRejected,
     J_matrix,
     SymplecticData,
-    T_matrix,
     apply_exchanges,
     build_canonical_change,
     canonical_exchanges,
@@ -68,8 +67,6 @@ def test_structure_matrices():
     J = J_matrix(2)
     assert J.transpose() == J.scale(-1)
     assert J * J == RatMatrix.identity(4).scale(-1)
-    T = T_matrix(3)
-    assert T * T == RatMatrix.identity(3)
 
 
 def test_weighted_homogeneous_gd(gd_hamiltonian):
@@ -116,8 +113,7 @@ def test_pairing_rejects_unpaired_spectrum():
 
 
 def test_symplectic_normalize_default_columns(gd_candidate):
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
-    sd = symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+    sd = symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     J = J_matrix(2)
     assert sd.S.transpose() * J * sd.S == J
     assert sd.column_resonances == (-1, 2, 8, 5)
@@ -133,14 +129,14 @@ def test_symplectic_normalize_reference_columns():
         (5, REF_R.column(2)),
         (8, REF_R.column(3)),
     ]
-    sd = symplectic_normalize(columns, 8, [(-1, 8), (2, 5)])
+    sd = symplectic_normalize(columns, 8)
     assert sd.S == REF_S
 
 
 def test_symplectic_normalize_fixes_signs():
     # identity-like resonance basis with J-incompatible signs: one rescale
     columns = [(-1, (Q(0), Q(1))), (2, (Q(1), Q(0)))]
-    sd = symplectic_normalize(columns, 2, [(-1, 2)])
+    sd = symplectic_normalize(columns, 2)
     J = J_matrix(1)
     assert sd.S.transpose() * J * sd.S == J
     assert sd.S == RatMatrix([[0, -1], [1, 0]])
@@ -150,7 +146,7 @@ def test_symplectic_normalize_merged_block():
     # synthetic self-paired block at lambda = (d-1)/2 = 2 with d = 5
     e = lambda i: tuple(Q(1) if j == i else Q(0) for j in range(4))
     columns = [(-1, e(0)), (2, e(1)), (2, e(3)), (5, e(2))]
-    sd = symplectic_normalize(columns, 5, [(-1, 5), (2, 2)])
+    sd = symplectic_normalize(columns, 5)
     J = J_matrix(2)
     assert sd.S.transpose() * J * sd.S == J
 
@@ -158,19 +154,19 @@ def test_symplectic_normalize_merged_block():
 def test_symplectic_normalize_rejects_nonzero_pairing():
     # break orthogonality: resonances say the columns must be J-orthogonal
     columns = [(-1, (Q(1), Q(1))), (2, (Q(0), Q(1)))]
-    out = symplectic_normalize(columns, 9, [(-1, 9)])  # -1 + 2 != 8
+    out = symplectic_normalize(columns, 9)  # -1 + 2 != 8
     assert isinstance(out, HamiltonianRejected)
 
 
 def test_canonical_exchanges_identity_case():
-    sd_like = symplectic_normalize([(-1, (Q(1), Q(0))), (2, (Q(0), Q(1)))], 2, [(-1, 2)])
+    sd_like = symplectic_normalize([(-1, (Q(1), Q(0))), (2, (Q(0), Q(1)))], 2)
     out = canonical_exchanges(sd_like)
     assert out.exchange_set == ()
     assert out.row_swaps == ()
 
 
 def test_canonical_exchanges_forced_swap():
-    sd = symplectic_normalize([(-1, (Q(0), Q(1))), (2, (Q(1), Q(0)))], 2, [(-1, 2)])
+    sd = symplectic_normalize([(-1, (Q(0), Q(1))), (2, (Q(1), Q(0)))], 2)
     out = canonical_exchanges(sd)
     assert out.exchange_set == (0,)
     J = J_matrix(1)
@@ -179,8 +175,7 @@ def test_canonical_exchanges_forced_swap():
 
 
 def test_canonical_exchanges_gd(gd_candidate):
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
-    sd = symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+    sd = symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     out = canonical_exchanges(sd)
     assert out.exchange_set == () and out.row_swaps == ()
     # leading principal minors of the top-left block are nonzero
@@ -195,7 +190,7 @@ def _block_diag_symplectic(A: RatMatrix) -> SymplecticData:
     B = A.inverse().transpose()
     rows = [list(A.row(i)) + [Q(0)] * n for i in range(n)]
     rows += [[Q(0)] * n + list(B.row(i)) for i in range(n)]
-    return SymplecticData(d=0, pairing=(), column_resonances=tuple(range(2 * n)), S=RatMatrix(rows))
+    return SymplecticData(d=0, column_resonances=tuple(range(2 * n)), S=RatMatrix(rows))
 
 
 def _leading_minors(S: RatMatrix, n: int) -> list:
@@ -238,8 +233,7 @@ def henon_heiles():
     hs = parse_hamiltonian((DATA / "henon_heiles.ham").read_text())
     cand = analyze_system(hamiltonian_to_system(hs)).principal_candidates()[0]
     d = check_almost_weighted_homogeneous(hs, cand.exponents[:2], cand.exponents[2:])
-    pairing = symplectic_pairing(cand.balance.structure, d)
-    sd = canonical_exchanges(symplectic_normalize(resonance_columns(cand.balance), d, pairing))
+    sd = canonical_exchanges(symplectic_normalize(resonance_columns(cand.balance), d))
     return hs, cand.balance, sd
 
 
@@ -257,7 +251,6 @@ def test_apply_exchanges_preserves_hamiltonian_form(henon_heiles):
         # force an exchange on dof 0 and a relabeling swap
         sd = SymplecticData(
             d=0,
-            pairing=(),
             column_resonances=(),
             S=RatMatrix.identity(4),
             exchange_set=(0,),
@@ -315,15 +308,14 @@ def test_exchanged_balance_solves_exchanged_system(henon_heiles, exchange_set, r
     # eigenbasis, and with it the parameters, may differ by scale
     if rederived:
         report = analyze_candidate(
-            esys, exchanged.dominant.exponents, exchanged.dominant.leading, balance.order, None
+            esys, exchanged.dominant.exponents, exchanged.dominant.leading, balance.order
         )
         assert report.balance == exchanged
 
 
 def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     cov = pipe.change
@@ -341,9 +333,8 @@ def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
 def test_forced_exchanges_give_a_canonical_change_gd(gd_hamiltonian, gd_candidate, exchange_set):
     # the exchanged balance carries sign flips into the construction; any
     # exchange that leaves a rational pivot root still closes the 2-form
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     forced = dataclasses.replace(sd, exchange_set=exchange_set)
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, forced)
@@ -354,9 +345,8 @@ def test_forced_exchanges_give_a_canonical_change_gd(gd_hamiltonian, gd_candidat
 
 
 def test_verify_canonical_gd(gd_hamiltonian, gd_candidate):
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     assert isinstance(verify_canonical(pipe.change, 2), Canonical)
@@ -364,9 +354,8 @@ def test_verify_canonical_gd(gd_hamiltonian, gd_candidate):
 
 def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
     # same construction without the -1/k1 factor: the 2-form check must fail
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     cov = pipe.change
@@ -392,7 +381,7 @@ def test_one_dof_canonical(one_dof):
     pairing = symplectic_pairing(cand.balance.structure, d)
     assert pairing == [(-1, 6)]
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(cand.balance), d, pairing)
+        symplectic_normalize(resonance_columns(cand.balance), d)
     )
     pipe = build_canonical_change(hs, cand.balance, sd)
     cov = pipe.change
@@ -407,9 +396,8 @@ def test_one_dof_canonical(one_dof):
 
 
 def test_new_hamiltonian_gd(gd_hamiltonian, gd_candidate):
-    pairing = symplectic_pairing(gd_candidate.balance.structure, 8)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(gd_candidate.balance), 8, pairing)
+        symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
@@ -429,7 +417,6 @@ def test_new_hamiltonian_substitution_mechanics():
         rows=(
             VariableRow(index=1, rho_name="P1", rho_factor=Q(1), resonance=1, head=()),
         ),
-        variable_names=("q", "p"),
     )
     H = MultiPoly.var("q") * MultiPoly.var("p")
     nh = new_hamiltonian(H, cov, ("q", "p"), True)
@@ -451,9 +438,8 @@ def test_non_autonomous_hamiltonian_drops_singular_terms(text, d, dropped):
     assert result.verdict == "principal"
     cand = result.principal_candidates()[0]
     assert check_almost_weighted_homogeneous(hs, cand.exponents[:1], cand.exponents[1:]) == d
-    pairing = symplectic_pairing(cand.balance.structure, d)
     sd = canonical_exchanges(
-        symplectic_normalize(resonance_columns(cand.balance), d, pairing)
+        symplectic_normalize(resonance_columns(cand.balance), d)
     )
     pipe = build_canonical_change(hs, cand.balance, sd)
     assert isinstance(pipe.regularization.regularity, Regular)
@@ -480,7 +466,7 @@ def test_henon_heiles_symplectic_structure():
     assert d == 6
     pairing = symplectic_pairing(cand.balance.structure, d)
     assert pairing == [(-1, 6), (1, 4)]
-    sd = symplectic_normalize(resonance_columns(cand.balance), d, pairing)
+    sd = symplectic_normalize(resonance_columns(cand.balance), d)
     J = J_matrix(2)
     assert sd.S.transpose() * J * sd.S == J
     # the indicial root here is imaginary (leading coefficient -1 at an even
@@ -501,7 +487,6 @@ def test_new_hamiltonian_autonomous_singular_part_is_fault():
         rows=(
             VariableRow(index=1, rho_name="P1", rho_factor=Q(1), resonance=1, head=()),
         ),
-        variable_names=("q", "p"),
     )
     H = MultiPoly.var("q")  # pulls back to Q1^-2: singular
     with pytest.raises(AssertionError):

@@ -48,7 +48,7 @@ def _random_matrix(rng, n):
         )
     r = rng.randint(0, n - 1)
     if r == 0:
-        return RatMatrix.zeros(n, n)
+        return oracles.zeros(n, n)
     left = RatMatrix([[_rational(rng) for _ in range(r)] for _ in range(n)])
     return left * RatMatrix([[_rational(rng) for _ in range(n)] for _ in range(r)])
 

@@ -16,10 +16,10 @@ from painleve.model import (
     parse_hamiltonian,
     parse_input,
     parse_system,
-    print_hamiltonian,
-    print_system,
     serialize_report,
 )
+
+from oracles import print_hamiltonian, print_system
 
 DATA = Path(__file__).parent / "data"
 

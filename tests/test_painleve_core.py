@@ -265,7 +265,7 @@ def test_expand_balance_pole2_against_independent_oracle(pole2_system, pole2_can
     for i, name in enumerate(pole2_system.u_symbols):
         k_i = balance.dominant.exponents[i]
         bindings[name] = {
-            j - k_i: balance.coeffs[i][j].evaluate(value)
+            j - k_i: balance.coeffs[i][j].replace(value).constant_value()
             for j in range(balance.order)
             if not balance.coeffs[i][j].is_zero
         }
@@ -356,10 +356,8 @@ def test_parameterized_leading_coefficients_resonance_zero():
     # resonance-0 family with K (dc/dr) = 0
     sys = parse_system("system\nvars: u1,u2\nu1' = u1^2\nu2' = u2\n")
     r = MultiPoly.var("r")
-    spec = BalanceSpec(
-        exponents=(1, 0), leading=(MultiPoly.const(-1), r), order=8, parameter_names=()
-    )
-    result = analyze_system(sys, spec=spec)
+    spec = BalanceSpec(exponents=(1, 0), leading=(MultiPoly.const(-1), r))
+    result = analyze_system(sys, order=8, spec=spec)
     assert result.verdict == "principal"
     cand = result.principal_candidates()[0]
     assert cand.structure.resonances == (-1, 0)
@@ -383,9 +381,15 @@ def test_analyze_system_with_spec_overrides(gd_system):
     spec = BalanceSpec(
         exponents=(2, 4, 5, 3),
         leading=tuple(MultiPoly.const(x) for x in (1, 0, -1, 1)),
-        order=10,
     )
-    result = analyze_system(gd_system, spec=spec)
+    result = analyze_system(gd_system, order=10, spec=spec)
     assert result.verdict == "principal"
     assert len(result.candidates) == 1
     assert result.candidates[0].balance.order == 10
+
+
+def test_declared_parameter_names_the_resonance_parameter_without_a_spec():
+    # Okamoto's Painleve I with one declared name and one resonance parameter
+    hs = parse_input("hamiltonian\nvars: q; p\nparams: a\nH = 1/2*p^2 - 2*q^3 - t*q\n")
+    cand = analyze_system(hamiltonian_to_system(hs)).principal_candidates()[0]
+    assert cand.balance.parameters == (("a", 6),)

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import agrees_with
 from painleve.algebra import MultiPoly
 from painleve.series import (
     EXACT,
@@ -26,7 +27,7 @@ def S(coeffs, trunc=EXACT):
 
 
 def test_laurent_times_monomial():
-    assert (S({-1: 1, 0: 1}, 5) * S({1: 1})).agrees_with(S({0: 1, 1: 1}))
+    assert agrees_with(S({-1: 1, 0: 1}, 5) * S({1: 1}), S({0: 1, 1: 1}))
 
 
 def test_truncate():
@@ -50,14 +51,14 @@ def test_variable_mismatch():
 
 def test_substitute_square_of_pole():
     out = substitute_poly(MultiPoly.var("u") ** 2, {"u": S({-1: -1})})
-    assert out.agrees_with(S({-2: 1}))
+    assert agrees_with(out, S({-2: 1}))
 
 
 def test_substitute_identity_binding():
     r = MultiPoly.var("r")
     series = TruncatedSeries(X, {-3: -2, 3: 4 * r}, EXACT)
     out = substitute_poly(MultiPoly.var("u2"), {"u2": series})
-    assert out.agrees_with(series)
+    assert agrees_with(out, series)
     assert out.coeffs == series.coeffs
 
 
@@ -106,8 +107,8 @@ def test_substitute_low_order_cap_is_valid_zero_knowledge():
 
 
 def test_revert_identity_and_linear():
-    assert revert_series(S({1: 1}, 6)).agrees_with(S({1: 1}))
-    assert revert_series(S({1: 2}, 6)).agrees_with(S({1: Q(1, 2)}))
+    assert agrees_with(revert_series(S({1: 1}, 6)), S({1: 1}))
+    assert agrees_with(revert_series(S({1: 2}, 6)), S({1: Q(1, 2)}))
 
 
 def test_revert_frozen_example():
@@ -117,7 +118,7 @@ def test_revert_frozen_example():
     assert w.coeff(2) == MultiPoly.const(-1)
     assert w.coeff(3) == MultiPoly.const(2)
     assert w.coeff(4) == MultiPoly.const(-5)
-    assert compose(S({1: 1, 2: 1}, 5), w).agrees_with(S({1: 1}))
+    assert agrees_with(compose(S({1: 1, 2: 1}, 5), w), S({1: 1}))
 
 
 def test_revert_requires_unit_leading():
@@ -163,8 +164,8 @@ def test_reversion_round_trip_random():
     for _ in range(12):
         s = _random_series(rng, with_params=rng.random() < 0.5)
         w = revert_series(s)
-        assert compose(s, w).agrees_with(ident)
-        assert compose(w, s).agrees_with(ident)
+        assert agrees_with(compose(s, w), ident)
+        assert agrees_with(compose(w, s), ident)
 
 
 def _oracle_reversion(coeffs, trunc):
@@ -216,7 +217,7 @@ def test_substitute_coeffs_matches_termwise_substitution():
             expected = expected + substitute_poly(poly, bindings).shift(o)
         out = substitute_coeffs(s, bindings)
         assert out.trunc == min(expected.trunc, s.trunc)
-        assert out.agrees_with(expected)
+        assert agrees_with(out, expected)
     plain = S({0: c, 2: 1}, 4)
     assert substitute_coeffs(plain, {"a": S({1: 1})}) is plain
 
@@ -260,7 +261,7 @@ def test_substitute_multiplicative_random():
         bindings = {nm: _random_series(rng).shift(rng.choice((-1, 0))) for nm in names}
         lhs = substitute_poly(f * g, bindings)
         rhs = substitute_poly(f, bindings) * substitute_poly(g, bindings)
-        assert lhs.agrees_with(rhs)
+        assert agrees_with(lhs, rhs)
 
 
 def test_ring_axioms_random():
@@ -269,11 +270,11 @@ def test_ring_axioms_random():
         a = _random_series(rng).shift(rng.choice((-2, 0)))
         b = _random_series(rng).shift(rng.choice((-1, 0)))
         c = _random_series(rng)
-        assert (a + b).agrees_with(b + a)
-        assert ((a + b) + c).agrees_with(a + (b + c))
-        assert (a * b).agrees_with(b * a)
-        assert ((a * b) * c).agrees_with(a * (b * c))
-        assert (a * (b + c)).agrees_with(a * b + a * c)
+        assert agrees_with(a + b, b + a)
+        assert agrees_with((a + b) + c, a + (b + c))
+        assert agrees_with(a * b, b * a)
+        assert agrees_with((a * b) * c, a * (b * c))
+        assert agrees_with(a * (b + c), a * b + a * c)
         assert (a - a).is_zero
 
 
@@ -283,13 +284,13 @@ def test_inverse_is_reciprocal():
     for _ in range(8):
         s = _random_series(rng, with_params=True).shift(rng.choice((-2, -1, 0)))
         inv = s.inverse()
-        assert (s * inv).agrees_with(one)
+        assert agrees_with(s * inv, one)
 
 
 def test_rational_power_of_unit():
     unit = S({0: 1, 1: 1}, 9)
     half = rational_power_of_unit(unit, -1, 2)
-    assert (half * half * unit).agrees_with(S({0: 1}))
+    assert agrees_with(half * half * unit, S({0: 1}))
 
 
 def test_var_derivative():
@@ -334,8 +335,8 @@ def test_power_times_inverse_power_is_one_with_parameters():
     for _ in range(10):
         s = _random_series(rng, with_params=True).shift(rng.choice((-2, -1, 0)))
         for n in (1, 2, 3, 5):
-            assert (s**n * s**-n).agrees_with(one)
-            assert (s**-n).agrees_with(s.inverse() ** n)
+            assert agrees_with(s**n * s**-n, one)
+            assert agrees_with(s**-n, s.inverse() ** n)
 
 
 def test_power_needs_an_invertible_rational_lead():
