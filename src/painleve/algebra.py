@@ -8,8 +8,12 @@ abstract polynomial compare equal structurally.
 
 The public constructor validates its input; the ring operations build their
 results, already canonical, through the trusted `MultiPoly._canonical`.
-`sum_of_products` is the one product loop: `*` of two polynomials and every
-series convolution form their sums of products there, on integer numerators.
+`packed_products` is the one product loop: it runs on packed polynomials,
+integer numerators over a common denominator with each monomial packed into
+one int key, so a term product is an int addition and an int product.
+`sum_of_products` (pack, loop, unpack) serves `*`, `replace` and the
+truncated series product; the relaxed series engine keeps its coefficients
+packed between products.
 `rref` is the one elimination: it takes rational rows and eliminates on
 integer rows, fraction-free; the characteristic polynomial and the
 rational-root test also run on integers.
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import lshift, mul, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 Q = Fraction
@@ -63,6 +68,8 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != len(vars):
                 raise ValueError("exponent tuple does not match variable list")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c != 0:
                 acc = cleaned.get(exps, Q(0)) + c
@@ -395,36 +402,151 @@ def _merge_into(acc: dict, terms: Mapping[tuple[int, ...], Fraction]) -> bool:
     return cancelled
 
 
-def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of a * b over `pairs`: the one product loop of the package.
+# ----------------------------------------------------------------------
+# packed monomials and the one product loop
 
-    The left factors are written over the lcm of their denominators and the
-    right ones over theirs, so every term product is a product of integer
-    numerators, summed per exponent key; each surviving key then gets one
-    Fraction.  Pairs with a zero factor are skipped.
-    """
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    if not pairs:
+
+class ExponentOverflow(ArithmeticError):
+    """An exponent reached 2**31, the limit of a packed exponent field."""
+
+
+# Each symbol gets a fixed field of a packed monomial key, in the order the
+# process first packs it: the exponent of the symbol in field i is
+# (key >> 32 i) & _FIELD_MASK, so adding two keys multiplies the monomials.
+# The top bit of a field is a guard: an exponent below 2**31 leaves it clear,
+# so the sum of two packed exponents never carries into the next field, and a
+# result that sets it raises ExponentOverflow instead of being used again.
+# The map only grows; nothing sorts or prints by key, so the numbering
+# depends on what the process packed before and never shows in a result.
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
+_OVERFLOW = f"an exponent reaches 2**{_FIELD_BITS - 1}, the limit of a packed monomial key"
+_FIELDS: dict[str, int] = {}
+_GUARD = 0  # the guard bits of every field in use
+# vars of a canonical polynomial -> (field offset of each var, its symbol bits)
+_PACKERS: dict[tuple[str, ...], tuple[tuple[int, ...], int]] = {}
+# symbol bits -> (the symbols in sorted order, the field offset of each)
+_UNPACKERS: dict[int, tuple[tuple[str, ...], tuple[int, ...]]] = {}
+
+# A packed polynomial is (den, [(key, numerator), ...], symbol bits): the sum
+# of numerator/den times the monomial of each key, with bit i of the symbol
+# bits set for the symbol of field i when it occurs in some term.
+Packed = tuple[int, list[tuple[int, int]], int]
+PACKED_ZERO: Packed = (1, [], 0)
+
+
+def _packer(vars: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
+    global _GUARD
+    packer = _PACKERS.get(vars)
+    if packer is not None:
+        return packer
+    shifts, bits = [], 0
+    for name in vars:
+        field = _FIELDS.get(name)
+        if field is None:
+            field = _FIELDS[name] = len(_FIELDS)
+            _GUARD |= 1 << (field * _FIELD_BITS + _FIELD_BITS - 1)
+        shifts.append(field * _FIELD_BITS)
+        bits |= 1 << field
+    _PACKERS[vars] = packer = (tuple(shifts), bits)
+    return packer
+
+
+def _unpacker(bits: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    unpacker = _UNPACKERS.get(bits)
+    if unpacker is not None:
+        return unpacker
+    names = sorted(name for name, field in _FIELDS.items() if bits >> field & 1)
+    _UNPACKERS[bits] = unpacker = (tuple(names), tuple(_FIELDS[n] * _FIELD_BITS for n in names))
+    return unpacker
+
+
+def pack(p: MultiPoly) -> Packed:
+    """p over the lcm of its denominators, with packed monomial keys;
+    ExponentOverflow if some exponent of p is 2**31 or more."""
+    terms = p.terms
+    if not p.vars:
+        return _packed_constant(terms.get((), _Q0))
+    shifts, bits = _packer(p.vars)
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        nums = [c.numerator for c in terms.values()]
+    else:
+        nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+    if max(map(max, terms)) >= _EXPONENT_LIMIT:
+        raise ExponentOverflow(_OVERFLOW)
+    if len(shifts) == 1:
+        (s,) = shifts
+        keys = [e << s for (e,) in terms]
+    else:
+        keys = [sum(map(lshift, e, shifts)) for e in terms]
+    return den, list(zip(keys, nums)), bits
+
+
+def _packed_constant(c: Fraction) -> Packed:
+    return (c.denominator, [(0, c.numerator)], 0) if c else PACKED_ZERO
+
+
+def unpack(p: Packed) -> MultiPoly:
+    """The canonical polynomial of a packed one."""
+    den, terms, bits = p
+    if not terms:
         return _ZERO
-    symbols: set[str] = set()
-    for a, b in pairs:
-        symbols.update(a.vars, b.vars)
-    union = tuple(sorted(symbols))
-    da = lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
-    db = lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
-    acc: dict[tuple[int, ...], int] = {}
+    names, shifts = _unpacker(bits)
+    if len(shifts) == 1:
+        (s,) = shifts
+        exps = [(k >> s,) for k, _ in terms]
+    else:
+        exps = [tuple([k >> s & _FIELD_MASK for s in shifts]) for k, _ in terms]
+    if den == 1:
+        coeffs = [Q(v) for _, v in terms]
+    else:
+        coeffs = [Q(v, den) for _, v in terms]
+    return MultiPoly._canonical(names, dict(zip(exps, coeffs)))
+
+
+def packed_products(pairs: Iterable[tuple[Packed, Packed]]) -> Packed:
+    """The sum of a * b over pairs of packed polynomials: the one product
+    loop of the package.
+
+    Every pair is written over the lcm of the pairs' denominators, so each
+    term product is a sum of two int keys and a product of int numerators,
+    summed per key; the result takes one gcd.  Pairs with a zero factor
+    are skipped.  ExponentOverflow if a result exponent reaches 2**31.
+    """
+    pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
+    if not pairs:
+        return PACKED_ZERO
+    den = lcm(*[a[0] * b[0] for a, b in pairs])
+    bits = 0
+    acc: dict[int, int] = {}
     get = acc.get
-    for a, b in pairs:
-        right = [(e, c.numerator * (db // c.denominator)) for e, c in _remap(b, union).items()]
-        for ea, ca in _remap(a, union).items():
-            na = ca.numerator * (da // ca.denominator)
-            for eb, nb in right:
-                key = tuple(map(add, ea, eb))
-                acc[key] = get(key, 0) + na * nb
-    d = da * db
-    out = {e: Q(v, d) for e, v in acc.items() if v}
-    # a variable can vanish from every term only where some key cancelled
-    return MultiPoly._canonical(union, out, len(out) < len(acc))
+    for (da, ta, ba), (db, tb, bb) in pairs:
+        bits |= ba | bb
+        scale = den // (da * db)
+        for ka, na in ta:
+            na *= scale
+            for kb, nb in tb:
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+    terms = [(k, v) for k, v in acc.items() if v]
+    if den != 1:
+        g = gcd(den, *[v for _, v in terms])
+        if g != 1:
+            den //= g
+            terms = [(k, v // g) for k, v in terms]
+    used = reduce(or_, [k for k, _ in terms], 0)
+    if used & _GUARD:
+        raise ExponentOverflow(_OVERFLOW)
+    if len(terms) < len(acc):  # a key cancelled: a symbol may occur in no term
+        bits = sum(1 << (s // _FIELD_BITS) for s in _unpacker(bits)[1] if used >> s & _FIELD_MASK)
+    return den, terms, bits
+
+
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of a * b over `pairs`, formed by `packed_products`."""
+    return unpack(packed_products([(pack(a), pack(b)) for a, b in pairs if a.terms and b.terms]))
 
 
 def as_poly(value: PolyLike) -> MultiPoly:
@@ -834,8 +956,9 @@ def solve_affine(
     The elimination of [M | I] records in its identity block the row
     operations E it applies (the pivots depend on M alone), so each particular
     coordinate and each consistency witness is one row of E b, formed in one
-    `sum_of_products` pass.  Free coordinates are set to zero; the kernel of
-    M is returned separately so callers can attach parameters themselves.
+    `packed_products` pass over the right sides, packed once.  Free
+    coordinates are set to zero; the kernel of M is returned separately so
+    callers can attach parameters themselves.
     """
     if not matrix.is_square():
         raise ShapeError("solve_affine expects a square matrix")
@@ -844,10 +967,10 @@ def solve_affine(
     n = matrix.rows
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     m, pivots, _, _ = rref([list(row) + e for row, e in zip(matrix.data, unit)], n)
-    b = [as_poly(x) for x in rhs]
+    b = [pack(as_poly(x)) for x in rhs]
 
     def combine(row: list[Fraction]) -> MultiPoly:
-        return sum_of_products((bk, MultiPoly.const(w)) for bk, w in zip(b, row[n:]))
+        return unpack(packed_products([(bk, _packed_constant(w)) for bk, w in zip(b, row[n:])]))
 
     for row in m[len(pivots) :]:
         witness = combine(row)

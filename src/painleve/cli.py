@@ -6,9 +6,10 @@
 
 Exit codes: 0 = at least one principal balance (and, for the deeper
 commands, the construction succeeded), 1 = no principal balance or a
-structural rejection, 2 = usage or parse error, unreadable input, or a
-limit the user set, 3 = internal error (see `EXIT_CODES`).  Reports go to
-stdout, diagnostics to stderr.
+structural rejection, 2 = usage or parse error, unreadable input, a limit
+the user set, or an exponent at the 2**31 limit of a packed monomial key,
+3 = internal error (see `EXIT_CODES`).  Reports go to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import MultiPoly, ShapeError
+from .algebra import ExponentOverflow, MultiPoly, ShapeError
 from .core import AnalysisResult, CandidateReport, LimitError, analyze_system
 from .hamiltonian import (
     Canonical,
@@ -94,8 +95,10 @@ class NoPrincipalBalance(Exception):
 # Exit code per exception class, looked up along the raised exception's MRO;
 # an exception with no entry there propagates as a traceback.
 EXIT_CODES: dict[type, int] = {
-    # usage or parse error, an unreadable input file, or a limit the user set
+    # usage or parse error, an unreadable input file, a limit the user set,
+    # or an exponent at the 2**31 limit of a packed monomial key
     UsageError: 2, ParseError: 2, OSError: 2, UnicodeDecodeError: 2, LimitError: 2,
+    ExponentOverflow: 2,
     # no principal balance, or a structural rejection of it
     NoPrincipalBalance: 1, NoRationalRootPivot: 1, PivotSelectionError: 1,
     NonConstantResonanceBlock: 1, NotReversible: 1,

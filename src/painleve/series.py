@@ -14,7 +14,18 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .algebra import MultiPoly, PolyLike, Q, as_poly, sum_of_products
+from . import algebra  # the product loop is read as `algebra.packed_products` only
+from .algebra import (
+    PACKED_ZERO,
+    MultiPoly,
+    Packed,
+    PolyLike,
+    Q,
+    as_poly,
+    pack,
+    sum_of_products,
+    unpack,
+)
 
 EXACT = 1 << 30
 
@@ -232,21 +243,30 @@ def _constant_lead(s: TruncatedSeries) -> Q:
     return lead.constant_value()
 
 
-def _coeff_of(factor, n: int, j: int) -> MultiPoly:
-    """Coefficient n of a coefficient list or a `_Product`, the lists known below j."""
-    if n < 0:
-        return _ZERO
-    if isinstance(factor, list):
-        return factor[n] if n < len(factor) else _ZERO
-    return factor.coeff(n, j)
+class _Leaf:
+    """A coefficient list from index 0 that its owner only appends to, read
+    packed: each entry is packed once, when it is first read."""
+
+    __slots__ = ("entries", "packed")
+
+    def __init__(self, entries: list[MultiPoly]):
+        self.entries, self.packed = entries, []
+
+    def coeff(self, n: int, j: int) -> Packed:
+        if n >= len(self.entries):
+            return PACKED_ZERO
+        packed = self.packed
+        while len(packed) <= n:
+            packed.append(pack(self.entries[len(packed)]))
+        return packed[n]
 
 
 class _Product:
-    """Coefficients of left * right, both coefficient lists from index 0.
+    """Packed coefficients of left * right, two nodes from index 0.
 
-    With the base lists known below index j, a product coefficient n < j
-    reads only known entries, so it is computed once and kept in `done`; one
-    at n >= j is recomputed at each j with the unknown entries read as zero,
+    With the leaves known below index j, a product coefficient n < j reads
+    only known entries, so it is computed once and kept in `done`; one at
+    n >= j is recomputed at each j with the unknown entries read as zero,
     exactly as in the product of the partial sums (van der Hoeven's relaxed
     product, "Relax, but don't be too lazy", JSC 2002).
     """
@@ -255,42 +275,45 @@ class _Product:
 
     def __init__(self, left, right):
         self.left, self.right = left, right
-        self.done: list[MultiPoly] = []
+        self.done: list[Packed] = []
 
-    def coeff(self, n: int, j: int) -> MultiPoly:
+    def coeff(self, n: int, j: int) -> Packed:
         if n < j:
             while len(self.done) <= n:
                 self.done.append(self._convolve(len(self.done), j))
             return self.done[n]
         return self._convolve(n, j)
 
-    def _convolve(self, n: int, j: int) -> MultiPoly:
+    def _convolve(self, n: int, j: int) -> Packed:
+        left, right = self.left.coeff, self.right.coeff
         pairs = []
         for m in range(n + 1):
-            a = _coeff_of(self.left, m, j)
-            if a.terms:
-                pairs.append((a, _coeff_of(self.right, n - m, j)))
-        return sum_of_products(pairs)
+            a = left(m, j)
+            if a[1]:
+                pairs.append((a, right(n - m, j)))
+        return algebra.packed_products(pairs)
 
 
 class RelaxedSubstitution:
     """Polynomials in symbols bound to series, read one coefficient at a time.
 
     `lists[x]` holds the coefficients of the series bound to x from its order
-    `first[x]` on; a caller may extend the lists between reads.  A polynomial
-    becomes terms (unbound part, product node, order of the node's index 0,
-    bound factors): the bound factors of each monomial are one chain of
-    cached `_Product` nodes, powers of one symbol, then prefix products,
-    shared by every polynomial read over the same lists.  Reading order o
-    of a sum of terms with the lists known below index j costs O(j)
-    coefficient products per term once the lower coefficients are cached.
+    `first[x]` on; a caller may append to the lists between reads.  A
+    polynomial becomes terms (packed unbound part, product node, order of
+    the node's index 0, bound factors): the bound factors of each monomial
+    are one chain of cached `_Product` nodes over one `_Leaf` per list,
+    powers of one symbol, then prefix products, shared by every polynomial
+    read over the same lists.  The nodes hold packed coefficients; only
+    `coeff` unpacks.  Reading order o of a sum of terms with the lists known
+    below index j costs O(j) coefficient products per term once the lower
+    coefficients are cached.
     """
 
     def __init__(self, lists: Mapping[str, list[MultiPoly]], first: Mapping[str, int]):
         self.lists, self.first = lists, first
-        self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): [MultiPoly.const(1)]}
+        self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): _Leaf([MultiPoly.const(1)])}
 
-    def terms(self, f: MultiPoly, shift: int = 0) -> list[tuple[MultiPoly, object, int, tuple]]:
+    def terms(self, f: MultiPoly, shift: int = 0) -> list[tuple[Packed, object, int, tuple]]:
         """The terms of f times x^shift."""
         out = []
         for exps, c in f.terms.items():
@@ -301,29 +324,28 @@ class RelaxedSubstitution:
                     offset += e * self.first[name]
                 elif e:
                     rest[name] = e
-            unbound = MultiPoly(tuple(rest), {tuple(rest.values()): c})
+            unbound = pack(MultiPoly(tuple(rest), {tuple(rest.values()): c}))
             out.append((unbound, self._node(tuple(factors)), offset, tuple(factors)))
         return out
 
     def _node(self, factors: tuple[tuple[str, int], ...]):
-        """The coefficient list of the product of name^e over `factors`."""
+        """The node of the product of name^e over `factors`."""
         if factors not in self.nodes:
             name, e = factors[-1]
             if len(factors) > 1:
                 node = _Product(self._node(factors[:-1]), self._node(factors[-1:]))
             elif e > 1:
-                node = _Product(self._node(((name, e - 1),)), self.lists[name])
+                node = _Product(self._node(((name, e - 1),)), self._node(((name, 1),)))
             else:
-                node = self.lists[name]
+                node = _Leaf(self.lists[name])
             self.nodes[factors] = node
         return self.nodes[factors]
 
     @staticmethod
     def coeff(terms, order: int, j: int) -> MultiPoly:
         """Coefficient at `order` of the sum of `terms`, the lists known below j."""
-        return sum_of_products(
-            (unbound, _coeff_of(node, order - offset, j)) for unbound, node, offset, _ in terms
-        )
+        pairs = [(u, node.coeff(order - offset, j)) for u, node, offset, _ in terms if order >= offset]
+        return unpack(algebra.packed_products(pairs))
 
 
 def _substitute(
@@ -377,8 +399,9 @@ def _substitute(
             span = 1 + sum(e * (len(lists[nm]) - 1) for nm, e in factors)
             for n in range(min(span, trunc - offset)):
                 # the lists are complete
-                pairs.setdefault(offset + n, []).append((unbound, _coeff_of(node, n, n + 1)))
-        results.append(TruncatedSeries(var, {o: sum_of_products(p) for o, p in pairs.items()}, trunc))
+                pairs.setdefault(offset + n, []).append((unbound, node.coeff(n, n + 1)))
+        coeffs = {o: unpack(algebra.packed_products(p)) for o, p in pairs.items()}
+        results.append(TruncatedSeries(var, coeffs, trunc))
     return results
 
 

@@ -1,5 +1,4 @@
 import sys
-from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -17,12 +16,18 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture
 def count_products(monkeypatch):
     """count_products(fn, *args): the number of coefficient products fn(*args)
-    forms, each counted once whether `MultiPoly.__mul__` or a pair of
-    `algebra.sum_of_products` forms it; a pair with a zero factor forms none."""
+    forms, each counted once whether `MultiPoly.__mul__` or a pair of the one
+    product loop `algebra.packed_products` forms it; a pair with a zero
+    factor forms none.  Every caller reaches the loop through the `algebra`
+    module, so patching it there sees every pair."""
+    loop = algebra.packed_products
+    for name, module in list(sys.modules.items()):
+        if name.startswith("painleve") and module is not algebra:
+            assert all(v is not loop for v in vars(module).values()), f"{name} binds the loop itself"
 
     def count(fn, *args) -> int:
         total, inside = 0, False
-        mul, kernel = MultiPoly.__mul__, algebra.sum_of_products
+        mul = MultiPoly.__mul__
 
         def counted_mul(self, other):
             nonlocal total, inside
@@ -33,23 +38,22 @@ def count_products(monkeypatch):
             finally:
                 inside = False
 
-        def counted_kernel(pairs):
+        def counted_loop(pairs):
             nonlocal total
             pairs = list(pairs)
             if not inside:
-                total += sum(1 for a, b in pairs if a and b)
-            return kernel(pairs)
+                total += sum(1 for a, b in pairs if a[1] and b[1])
+            return loop(pairs)
 
         with monkeypatch.context() as patch:
             patch.setattr(MultiPoly, "__mul__", counted_mul)
             patch.setattr(MultiPoly, "__rmul__", counted_mul)
-            for name, module in list(sys.modules.items()):
-                if name.startswith("painleve") and hasattr(module, "sum_of_products"):
-                    patch.setattr(module, "sum_of_products", counted_kernel)
+            patch.setattr(algebra, "packed_products", counted_loop)
             fn(*args)
         return total
 
     return count
+
 
 GD_TEXT = (
     "hamiltonian\n"

@@ -8,6 +8,7 @@ with the series engine at every order (quadratic work per order), and a
 reference exponent enumeration that tests every vector of the box,
 the `MultiPoly` ring operations as first written: build the raw term dict,
 then let the validating constructor `MultiPoly(vars, dict)` normalize it,
+the product loop on exponent tuples that packed keys replaced,
 series composition and reversion with one full series product per
 order, polynomial substitution over a table of truncated series powers,
 resonance absorption by growing precision, the Taylor re-expansion of a
@@ -29,6 +30,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction as Q
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from painleve import core
@@ -407,6 +409,40 @@ def poly_mul(a: MultiPoly, b) -> MultiPoly:
             key = tuple(x + y for x, y in zip(ea, eb))
             raw[key] = raw.get(key, Q(0)) + ca * cb
     return MultiPoly(union, raw)
+
+
+def sum_of_products_by_tuples(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The product loop before packed keys: every pair's exponent tuples
+    widened to the union of all symbols, keys built by adding tuples, left
+    and right numerators over the lcm of their sides' denominators."""
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    if not pairs:
+        return MultiPoly.zero()
+    union = tuple(sorted({v for a, b in pairs for v in a.vars + b.vars}))
+
+    def widen(p: MultiPoly) -> dict:
+        idx = [union.index(v) for v in p.vars]
+        out = {}
+        for exps, c in p.terms.items():
+            key = [0] * len(union)
+            for i, e in zip(idx, exps):
+                key[i] = e
+            out[tuple(key)] = c
+        return out
+
+    da = lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
+    db = lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+    acc: dict[tuple[int, ...], int] = {}
+    for a, b in pairs:
+        right = [(e, c.numerator * (db // c.denominator)) for e, c in widen(b).items()]
+        for ea, ca in widen(a).items():
+            na = ca.numerator * (da // ca.denominator)
+            for eb, nb in right:
+                key = tuple(map(add, ea, eb))
+                acc[key] = acc.get(key, 0) + na * nb
+    d = da * db
+    out = {e: Q(v, d) for e, v in acc.items() if v}
+    return MultiPoly._canonical(union, out, len(out) < len(acc))
 
 
 def poly_partial(a: MultiPoly, name: str) -> MultiPoly:

@@ -47,7 +47,7 @@ from painleve.regularize import (
     transform_system,
     verify_regularity,
 )
-from painleve.series import EXACT, TruncatedSeries, compose, revert_series, substitute_poly
+from painleve.series import EXACT, TruncatedSeries, compose, revert_series
 
 GD_K_MATRIX = RatMatrix(
     [[2, 0, 0, -2], [-2, 4, -2, -2], [12, -6, 5, 2], [-6, 2, 0, 3]]

@@ -103,7 +103,7 @@ def test_synthetic_systems_exercise_time_and_parameters():
 
 def test_expansion_products_grow_quadratically(count_products):
     # one coefficient per order costs O(j) products, so doubling the order
-    # multiplies the count by about 4 (1,149 and 4,855 products at orders 30
+    # multiplies the count by about 4 (1,022 and 4,608 products at orders 30
     # and 60); expanding f(partial sums) gives about 9
     system = _load(DATA / "henon_heiles.ham")
     cases = [(dd, rs) for dd, rs, _ in _expandable(system)]

@@ -1,10 +1,14 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import painleve
 from painleve.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -230,6 +234,45 @@ def test_json_deterministic(capsys):
     _, out1, _ = run(capsys, "test", str(DATA / "gd.ham"), "--bound", "5", "--json")
     _, out2, _ = run(capsys, "test", str(DATA / "gd.ham"), "--bound", "5", "--json")
     assert out1 == out2
+
+
+# runs CLI calls in order in one interpreter; prints the last call's stdout
+# and the symbols in the order the packed-key map numbered them
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from painleve import algebra
+from painleve.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+print(json.dumps([out.getvalue(), list(algebra._FIELDS)]))
+"""
+
+
+def test_report_bytes_do_not_depend_on_packed_key_numbering():
+    # the packed-key map numbers symbols in the order a process first packs
+    # them, so the same report must come out after another command
+    env = dict(os.environ, PYTHONPATH=str(Path(painleve.__file__).parent.parent))
+    hh = ["test", str(DATA / "henon_heiles.ham"), "--json"]
+
+    def last_report(*jobs):
+        argv = [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(jobs)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+        return json.loads(proc.stdout)
+
+    alone, alone_fields = last_report(hh)
+    after, after_fields = last_report(["regularize", str(DATA / "gd.ham")], hh)
+    assert [f for f in after_fields if f in alone_fields] != alone_fields
+    assert after == alone and '"verdict": "principal"' in alone
+
+
+def test_exponent_at_the_packed_key_limit_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.sys"
+    path.write_text("system\nvars: u\nu' = u^2147483648\n")
+    code, out, err = run(capsys, "test", str(path))
+    assert code == 2 and out == ""
+    assert "2**31, the limit of a packed monomial key" in err
 
 
 def test_regularize_irrational_root_exit_1(capsys, tmp_path):

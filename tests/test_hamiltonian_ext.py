@@ -34,7 +34,6 @@ from painleve.hamiltonian import (
 )
 from painleve.model import HamiltonianSystem, hamiltonian_to_system, parse_hamiltonian
 from painleve.regularize import ChangeOfVariable, Regular, VariableRow, regularize
-from painleve.series import EXACT, TruncatedSeries
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,7 +1,8 @@
 """sympy oracles for the exact kernels: the one elimination (`rref`) behind
 det, inverse, rank, nullspace and solve_affine, the characteristic
 polynomial, and the one rational-root search; and the one product loop,
-`sum_of_products`, against a fold of the validating ring references.
+`sum_of_products`, against a fold of the validating ring references and,
+with `==`, against the tuple-key loop that packed keys replaced.
 
 The integer-row kernels are also compared with `==` against the Fraction
 versions they replaced (`oracles.rref_by_fractions` and the routes built on
@@ -14,8 +15,11 @@ import pytest
 
 import oracles
 from oracles import char_poly
+from painleve import algebra
 from painleve.algebra import (
+    PACKED_ZERO,
     AffineSolution,
+    ExponentOverflow,
     Inconsistent,
     MultiPoly,
     RatMatrix,
@@ -23,12 +27,16 @@ from painleve.algebra import (
     nullspace,
     _SearchIncomplete,
     char_poly_coeffs,
+    pack,
+    packed_products,
     rank,
     rational_roots,
     rref,
     solve_affine,
     sum_of_products,
+    unpack,
 )
+from painleve.series import RelaxedSubstitution
 
 sympy = pytest.importorskip("sympy")
 
@@ -246,6 +254,120 @@ def test_sum_of_products_matches_fold_of_references():
             if rng.random() < 0.2:  # a pair that cancels the one before
                 pairs.append((oracles.poly_neg(a), b))
         _check_sum_of_products(pairs)
+
+
+# ----------------------------------------------------------------------
+# the packed loop against the tuple-key loop it replaced
+
+LIMIT = 1 << 31  # the first exponent a packed field refuses
+
+
+def _check_packed(pairs):
+    """sum_of_products(pairs), through the packed loop, equals the tuple-key
+    loop with ==, and so does the packed loop read through pack/unpack."""
+    expected = oracles.sum_of_products_by_tuples(pairs)
+    assert sum_of_products(pairs) == expected
+    assert unpack(packed_products([(pack(a), pack(b)) for a, b in pairs])) == expected
+    return expected
+
+
+def test_packed_loop_matches_tuple_loop():
+    # fresh names, packed first in reverse alphabetical order, so their
+    # fields run against the order the canonical form sorts them in
+    names = ["pk_z", "pk_y", "pk_x", "pk_w"]
+    assert not set(names) & set(algebra._FIELDS)
+    for name in names:
+        pack(MultiPoly.var(name))
+    fields = [algebra._FIELDS[name] for name in names]
+    assert fields == sorted(fields) and sorted(names) != names
+    rng = random.Random(20261019)
+    pools = (names[:2], names[1:], names[::2], names[:1] + ["u"])
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            a = _kernel_operand(rng, rng.choice(pools))
+            b = _kernel_operand(rng, rng.choice(pools))
+            pairs.append((a, b))
+            if rng.random() < 0.2:  # a pair that cancels the one before
+                pairs.append((oracles.poly_neg(a), b))
+        _check_packed(pairs)
+
+
+def test_packed_loop_exponents_just_below_the_guard():
+    rng = random.Random(20261020)
+    x, y = "pk_big_x", "pk_big_y"
+    for _ in range(100):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            # factor exponents that sum to at most LIMIT - 1 in each symbol
+            ea, fa = rng.randint(LIMIT // 2 - 8, LIMIT // 2 - 1), rng.randint(0, 3)
+            eb, fb = rng.randint(0, LIMIT // 2 - 1), rng.randint(LIMIT - 8, LIMIT - 4)
+            a = MultiPoly((x, y), {(ea, fa): _rational(rng) or 1, (ea - 1, 0): Q(1, 3)})
+            b = MultiPoly((x, y), {(eb, fb): _rational(rng) or 1, (0, 1): -1})
+            pairs.append((a, b))
+        _check_packed(pairs)
+    top = MultiPoly((x,), {(LIMIT - 1,): 1})
+    assert _check_packed([(top, MultiPoly.const(Q(2, 3)))]) == top * Q(2, 3)
+    assert _check_packed([(MultiPoly((x,), {(LIMIT // 2,): 1}), MultiPoly((x,), {(LIMIT // 2 - 1,): 1}))]) == top
+
+
+def test_packed_loop_cancels_to_zero_and_drops_symbols():
+    a, b, c = (MultiPoly.var(name) for name in ("pk_c", "pk_b", "pk_a"))
+    # (a + b)(a - b) + (b - a)(a + b) = 0: every key cancels
+    zero = _check_packed([(a + b, a - b), (b - a, a + b)])
+    assert zero.is_zero and zero.vars == ()
+    assert packed_products([(pack(a + b), pack(a - b)), (pack(b - a), pack(a + b))]) == PACKED_ZERO
+    # a b c - a (b c - c^2 / 2) = a c^2 / 2: b is dropped by the cancellation
+    dropped = _check_packed([(a * b, c * Q(2, 3)), (a * Q(-2, 3), b * c - c * c * Q(1, 2))])
+    assert dropped.vars == ("pk_a", "pk_c")
+    assert dropped == a * c * c * Q(1, 3)
+    # the packed result's symbol bits drop b as well
+    packed = packed_products([(pack(a * b), pack(c)), (pack(-a), pack(b * c - c))])
+    assert packed[2] == pack(a * c)[2]
+    # denominators that cancel leave integer numerators over 1
+    assert _check_packed([(a * Q(1, 6), b * 3), (a * Q(1, 4), b * 2)]) == a * b
+
+
+def test_packed_exponent_at_the_guard_raises():
+    x = "pk_guard_x"
+    half = MultiPoly((x,), {(LIMIT // 2,): 1})
+    with pytest.raises(ExponentOverflow):
+        sum_of_products([(half, half)])
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        pack(MultiPoly((x,), {(LIMIT,): 1}))
+    # the guard of a field at any position
+    with pytest.raises(ExponentOverflow):
+        MultiPoly(("pk_guard_a", x), {(1, LIMIT // 2): 1}) * half
+    # a negative exponent would borrow from the next field: the constructor refuses it
+    with pytest.raises(ValueError):
+        MultiPoly((x,), {(-1,): 1})
+
+
+def test_relaxed_leaf_takes_a_new_symbol_after_packing():
+    # as expand_balance appends a coefficient with a fresh resonance
+    # parameter after the leaf packed the earlier ones: f = x^2 + s x
+    fresh = MultiPoly.var("pk_fresh_r")
+    assert "pk_fresh_r" not in algebra._FIELDS
+    entries = [MultiPoly.const(2), MultiPoly.var("pk_s") + Q(1, 2)]
+    sub = RelaxedSubstitution({"x": entries}, {"x": 0})
+    s = MultiPoly.var("pk_s")
+    terms = sub.terms(MultiPoly.var("x") ** 2 + s * MultiPoly.var("x"))
+
+    def expected(n, known):
+        xs = entries[:known] + [ZERO] * (n + 1)
+        total = oracles.poly_mul(s, xs[n])
+        for m in range(n + 1):
+            total = oracles.poly_add(total, oracles.poly_mul(xs[m], xs[n - m]))
+        return total
+
+    assert [sub.coeff(terms, n, 2) for n in range(4)] == [expected(n, 2) for n in range(4)]
+    entries.append(fresh * Q(3, 7) - 1)
+    assert "pk_fresh_r" not in algebra._FIELDS  # appended, not yet packed
+    entries.append(fresh * fresh + s)
+    assert [sub.coeff(terms, n, 4) for n in range(7)] == [expected(n, 4) for n in range(7)]
+    assert "pk_fresh_r" in algebra._FIELDS
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from oracles import residual_orders
 from painleve import algebra, core
 from painleve.algebra import MultiPoly, RatMatrix
 from painleve.core import (
-    Balance,
     FailureAtResonance,
     NonConstantKowalevskian,
     Rejected,
@@ -28,7 +27,7 @@ from painleve.core import (
     solve_dominant,
     verify_dominant_balance,
 )
-from painleve.model import BalanceSpec, ODESystem, hamiltonian_to_system, parse_input, parse_system
+from painleve.model import BalanceSpec, hamiltonian_to_system, parse_input, parse_system
 
 DATA = Path(__file__).parent / "data"
 

@@ -9,12 +9,6 @@ import pytest
 from oracles import (
     absorb_resonances_by_growing_precision,
     agrees_with,
-    ladd,
-    lmul,
-    lneg,
-    lpow,
-    lscale,
-    poly_series,
     residual_orders,
     resonance_matrix,
     transform_balance_by_composition,
@@ -31,12 +25,10 @@ from painleve.model import (
     parse_system,
 )
 from painleve.regularize import (
-    ChangeOfVariable,
     NoRationalRootPivot,
     PivotSelectionError,
     Regular,
     SingularWitness,
-    TransformedSystem,
     VariableRow,
     absorb_resonances,
     build_triangular_change,
@@ -414,7 +406,7 @@ def test_normalization_products_stay_bounded(count_products, gd_system):
 
 
 def test_absorption_products_stay_bounded(count_products, gd_system):
-    # one relaxed pass over cached product nodes: 1,880 and 8,520 products
+    # one relaxed pass over cached product nodes: 1,873 and 8,513 products
     # at orders 20 and 30, against 8,953 and 65,993 when every precision
     # re-substituted the tails
     at_20, at_30 = (
@@ -485,7 +477,7 @@ def test_canonical_absorption_matches_growing_precision(monkeypatch, capsys, nam
 def test_regularize_products_stay_bounded(count_products, gd_system):
     # the construction runs on the balance cut after its largest resonance
     # and the transformed balance is the Taylor solution of the new system:
-    # 1,816 and 8,954 products at orders 16 and 30, against 4,454 and 26,017
+    # 1,804 and 8,942 products at orders 16 and 30, against 4,454 and 26,017
     # at full order with the balance composed with the inverted change
     at_16, at_30 = (
         count_products(regularize, _gd_balance(gd_system, order)) for order in (16, 30)
