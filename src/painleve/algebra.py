@@ -1,19 +1,18 @@
 """Exact arithmetic: multivariate polynomials over Q and rational linear algebra.
 
-Coefficients are `fractions.Fraction` throughout (always in lowest terms,
-positive denominator), so every operation in this module is exact.  A
-polynomial is a sparse map from exponent tuples to coefficients, aligned
-with a sorted tuple of symbol names; two polynomials representing the same
-abstract polynomial compare equal structurally.
+Every operation in this module is exact.  A polynomial is stored as integer
+numerators over one common denominator, each monomial packed into one int
+key, with a fixed field of the key per symbol; two polynomials representing
+the same abstract polynomial compare equal structurally.  The key format is
+private to this module: callers read a polynomial through `vars` (its
+symbols, sorted by name) and `terms` (exponent tuples over `vars` to
+`fractions.Fraction` coefficients), built on demand.
 
 The public constructor validates its input; the ring operations build their
-results, already canonical, through the trusted `MultiPoly._canonical`.
-`packed_products` is the one product loop: it runs on packed polynomials,
-integer numerators over a common denominator with each monomial packed into
-one int key, so a term product is an int addition and an int product.
-`sum_of_products` (pack, loop, unpack) serves `*`, `replace` and the
-truncated series product; the relaxed series engine keeps its coefficients
-packed between products.
+results already canonical.  `sum_of_products` is the one product loop: a
+term product is an int addition of keys and an int product of numerators.
+It serves `*`, `replace`, the truncated series products and the relaxed
+series engine.
 `rref` is the one elimination: it takes rational rows and eliminates on
 integer rows, fraction-free; the characteristic polynomial and the
 rational-root test also run on integers.
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import lshift, mul, or_
+from operator import mul, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 Q = Fraction
@@ -47,17 +46,64 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+class ExponentOverflow(ArithmeticError):
+    """An exponent reached 2**31, the limit of a packed exponent field."""
 
-    Canonical form: `vars` is sorted and unique, every exponent tuple has
-    one entry per variable, every variable occurs in some term with positive
-    exponent, and no zero coefficients are stored.  Instances are immutable
-    and may share their `terms` dict (an operator may return an operand), so
-    nothing may mutate `terms` after construction.
+
+# A monomial is one int key: each symbol gets a fixed field of the key, in
+# the order the process first meets it, and the exponent of the symbol in
+# field i is (key >> 32 i) & _FIELD_MASK, so adding two keys multiplies the
+# monomials.  The top bit of a field is a guard: an exponent below 2**31
+# leaves it clear, so the sum of two exponents never carries into the next
+# field, and a result that sets it raises ExponentOverflow instead of being
+# used again.  The map only grows; nothing sorts or prints by key, so the
+# numbering depends on what the process built before and never shows in a
+# result.
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
+_OVERFLOW = f"an exponent reaches 2**{_FIELD_BITS - 1}, the limit of a packed monomial key"
+_FIELDS: dict[str, int] = {}
+_GUARD = 0  # the guard bits of every field in use
+# symbol bits -> (the symbols in sorted order, the field offset of each)
+_SYMBOLS: dict[int, tuple[tuple[str, ...], tuple[int, ...]]] = {}
+
+
+def _field(name: str) -> int:
+    """The field of a symbol, numbered on first use."""
+    global _GUARD
+    field = _FIELDS.get(name)
+    if field is None:
+        field = _FIELDS[name] = len(_FIELDS)
+        _GUARD |= 1 << (field * _FIELD_BITS + _FIELD_BITS - 1)
+    return field
+
+
+def _symbols_of(bits: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    symbols = _SYMBOLS.get(bits)
+    if symbols is not None:
+        return symbols
+    names = sorted(name for name, field in _FIELDS.items() if bits >> field & 1)
+    _SYMBOLS[bits] = symbols = (tuple(names), tuple(_FIELDS[n] * _FIELD_BITS for n in names))
+    return symbols
+
+
+class MultiPoly:
+    """Sparse multivariate polynomial over Q.
+
+    Stored as an int denominator `_den`, a dict `_nums` from packed monomial
+    keys to nonzero int numerators, and the symbol bits `_bits`, bit i set
+    for the symbol of field i.  Canonical form: `_den` is positive and
+    coprime to the numerators, and `_bits` names exactly the symbols that
+    occur in some term, so equal polynomials have equal fields.  Instances
+    are immutable and may share their `_nums` dict (an operator may return
+    an operand), so nothing may mutate it after construction.
+
+    `vars` (the symbols, sorted by name) and `terms` (exponent tuples over
+    `vars` to Fractions) are the read-only tuple view, built on demand.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("_den", "_nums", "_bits")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar]):
         vars = tuple(vars)
@@ -72,36 +118,21 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c != 0:
-                acc = cleaned.get(exps, Q(0)) + c
+                acc = cleaned.get(exps, _Q0) + c
                 if acc == 0:
                     cleaned.pop(exps, None)
                 else:
                     cleaned[exps] = acc
-        # drop variables unused by every term, then sort the remainder
-        used = [i for i in range(len(vars)) if any(e[i] for e in cleaned)]
-        order = sorted(used, key=lambda i: vars[i])
-        object.__setattr__(self, "vars", tuple(vars[i] for i in order))
-        object.__setattr__(
-            self,
-            "terms",
-            {tuple(exps[i] for i in order): c for exps, c in cleaned.items()},
-        )
-
-    @classmethod
-    def _canonical(cls, vars: tuple[str, ...], terms: dict, rescan: bool = False) -> MultiPoly:
-        """Wrap `terms` unchecked: canonical, except that with `rescan` (after
-        a cancellation or a derivative) some variable may occur in no term."""
-        if not terms:
-            vars = ()
-        elif rescan:
-            used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
-            if len(used) < len(vars):
-                vars = tuple(vars[i] for i in used)
-                terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "vars", vars)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+        if any(e >= _EXPONENT_LIMIT for exps in cleaned for e in exps):
+            raise ExponentOverflow(_OVERFLOW)
+        used = sorted((vars[i], i) for i in range(len(vars)) if any(e[i] for e in cleaned))
+        shifts = [(i, _field(name) * _FIELD_BITS) for name, i in used]
+        den = lcm(*[c.denominator for c in cleaned.values()])
+        nums = {
+            sum(exps[i] << s for i, s in shifts): c.numerator * (den // c.denominator)
+            for exps, c in cleaned.items()
+        }
+        _init(self, den, nums, sum(1 << (s // _FIELD_BITS) for _, s in shifts))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -122,37 +153,49 @@ class MultiPoly:
     @classmethod
     def const(cls, value: Scalar) -> MultiPoly:
         c = _as_fraction(value)
-        return cls._canonical((), {(): c}) if c else _ZERO
+        return _poly(c.denominator, {0: c.numerator}, 0) if c else _ZERO
 
     @classmethod
     def var(cls, name: str) -> MultiPoly:
-        return cls._canonical((name,), {(1,): Q(1)})
+        field = _field(name)
+        return _poly(1, {1 << field * _FIELD_BITS: 1}, 1 << field)
 
     # ------------------------------------------------------------------
     # predicates and accessors
 
     @property
+    def vars(self) -> tuple[str, ...]:
+        return _symbols_of(self._bits)[0]
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        shifts = _symbols_of(self._bits)[1]
+        den = self._den
+        return {tuple([k >> s & _FIELD_MASK for s in shifts]): Q(v, den) for k, v in self._nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     @property
     def is_constant(self) -> bool:
-        return not self.vars
+        return not self._bits
 
     def constant_value(self) -> Fraction:
-        if self.vars:
+        if self._bits:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), Q(0))
+        return Q(self._nums.get(0, 0), self._den)
 
     def symbols(self) -> tuple[str, ...]:
         return self.vars
 
     def degree_in(self, name: str) -> int:
         """Degree in one variable; 0 if the variable does not occur."""
-        if name not in self.vars:
+        field = _FIELDS.get(name)
+        if field is None or not self._bits >> field & 1:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        s = field * _FIELD_BITS
+        return max(k >> s & _FIELD_MASK for k in self._nums)
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int | None:
         """Max of sum(weight * exponent) over terms; None for the zero polynomial.
@@ -160,31 +203,60 @@ class MultiPoly:
         Symbols missing from `weights` contribute 0 (this is how the time
         variable and parameter symbols are kept weightless).
         """
-        if not self.terms:
+        if not self._nums:
             return None
-        w = [weights.get(v, 0) for v in self.vars]
-        return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms)
+        w = self._weights(weights)
+        return max(sum(wi * (k >> s & _FIELD_MASK) for wi, s in w) for k in self._nums)
+
+    def weighted_part(self, weights: Mapping[str, int], degree: int) -> MultiPoly:
+        """The terms of weighted degree `degree`, weighted as in `weighted_degree`."""
+        w = self._weights(weights)
+        kept = {
+            k: v for k, v in self._nums.items() if sum(wi * (k >> s & _FIELD_MASK) for wi, s in w) == degree
+        }
+        if len(kept) == len(self._nums):
+            return self
+        return _reduced(self._den, kept, self._bits, True)
+
+    def _weights(self, weights: Mapping[str, int]) -> list[tuple[int, int]]:
+        """(weight, field offset) of each symbol of self with a nonzero weight."""
+        return [(weights[v], s) for v, s in zip(*_symbols_of(self._bits)) if weights.get(v)]
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _aligned(self, other: MultiPoly) -> tuple[tuple[str, ...], dict, dict]:
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-        return union, _remap(self, union), _remap(other, union)
-
     def __add__(self, other: PolyLike) -> MultiPoly:
         other = as_poly(other)
-        if not other.terms:
+        b = other._nums
+        if not b:
             return self
-        if not self.terms:
+        a = self._nums
+        if not a:
             return other
-        vars, a, b = self._aligned(other)
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        return MultiPoly._canonical(vars, out, _merge_into(out, b))
+        den = self._den
+        if den == other._den:
+            if len(a) < len(b):
+                a, b = b, a
+            out, sb = dict(a), 1
+        else:
+            den = lcm(den, other._den)
+            sa, sb = den // self._den, den // other._den
+            out = {k: v * sa for k, v in a.items()} if sa != 1 else dict(a)
+        cancelled = False
+        for k, v in b.items():
+            if sb != 1:
+                v *= sb
+            prev = out.get(k)
+            if prev is None:
+                out[k] = v
+            else:
+                v += prev
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+                    cancelled = True
+        return _reduced(den, out, self._bits | other._bits, cancelled)
 
     __radd__ = __add__
 
@@ -195,15 +267,16 @@ class MultiPoly:
         return as_poly(other) + (-self)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self._den, {k: -v for k, v in self._nums.items()}, self._bits)
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            return _scaled(self, _as_fraction(other))
-        if not other.vars:
-            return _scaled(self, other.terms.get((), Q(0)))
-        if not self.vars:
-            return _scaled(other, self.terms.get((), Q(0)))
+            c = _as_fraction(other)
+            return _scaled(self, c.numerator, c.denominator)
+        if not other._bits:
+            return _scaled(self, other._nums.get(0, 0), other._den)
+        if not self._bits:
+            return _scaled(other, self._nums.get(0, 0), self._den)
         return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
@@ -222,16 +295,18 @@ class MultiPoly:
 
     def partial(self, name: str) -> MultiPoly:
         """Partial derivative with respect to one symbol."""
-        if name not in self.vars:
+        field = _FIELDS.get(name)
+        if field is None or not self._bits >> field & 1:
             return _ZERO
-        i = self.vars.index(name)
+        s = field * _FIELD_BITS
+        one = 1 << s
         out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
+        for k, v in self._nums.items():
+            e = k >> s & _FIELD_MASK
             if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-        # distinct terms stay distinct; a variable may occur in no term now
-        return MultiPoly._canonical(self.vars, out, rescan=True)
+                out[k - one] = v * e
+        # distinct terms stay distinct; a symbol may occur in no term now
+        return _reduced(self._den, out, self._bits, True)
 
     # ------------------------------------------------------------------
     # substitution
@@ -239,82 +314,92 @@ class MultiPoly:
     def replace(self, bindings: Mapping[str, PolyLike]) -> MultiPoly:
         """Substitute the given symbols at once; symbols without a binding are kept.
 
-        A symbol kept or bound to at most one term (zero, a constant, a scaled
-        monomial) maps each term to at most one term, written straight into
-        its exponent key and coefficient.  The mapped terms are grouped by
-        their exponents in the symbols bound to several terms, and each group
-        times its product of powers of those bindings is summed in one
+        A kept symbol leaves its field of each key alone.  A symbol bound to
+        at most one term (zero, a constant, a scaled monomial) maps each term
+        to at most one term: its field moves into the binding's monomial, its
+        exponent times the binding's key, and the coefficient takes the
+        binding's coefficient to that power.  The mapped terms are grouped
+        by their exponents in the symbols bound to several terms, and each
+        group times its product of powers of those bindings is summed in one
         `sum_of_products` pass.
         """
-        if not any(v in bindings for v in self.vars):
+        names, shifts = _symbols_of(self._bits)
+        bound = [(as_poly(bindings[v]), s) for v, s in zip(names, shifts) if v in bindings]
+        if not bound:
             return self
-        polys = [as_poly(bindings[v]) if v in bindings else None for v in self.vars]
-        symbols = {v for v, p in zip(self.vars, polys) if p is None}
-        for p in polys:
-            if p is not None and len(p.terms) == 1:
-                symbols.update(p.vars)
-        union = tuple(sorted(symbols))
-        at = {v: j for j, v in enumerate(union)}
-        # per symbol of self: None if it maps every term it divides to zero,
-        # else the (position, multiple) pairs its exponent adds to the key and
-        # the factor its coefficient takes per unit of exponent
-        plans: list = []
-        multi: list[int] = []
-        for i, (v, p) in enumerate(zip(self.vars, polys)):
-            if p is None:
-                plans.append((((at[v], 1),), None))
-            elif not p.terms:
-                plans.append(None)
-            elif len(p.terms) == 1:
-                ((exps, c),) = p.terms.items()
-                plans.append((tuple(zip(map(at.get, p.vars), exps)), None if c == 1 else c))
+        keep = ~sum(_FIELD_MASK << s for _, s in bound)
+        bits = self._bits & ~sum(1 << (s // _FIELD_BITS) for _, s in bound)
+        # per symbol bound to at most one term: its field offset, and None if
+        # it maps every term it divides to zero, else its key, the largest
+        # exponent in it, and its numerator and denominator
+        singles: list = []
+        multi: list[tuple[MultiPoly, int]] = []
+        for p, s in bound:
+            if not p._nums:
+                singles.append((s, None))
+            elif len(p._nums) == 1:
+                ((key, num),) = p._nums.items()
+                top = max([key >> t & _FIELD_MASK for t in _symbols_of(p._bits)[1]], default=0)
+                singles.append((s, (key, top, num, p._den)))
+                bits |= p._bits
             else:
-                plans.append(((), None))
-                multi.append(i)
-        groups: dict[tuple[int, ...], dict] = {}
+                multi.append((p, s))
+        mapped = []  # (group, key, numerator, denominator factor)
         rescan = False  # a term dropped or a key cancelled: a symbol may be gone
-        for exps, c in self.terms.items():
-            key = [0] * len(union)
-            for e, plan in zip(exps, plans):
+        for k, v in self._nums.items():
+            mono = k & keep
+            scale = 1
+            for s, single in singles:
+                e = k >> s & _FIELD_MASK
                 if not e:
                     continue
-                if plan is None:
+                if single is None:
                     rescan = True
                     break
-                shifts, factor = plan
-                for j, k in shifts:
-                    key[j] += k * e
-                if factor is not None:
-                    c *= factor**e
+                key, top, num, den = single
+                if e * top >= _EXPONENT_LIMIT:
+                    raise ExponentOverflow(_OVERFLOW)
+                mono += e * key
+                if mono & _GUARD:
+                    raise ExponentOverflow(_OVERFLOW)
+                if num != 1:
+                    v *= num**e
+                if den != 1:
+                    scale *= den**e
             else:
-                group = tuple(exps[i] for i in multi)
-                out = groups.get(group)
-                if out is None:
-                    out = groups[group] = {}
-                key = tuple(key)
-                prev = out.get(key)
-                if prev is not None:
-                    c += prev
-                    if not c:
-                        del out[key]
-                        rescan = True
-                        continue
-                out[key] = c
+                group = tuple([k >> s & _FIELD_MASK for _, s in multi])
+                mapped.append((group, mono, v, scale))
+        common = lcm(*[scale for *_, scale in mapped])
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for group, key, v, scale in mapped:
+            if scale != common:
+                v *= common // scale
+            out = groups.get(group)
+            if out is None:
+                out = groups[group] = {}
+            prev = out.get(key)
+            if prev is not None:
+                v += prev
+                if not v:
+                    del out[key]
+                    rescan = True
+                    continue
+            out[key] = v
+        den = self._den * common
         if not multi:
-            return MultiPoly._canonical(union, groups.get((), {}), rescan)
-        powers = {i: [polys[i]] for i in multi}  # powers[i][e - 1] = polys[i]**e
+            return _reduced(den, groups.get((), {}), bits, rescan)
+        powers = {s: [p] for p, s in multi}  # powers[s][e - 1] = p**e
         pairs = []
         for group, out in groups.items():
             product = None
-            for i, e in zip(multi, group):
+            for (_, s), e in zip(multi, group):
                 if e:
-                    chain = powers[i]
+                    chain = powers[s]
                     while len(chain) < e:
                         chain.append(chain[-1] * chain[0])
                     product = chain[e - 1] if product is None else product * chain[e - 1]
-            # a group may miss symbols of `union` that other groups use
-            left = MultiPoly._canonical(union, out, rescan=True)
-            pairs.append((left, product or MultiPoly.const(1)))
+            # a group may miss symbols that other groups use
+            pairs.append((_reduced(den, out, bits, True), product or MultiPoly.const(1)))
         return sum_of_products(pairs)
 
     # ------------------------------------------------------------------
@@ -325,27 +410,28 @@ class MultiPoly:
             other = as_poly(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical print order: total degree, then exponents, descending."""
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
+        vars = self.vars
         parts = []
         for exps, c in self.sorted_terms():
             num, den = c.numerator, c.denominator
             size = -num if num < 0 else num
             coeff = str(size) if den == 1 else f"{size}/{den}"
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e]
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e]
             if not factors:
                 body = coeff
             elif size == 1 and den == 1:
@@ -362,191 +448,91 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-_ZERO = MultiPoly._canonical((), {})
+# the slot setters, which the immutability guard does not intercept
+_set_den, _set_nums, _set_bits = (MultiPoly.__dict__[f].__set__ for f in MultiPoly.__slots__)
 
 
-def _remap(poly: MultiPoly, union: tuple[str, ...]) -> dict:
-    """`poly.terms` with exponent tuples widened to `union` (a sorted superset)."""
-    if poly.vars == union:
-        return poly.terms
-    idx = [union.index(v) for v in poly.vars]
-    out = {}
-    for exps, c in poly.terms.items():
-        key = [0] * len(union)
-        for i, e in zip(idx, exps):
-            key[i] = e
-        out[tuple(key)] = c
-    return out
+def _init(poly: MultiPoly, den: int, nums: dict[int, int], bits: int) -> None:
+    _set_den(poly, den)
+    _set_nums(poly, nums)
+    _set_bits(poly, bits)
 
 
-def _scaled(poly: MultiPoly, c: Fraction) -> MultiPoly:
-    if not c:
+def _poly(den: int, nums: dict[int, int], bits: int) -> MultiPoly:
+    """Wrap canonical fields unchecked."""
+    poly = object.__new__(MultiPoly)
+    _init(poly, den, nums, bits)
+    return poly
+
+
+_ZERO = _poly(1, {}, 0)
+
+
+def _reduced(den: int, nums: dict[int, int], bits: int, rescan: bool) -> MultiPoly:
+    """The polynomial of numerators `nums` over `den`, in lowest terms; with
+    `rescan` (after a cancellation, a dropped term or a derivative), `bits`
+    may name symbols that occur in no term and is cut to those that do."""
+    if not nums:
         return _ZERO
-    return MultiPoly._canonical(poly.vars, {e: x * c for e, x in poly.terms.items()})
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    if rescan:
+        used = reduce(or_, nums)
+        bits = sum(1 << (s // _FIELD_BITS) for s in _symbols_of(bits)[1] if used >> s & _FIELD_MASK)
+    return _poly(den, nums, bits)
 
 
-def _merge_into(acc: dict, terms: Mapping[tuple[int, ...], Fraction]) -> bool:
-    """Add `terms` into `acc` in place; True if some coefficient cancelled."""
-    cancelled = False
-    for e, c in terms.items():
-        prev = acc.get(e)
-        if prev is None:
-            acc[e] = c
-        else:
-            c += prev
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-                cancelled = True
-    return cancelled
-
-
-# ----------------------------------------------------------------------
-# packed monomials and the one product loop
-
-
-class ExponentOverflow(ArithmeticError):
-    """An exponent reached 2**31, the limit of a packed exponent field."""
-
-
-# Each symbol gets a fixed field of a packed monomial key, in the order the
-# process first packs it: the exponent of the symbol in field i is
-# (key >> 32 i) & _FIELD_MASK, so adding two keys multiplies the monomials.
-# The top bit of a field is a guard: an exponent below 2**31 leaves it clear,
-# so the sum of two packed exponents never carries into the next field, and a
-# result that sets it raises ExponentOverflow instead of being used again.
-# The map only grows; nothing sorts or prints by key, so the numbering
-# depends on what the process packed before and never shows in a result.
-_FIELD_BITS = 32
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
-_OVERFLOW = f"an exponent reaches 2**{_FIELD_BITS - 1}, the limit of a packed monomial key"
-_FIELDS: dict[str, int] = {}
-_GUARD = 0  # the guard bits of every field in use
-# vars of a canonical polynomial -> (field offset of each var, its symbol bits)
-_PACKERS: dict[tuple[str, ...], tuple[tuple[int, ...], int]] = {}
-# symbol bits -> (the symbols in sorted order, the field offset of each)
-_UNPACKERS: dict[int, tuple[tuple[str, ...], tuple[int, ...]]] = {}
-
-# A packed polynomial is (den, [(key, numerator), ...], symbol bits): the sum
-# of numerator/den times the monomial of each key, with bit i of the symbol
-# bits set for the symbol of field i when it occurs in some term.
-Packed = tuple[int, list[tuple[int, int]], int]
-PACKED_ZERO: Packed = (1, [], 0)
-
-
-def _packer(vars: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
-    global _GUARD
-    packer = _PACKERS.get(vars)
-    if packer is not None:
-        return packer
-    shifts, bits = [], 0
-    for name in vars:
-        field = _FIELDS.get(name)
-        if field is None:
-            field = _FIELDS[name] = len(_FIELDS)
-            _GUARD |= 1 << (field * _FIELD_BITS + _FIELD_BITS - 1)
-        shifts.append(field * _FIELD_BITS)
-        bits |= 1 << field
-    _PACKERS[vars] = packer = (tuple(shifts), bits)
-    return packer
-
-
-def _unpacker(bits: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    unpacker = _UNPACKERS.get(bits)
-    if unpacker is not None:
-        return unpacker
-    names = sorted(name for name, field in _FIELDS.items() if bits >> field & 1)
-    _UNPACKERS[bits] = unpacker = (tuple(names), tuple(_FIELDS[n] * _FIELD_BITS for n in names))
-    return unpacker
-
-
-def pack(p: MultiPoly) -> Packed:
-    """p over the lcm of its denominators, with packed monomial keys;
-    ExponentOverflow if some exponent of p is 2**31 or more."""
-    terms = p.terms
-    if not p.vars:
-        return _packed_constant(terms.get((), _Q0))
-    shifts, bits = _packer(p.vars)
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        nums = [c.numerator for c in terms.values()]
-    else:
-        nums = [c.numerator * (den // c.denominator) for c in terms.values()]
-    if max(map(max, terms)) >= _EXPONENT_LIMIT:
-        raise ExponentOverflow(_OVERFLOW)
-    if len(shifts) == 1:
-        (s,) = shifts
-        keys = [e << s for (e,) in terms]
-    else:
-        keys = [sum(map(lshift, e, shifts)) for e in terms]
-    return den, list(zip(keys, nums)), bits
-
-
-def _packed_constant(c: Fraction) -> Packed:
-    return (c.denominator, [(0, c.numerator)], 0) if c else PACKED_ZERO
-
-
-def unpack(p: Packed) -> MultiPoly:
-    """The canonical polynomial of a packed one."""
-    den, terms, bits = p
-    if not terms:
+def _scaled(poly: MultiPoly, num: int, den: int) -> MultiPoly:
+    """poly * num / den, for coprime num and den > 0."""
+    if not num:
         return _ZERO
-    names, shifts = _unpacker(bits)
-    if len(shifts) == 1:
-        (s,) = shifts
-        exps = [(k >> s,) for k, _ in terms]
-    else:
-        exps = [tuple([k >> s & _FIELD_MASK for s in shifts]) for k, _ in terms]
-    if den == 1:
-        coeffs = [Q(v) for _, v in terms]
-    else:
-        coeffs = [Q(v, den) for _, v in terms]
-    return MultiPoly._canonical(names, dict(zip(exps, coeffs)))
+    if num == den:
+        return poly
+    # poly's own numerators are coprime to its denominator, and num to den,
+    # so only num against that denominator and den against the numerators'
+    # content can cancel
+    g = gcd(num, poly._den)
+    h = gcd(den, *poly._nums.values()) if den != 1 else 1
+    num //= g
+    nums = {k: v // h * num for k, v in poly._nums.items()}
+    return _poly(poly._den // g * (den // h), nums, poly._bits)
 
 
-def packed_products(pairs: Iterable[tuple[Packed, Packed]]) -> Packed:
-    """The sum of a * b over pairs of packed polynomials: the one product
-    loop of the package.
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of a * b over `pairs`: the one product loop of the package.
 
     Every pair is written over the lcm of the pairs' denominators, so each
     term product is a sum of two int keys and a product of int numerators,
     summed per key; the result takes one gcd.  Pairs with a zero factor
     are skipped.  ExponentOverflow if a result exponent reaches 2**31.
     """
-    pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
+    pairs = [(a, b) for a, b in pairs if a._nums and b._nums]
     if not pairs:
-        return PACKED_ZERO
-    den = lcm(*[a[0] * b[0] for a, b in pairs])
+        return _ZERO
+    den = lcm(*[a._den * b._den for a, b in pairs])
     bits = 0
     acc: dict[int, int] = {}
     get = acc.get
-    for (da, ta, ba), (db, tb, bb) in pairs:
-        bits |= ba | bb
-        scale = den // (da * db)
-        for ka, na in ta:
+    for a, b in pairs:
+        bits |= a._bits | b._bits
+        scale = den // (a._den * b._den)
+        tb = b._nums.items()
+        for ka, na in a._nums.items():
             na *= scale
             for kb, nb in tb:
                 k = ka + kb
                 acc[k] = get(k, 0) + na * nb
-    terms = [(k, v) for k, v in acc.items() if v]
-    if den != 1:
-        g = gcd(den, *[v for _, v in terms])
-        if g != 1:
-            den //= g
-            terms = [(k, v // g) for k, v in terms]
-    used = reduce(or_, [k for k, _ in terms], 0)
-    if used & _GUARD:
+    cancelled = not all(acc.values())
+    if cancelled:
+        acc = {k: v for k, v in acc.items() if v}
+        if not acc:
+            return _ZERO
+    if reduce(or_, acc) & _GUARD:
         raise ExponentOverflow(_OVERFLOW)
-    if len(terms) < len(acc):  # a key cancelled: a symbol may occur in no term
-        bits = sum(1 << (s // _FIELD_BITS) for s in _unpacker(bits)[1] if used >> s & _FIELD_MASK)
-    return den, terms, bits
-
-
-def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of a * b over `pairs`, formed by `packed_products`."""
-    return unpack(packed_products([(pack(a), pack(b)) for a, b in pairs if a.terms and b.terms]))
+    return _reduced(den, acc, bits, cancelled)
 
 
 def as_poly(value: PolyLike) -> MultiPoly:
@@ -609,23 +595,6 @@ class RatMatrix:
 
     def __hash__(self) -> int:
         return hash(self.data)
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition shape mismatch")
-        return RatMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self + other.scale(-1)
-
-    def scale(self, factor: Scalar) -> RatMatrix:
-        f = _as_fraction(factor)
-        return RatMatrix([[x * f for x in row] for row in self.data])
 
     def shifted(self, c: Scalar) -> RatMatrix:
         """M - c*I, built in one pass."""
@@ -803,7 +772,7 @@ def _univariate(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
 ROOT_SEARCH_CAP = 10**12
 
 
-class _SearchIncomplete(Exception):
+class SearchIncomplete(Exception):
     """A capped or budgeted search could not finish."""
 
 
@@ -837,7 +806,7 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
 
     A linear factor (after dividing out x^v) is solved exactly; otherwise the
     candidates p/q, p dividing the constant and q the leading coefficient of
-    the integer-cleared polynomial, are tried.  Raises _SearchIncomplete when
+    the integer-cleared polynomial, are tried.  Raises SearchIncomplete when
     that search would have to factor a coefficient above ROOT_SEARCH_CAP.
     """
     den = lcm(*(c.denominator for c in coeffs))
@@ -856,7 +825,7 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
         roots.add(Q(-const, lead))
     elif len(ints) > 2:
         if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
-            raise _SearchIncomplete("rational-root search capped")
+            raise SearchIncomplete("rational-root search capped")
         for q in _divisors(lead):
             q_powers = [q**i for i in range(len(ints))]
             for p in _divisors(const):
@@ -903,7 +872,7 @@ def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectru
     The integer roots of the characteristic polynomial come from
     `rational_roots` and are divided out as often as they divide it.  If the
     polynomial does not split over Z, the unfactored remainder is reported
-    instead of an eigenvalue list.  Raises _SearchIncomplete when the root
+    instead of an eigenvalue list.  Raises SearchIncomplete when the root
     search is capped.
     """
     poly = char_poly_coeffs(matrix)
@@ -956,9 +925,8 @@ def solve_affine(
     The elimination of [M | I] records in its identity block the row
     operations E it applies (the pivots depend on M alone), so each particular
     coordinate and each consistency witness is one row of E b, formed in one
-    `packed_products` pass over the right sides, packed once.  Free
-    coordinates are set to zero; the kernel of M is returned separately so
-    callers can attach parameters themselves.
+    `sum_of_products` pass.  Free coordinates are set to zero; the kernel of
+    M is returned separately so callers can attach parameters themselves.
     """
     if not matrix.is_square():
         raise ShapeError("solve_affine expects a square matrix")
@@ -967,10 +935,10 @@ def solve_affine(
     n = matrix.rows
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     m, pivots, _, _ = rref([list(row) + e for row, e in zip(matrix.data, unit)], n)
-    b = [pack(as_poly(x)) for x in rhs]
+    b = [as_poly(x) for x in rhs]
 
     def combine(row: list[Fraction]) -> MultiPoly:
-        return unpack(packed_products([(bk, _packed_constant(w)) for bk, w in zip(b, row[n:])]))
+        return sum_of_products([(bk, MultiPoly.const(w)) for bk, w in zip(b, row[n:])])
 
     for row in m[len(pivots) :]:
         witness = combine(row)

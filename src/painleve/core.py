@@ -20,7 +20,7 @@ from .algebra import (
     NonIntegerSpectrum,
     Q,
     RatMatrix,
-    _SearchIncomplete,
+    SearchIncomplete,
     as_poly,
     integer_eigen_data,
     poly_det,
@@ -82,13 +82,7 @@ def dominant_part(f: MultiPoly, weights: dict[str, int], degree: int | None = No
         return f
     if degree is None:
         degree = f.weighted_degree(weights)
-    w = [weights.get(v, 0) for v in f.symbols()]
-    kept = {
-        exps: c
-        for exps, c in f.terms.items()
-        if sum(wi * ei for wi, ei in zip(w, exps)) == degree
-    }
-    return MultiPoly._canonical(f.symbols(), kept, rescan=True)
+    return f.weighted_part(weights, degree)
 
 
 def _exponent_rows(sys: ODESystem) -> list[list[tuple[int, ...]]]:
@@ -221,7 +215,7 @@ def _divide_out(eq: MultiPoly, name: str, e: int) -> MultiPoly:
         key = list(exps)
         key[idx] -= e
         terms[tuple(key)] = c
-    return MultiPoly._canonical(eq.symbols(), terms, rescan=True)
+    return MultiPoly(eq.symbols(), terms)
 
 
 def _assign(eqs: list[MultiPoly], i: int, assigned, free, nm: str, value: MultiPoly) -> tuple:
@@ -324,7 +318,7 @@ def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
                 vec = _solution(assigned, names, equations)
                 if vec is not None:
                     solutions.add(vec)
-    except _SearchIncomplete as incomplete:
+    except SearchIncomplete as incomplete:
         return Unsolved(str(incomplete))
     if stack:
         return Unsolved("search budget exhausted")
@@ -385,7 +379,7 @@ def resonance_structure(K: RatMatrix) -> ResonanceStructure | StructureFailure:
     A capped eigenvalue search is a failure, not a guess."""
     try:
         spectrum = integer_eigen_data(K)
-    except _SearchIncomplete as incomplete:
+    except SearchIncomplete as incomplete:
         return StructureFailure("spectrum_search_capped", str(incomplete))
     if isinstance(spectrum, NonIntegerSpectrum):
         return StructureFailure("non_integer_spectrum", spectrum.remainder)

@@ -14,18 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from . import algebra  # the product loop is read as `algebra.packed_products` only
-from .algebra import (
-    PACKED_ZERO,
-    MultiPoly,
-    Packed,
-    PolyLike,
-    Q,
-    as_poly,
-    pack,
-    sum_of_products,
-    unpack,
-)
+from .algebra import MultiPoly, PolyLike, Q, as_poly, sum_of_products
 
 EXACT = 1 << 30
 
@@ -244,25 +233,19 @@ def _constant_lead(s: TruncatedSeries) -> Q:
 
 
 class _Leaf:
-    """A coefficient list from index 0 that its owner only appends to, read
-    packed: each entry is packed once, when it is first read."""
+    """A coefficient list from index 0 that its owner only appends to."""
 
-    __slots__ = ("entries", "packed")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: list[MultiPoly]):
-        self.entries, self.packed = entries, []
+        self.entries = entries
 
-    def coeff(self, n: int, j: int) -> Packed:
-        if n >= len(self.entries):
-            return PACKED_ZERO
-        packed = self.packed
-        while len(packed) <= n:
-            packed.append(pack(self.entries[len(packed)]))
-        return packed[n]
+    def coeff(self, n: int, j: int) -> MultiPoly:
+        return self.entries[n] if n < len(self.entries) else _ZERO
 
 
 class _Product:
-    """Packed coefficients of left * right, two nodes from index 0.
+    """Coefficients of left * right, two nodes from index 0.
 
     With the leaves known below index j, a product coefficient n < j reads
     only known entries, so it is computed once and kept in `done`; one at
@@ -275,23 +258,23 @@ class _Product:
 
     def __init__(self, left, right):
         self.left, self.right = left, right
-        self.done: list[Packed] = []
+        self.done: list[MultiPoly] = []
 
-    def coeff(self, n: int, j: int) -> Packed:
+    def coeff(self, n: int, j: int) -> MultiPoly:
         if n < j:
             while len(self.done) <= n:
                 self.done.append(self._convolve(len(self.done), j))
             return self.done[n]
         return self._convolve(n, j)
 
-    def _convolve(self, n: int, j: int) -> Packed:
+    def _convolve(self, n: int, j: int) -> MultiPoly:
         left, right = self.left.coeff, self.right.coeff
         pairs = []
         for m in range(n + 1):
             a = left(m, j)
-            if a[1]:
+            if a:
                 pairs.append((a, right(n - m, j)))
-        return algebra.packed_products(pairs)
+        return sum_of_products(pairs)
 
 
 class RelaxedSubstitution:
@@ -299,21 +282,20 @@ class RelaxedSubstitution:
 
     `lists[x]` holds the coefficients of the series bound to x from its order
     `first[x]` on; a caller may append to the lists between reads.  A
-    polynomial becomes terms (packed unbound part, product node, order of
-    the node's index 0, bound factors): the bound factors of each monomial
-    are one chain of cached `_Product` nodes over one `_Leaf` per list,
-    powers of one symbol, then prefix products, shared by every polynomial
-    read over the same lists.  The nodes hold packed coefficients; only
-    `coeff` unpacks.  Reading order o of a sum of terms with the lists known
-    below index j costs O(j) coefficient products per term once the lower
-    coefficients are cached.
+    polynomial becomes terms (unbound part, product node, order of the
+    node's index 0, bound factors): the bound factors of each monomial are
+    one chain of cached `_Product` nodes over one `_Leaf` per list, powers
+    of one symbol, then prefix products, shared by every polynomial read
+    over the same lists.  Reading order o of a sum of terms with the lists
+    known below index j costs O(j) coefficient products per term once the
+    lower coefficients are cached.
     """
 
     def __init__(self, lists: Mapping[str, list[MultiPoly]], first: Mapping[str, int]):
         self.lists, self.first = lists, first
         self.nodes: dict[tuple[tuple[str, int], ...], object] = {(): _Leaf([MultiPoly.const(1)])}
 
-    def terms(self, f: MultiPoly, shift: int = 0) -> list[tuple[Packed, object, int, tuple]]:
+    def terms(self, f: MultiPoly, shift: int = 0) -> list[tuple[MultiPoly, object, int, tuple]]:
         """The terms of f times x^shift."""
         out = []
         for exps, c in f.terms.items():
@@ -324,7 +306,7 @@ class RelaxedSubstitution:
                     offset += e * self.first[name]
                 elif e:
                     rest[name] = e
-            unbound = pack(MultiPoly(tuple(rest), {tuple(rest.values()): c}))
+            unbound = MultiPoly(tuple(rest), {tuple(rest.values()): c})
             out.append((unbound, self._node(tuple(factors)), offset, tuple(factors)))
         return out
 
@@ -345,7 +327,7 @@ class RelaxedSubstitution:
     def coeff(terms, order: int, j: int) -> MultiPoly:
         """Coefficient at `order` of the sum of `terms`, the lists known below j."""
         pairs = [(u, node.coeff(order - offset, j)) for u, node, offset, _ in terms if order >= offset]
-        return unpack(algebra.packed_products(pairs))
+        return sum_of_products(pairs)
 
 
 def _substitute(
@@ -400,7 +382,7 @@ def _substitute(
             for n in range(min(span, trunc - offset)):
                 # the lists are complete
                 pairs.setdefault(offset + n, []).append((unbound, node.coeff(n, n + 1)))
-        coeffs = {o: unpack(algebra.packed_products(p)) for o, p in pairs.items()}
+        coeffs = {o: sum_of_products(p) for o, p in pairs.items()}
         results.append(TruncatedSeries(var, coeffs, trunc))
     return results
 

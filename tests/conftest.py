@@ -17,13 +17,14 @@ DATA = Path(__file__).parent / "data"
 def count_products(monkeypatch):
     """count_products(fn, *args): the number of coefficient products fn(*args)
     forms, each counted once whether `MultiPoly.__mul__` or a pair of the one
-    product loop `algebra.packed_products` forms it; a pair with a zero
-    factor forms none.  Every caller reaches the loop through the `algebra`
-    module, so patching it there sees every pair."""
-    loop = algebra.packed_products
-    for name, module in list(sys.modules.items()):
-        if name.startswith("painleve") and module is not algebra:
-            assert all(v is not loop for v in vars(module).values()), f"{name} binds the loop itself"
+    product loop `sum_of_products` forms it; a pair with a zero factor forms
+    none.  The loop is patched in every `painleve` module that binds it."""
+    loop = algebra.sum_of_products
+    binders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("painleve") and vars(module).get("sum_of_products") is loop
+    ]
 
     def count(fn, *args) -> int:
         total, inside = 0, False
@@ -42,13 +43,14 @@ def count_products(monkeypatch):
             nonlocal total
             pairs = list(pairs)
             if not inside:
-                total += sum(1 for a, b in pairs if a[1] and b[1])
+                total += sum(1 for a, b in pairs if a and b)
             return loop(pairs)
 
         with monkeypatch.context() as patch:
             patch.setattr(MultiPoly, "__mul__", counted_mul)
             patch.setattr(MultiPoly, "__rmul__", counted_mul)
-            patch.setattr(algebra, "packed_products", counted_loop)
+            for module in binders:
+                patch.setattr(module, "sum_of_products", counted_loop)
             fn(*args)
         return total
 

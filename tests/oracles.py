@@ -30,7 +30,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction as Q
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from painleve import core
@@ -40,8 +40,9 @@ from painleve.algebra import (
     Inconsistent,
     MultiPoly,
     RatMatrix,
+    SearchIncomplete,
+    ShapeError,
     _divisors,
-    _SearchIncomplete,
     as_poly,
     char_poly_coeffs,
     rank,
@@ -205,7 +206,7 @@ def expand_balance_by_substitution(
         for i in range(n):
             expanded = substitute_poly_by_power_table(sys.rhs[i], partials, order=j - k[i])
             rhs.append(-expanded.coeff(j - k[i] - 1))
-        shifted = K - RatMatrix.identity(n).scale(j)
+        shifted = matrix_sub(K, matrix_scale(RatMatrix.identity(n), j))
         solution = solve_affine_by_elimination(shifted, rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
@@ -286,7 +287,7 @@ def solve_dominant_by_fixed_point(sys: ODESystem, k) -> list[tuple[Q, ...]] | Un
 
     def search(eqs: list[MultiPoly], assignments: dict[str, MultiPoly], free: set[str]) -> None:
         if budget[0] <= 0:
-            raise _SearchIncomplete("search budget exhausted")
+            raise SearchIncomplete("search budget exhausted")
         budget[0] -= 1
         eqs = [e for e in eqs if not e.is_zero]
         if not eqs:
@@ -347,7 +348,7 @@ def solve_dominant_by_fixed_point(sys: ODESystem, k) -> list[tuple[Q, ...]] | Un
     stalled: list[bool] = []
     try:
         search(equations, {}, set(names))
-    except _SearchIncomplete as incomplete:
+    except SearchIncomplete as incomplete:
         return Unsolved(str(incomplete))
     if stalled and not solutions:
         return Unsolved()
@@ -442,7 +443,7 @@ def sum_of_products_by_tuples(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> M
                 acc[key] = acc.get(key, 0) + na * nb
     d = da * db
     out = {e: Q(v, d) for e, v in acc.items() if v}
-    return MultiPoly._canonical(union, out, len(out) < len(acc))
+    return MultiPoly(union, out)
 
 
 def poly_partial(a: MultiPoly, name: str) -> MultiPoly:
@@ -472,6 +473,30 @@ def poly_replace(a: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
                 part = poly_mul(part, MultiPoly((v,), {(e,): 1}))
         result = poly_add(result, part)
     return result
+
+
+def poly_degree_in(a: MultiPoly, name: str) -> int:
+    if name not in a.vars:
+        return 0
+    i = a.vars.index(name)
+    return max(exps[i] for exps in a.terms)
+
+
+def poly_weighted_degree(a: MultiPoly, weights: Mapping[str, int]) -> int | None:
+    if not a.terms:
+        return None
+    return max(sum(weights.get(v, 0) * e for v, e in zip(a.vars, exps)) for exps in a.terms)
+
+
+def poly_weighted_part(a: MultiPoly, weights: Mapping[str, int], degree: int) -> MultiPoly:
+    w = [weights.get(v, 0) for v in a.vars]
+    return MultiPoly(a.vars, {e: c for e, c in a.terms.items() if sum(map(mul, w, e)) == degree})
+
+
+def poly_sorted_terms(a: MultiPoly) -> list:
+    """Total degree descending, then the exponent tuples descending."""
+    by_exponents = sorted(a.terms.items(), reverse=True)
+    return sorted(by_exponents, key=lambda t: sum(t[0]), reverse=True)
 
 
 def compose_by_power_loop(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -959,7 +984,7 @@ def char_poly_coeffs_by_fractions(matrix: RatMatrix) -> list[Q]:
         c = -trace(aux) / k
         coeffs[n - k] = c
         if k < n:
-            aux = aux + RatMatrix.identity(n).scale(c)
+            aux = matrix_add(aux, matrix_scale(RatMatrix.identity(n), c))
     return coeffs
 
 
@@ -988,7 +1013,7 @@ def rational_roots_by_synthetic_division(coeffs) -> list[Q] | None:
         roots.add(Q(-const, lead))
     elif len(ints) > 2:
         if abs(const) > ROOT_SEARCH_CAP or abs(lead) > ROOT_SEARCH_CAP:
-            raise _SearchIncomplete("rational-root search capped")
+            raise SearchIncomplete("rational-root search capped")
         for p in _divisors(const):
             for q in _divisors(lead):
                 for cand in (Q(p, q), Q(-p, q)):
@@ -1002,11 +1027,11 @@ def rational_roots_by_synthetic_division(coeffs) -> list[Q] | None:
 
 def poly_str(poly: MultiPoly) -> str:
     """`str(MultiPoly)` with the sign and size of each coefficient taken
-    from Fractions."""
+    from Fractions, in the order of `poly_sorted_terms`."""
     if not poly.terms:
         return "0"
     parts = []
-    for exps, c in poly.sorted_terms():
+    for exps, c in poly_sorted_terms(poly):
         factors = []
         for v, e in zip(poly.vars, exps):
             if e == 1:
@@ -1082,3 +1107,18 @@ def zeros(rows: int, cols: int) -> RatMatrix:
 def trace(m: RatMatrix) -> Q:
     assert m.is_square(), "trace of a non-square matrix"
     return sum((m.data[i][i] for i in range(m.rows)), Q(0))
+
+
+def matrix_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeError("matrix addition shape mismatch")
+    return RatMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
+
+
+def matrix_scale(m: RatMatrix, factor) -> RatMatrix:
+    f = Q(factor)
+    return RatMatrix([[x * f for x in row] for row in m.data])
+
+
+def matrix_sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    return matrix_add(a, matrix_scale(b, -1))

@@ -251,7 +251,7 @@ print(json.dumps([out.getvalue(), list(algebra._FIELDS)]))
 
 
 def test_report_bytes_do_not_depend_on_packed_key_numbering():
-    # the packed-key map numbers symbols in the order a process first packs
+    # the packed-key map numbers symbols in the order a process first uses
     # them, so the same report must come out after another command
     env = dict(os.environ, PYTHONPATH=str(Path(painleve.__file__).parent.parent))
     hh = ["test", str(DATA / "henon_heiles.ham"), "--json"]
@@ -397,7 +397,7 @@ def test_balance_index_out_of_range(capsys):
 
 # exceptions that never leave the package: solve_dominant and the
 # Kowalevskian check turn them into verdicts
-CAUGHT_INTERNALLY = {"_SearchIncomplete", "NonConstantKowalevskian"}
+CAUGHT_INTERNALLY = {"SearchIncomplete", "NonConstantKowalevskian"}
 
 
 def test_every_package_exception_has_an_exit_code():

@@ -5,8 +5,10 @@ import pytest
 
 import oracles
 from oracles import char_poly
+from painleve import algebra
 from painleve.algebra import (
     AffineSolution,
+    ExponentOverflow,
     Inconsistent,
     IntegerSpectrum,
     MultiPoly,
@@ -145,7 +147,7 @@ def test_eigen_exactness_random():
             assert sum(p.algebraic for p in spec.pairs) == n
             pairs = spec.pairs
         for pair in pairs:
-            shifted = M - RatMatrix.identity(n).scale(pair.value)
+            shifted = oracles.matrix_sub(M, oracles.matrix_scale(RatMatrix.identity(n), pair.value))
             assert M.shifted(pair.value) == shifted
             for vec in pair.basis:
                 assert all(x == 0 for x in shifted.matvec(list(vec)))
@@ -165,7 +167,7 @@ def test_cayley_hamilton_random():
             coeffs[exps[0] if exps else 0] = c
         acc = oracles.zeros(n, n)
         for c in reversed(coeffs):
-            acc = acc * M + RatMatrix.identity(n).scale(c)
+            acc = oracles.matrix_add(acc * M, oracles.matrix_scale(RatMatrix.identity(n), c))
         assert acc == oracles.zeros(n, n)
 
 
@@ -266,6 +268,12 @@ def test_poly_det():
 
 x, y = MultiPoly.var("x"), MultiPoly.var("y")
 SCALARS = (0, -1, Q(3, 7))
+LIMIT = 1 << 31  # the first exponent a packed field refuses
+# fresh symbols whose fields are numbered against the order the canonical
+# form sorts them in
+REVERSED = ("rev_z", "rev_y", "rev_x", "rev_w")
+for _name in REVERSED:
+    MultiPoly.var(_name)
 
 
 def _check(op, ref, *args):
@@ -280,6 +288,7 @@ def _check(op, ref, *args):
     assert [(p.vars, p.terms) for p in polys] == before
     expected = ref(*args)
     assert result == expected
+    assert (result.vars, result.terms) == (expected.vars, expected.terms)
     assert hash(result) == hash(expected)
     assert list(result.vars) == sorted(set(result.vars))
     assert all(any(e[i] for e in result.terms) for i in range(len(result.vars)))
@@ -290,6 +299,7 @@ def _check(op, ref, *args):
 
 
 def _battery(a, b, rng):
+    _check_readers(a, b)
     _check(lambda p, q: p + q, oracles.poly_add, a, b)
     _check(lambda p, q: p - q, oracles.poly_sub, a, b)
     _check(lambda p, q: p * q, oracles.poly_mul, a, b)
@@ -311,10 +321,61 @@ def _battery(a, b, rng):
             if rest:  # beside a binding of several terms
                 for many in (b, x - 2 * y):
                     _check(_replace, oracles.poly_replace, a, {first: one, rest[-1]: many})
+        _check(_replace, oracles.poly_replace, a, {first: MultiPoly.zero()})
+        if rest:  # a binding under which every term cancels
+            onto = {first: MultiPoly.var(rest[0])}
+            renamed = _check(_replace, oracles.poly_replace, a, onto)
+            assert _check(_replace, oracles.poly_replace, oracles.poly_sub(a, renamed), onto).is_zero
+        _check_overflow(a, first)
+
+
+def _check_readers(a, b):
+    """The tuple readers, `==` and `hash` of a and b against the references."""
+    for p in (a, b):
+        for name in p.vars + ("absent",):
+            assert p.degree_in(name) == oracles.poly_degree_in(p, name)
+        for weights in ({v: i + 1 for i, v in enumerate(p.vars)}, {v: 2 for v in p.vars[1:]}, {}):
+            top = p.weighted_degree(weights)
+            assert top == oracles.poly_weighted_degree(p, weights)
+            for degree in (top or 0, (top or 0) - 1, 2):
+                _check(_weighted_part, oracles.poly_weighted_part, p, weights, degree)
+        assert p.sorted_terms() == oracles.poly_sorted_terms(p)
+        assert str(p) == oracles.poly_str(p)
+    assert (a == b) == ((a.vars, a.terms) == (b.vars, b.terms))
+    # the same polynomial by other routes: rebuilt from its tuple view, as
+    # (a - b) + b through the references, as a sum of its terms in reverse
+    # print order, and as (a + b) - b
+    routes = [MultiPoly(a.vars, a.terms), oracles.poly_add(oracles.poly_sub(a, b), b)]
+    routes.append(sum((MultiPoly(a.vars, {e: c}) for e, c in reversed(a.sorted_terms())), MultiPoly.zero()))
+    routes.append((a + b) - b)
+    for other in routes:
+        assert other == a and hash(other) == hash(a)
+
+
+def _check_overflow(a, name):
+    """A one-term binding of `name` in a and a power that shift a field to
+    2**31 raise ExponentOverflow; one exponent less is exact."""
+    d = a.degree_in(name)
+    fresh = "rev_w" if "rev_w" not in a.vars else "x_fresh"
+    top = MultiPoly((fresh,), {((LIMIT - 1) // d,): 1})
+    below = _check(_replace, oracles.poly_replace, a, {name: top})
+    assert below.degree_in(fresh) == (LIMIT - 1) // d * d
+    with pytest.raises(ExponentOverflow):
+        a.replace({name: MultiPoly((fresh,), {(-(-LIMIT // d),): Q(-1, 3)})})
+    with pytest.raises(ExponentOverflow):  # 3 (2**31 - 1) would carry past the field's guard
+        (MultiPoly.var(name) ** 3).replace({name: MultiPoly((fresh,), {(LIMIT - 1,): 1})})
+    with pytest.raises(ExponentOverflow):
+        below * MultiPoly((fresh,), {(LIMIT - below.degree_in(fresh),): 1})
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.var(name) ** LIMIT
 
 
 def _replace(p, bindings):
     return p.replace(bindings)
+
+
+def _weighted_part(p, weights, degree):
+    return p.weighted_part(weights, degree)
 
 
 def _random_poly(rng, pool=("a", "b", "t", "x", "y")):
@@ -395,4 +456,20 @@ def test_ring_operations_match_reference_on_random_pairs():
     rng = random.Random(20261018)
     for _ in range(300):
         a, b = _random_pair(rng)
+        _battery(a, b, rng)
+
+
+def test_ring_operations_match_reference_over_reversed_fields():
+    fields = [algebra._FIELDS[name] for name in REVERSED]
+    assert fields == sorted(fields) and sorted(REVERSED) != list(REVERSED)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        a = _random_poly(rng, REVERSED)
+        b = rng.choice(
+            (
+                _random_poly(rng, REVERSED),
+                oracles.poly_add(oracles.poly_neg(a), _random_poly(rng, REVERSED[1:])),
+                oracles.poly_neg(a),
+            )
+        )
         _battery(a, b, rng)

@@ -17,24 +17,20 @@ import oracles
 from oracles import char_poly
 from painleve import algebra
 from painleve.algebra import (
-    PACKED_ZERO,
     AffineSolution,
     ExponentOverflow,
     Inconsistent,
     MultiPoly,
     RatMatrix,
+    SearchIncomplete,
     ShapeError,
     nullspace,
-    _SearchIncomplete,
     char_poly_coeffs,
-    pack,
-    packed_products,
     rank,
     rational_roots,
     rref,
     solve_affine,
     sum_of_products,
-    unpack,
 )
 from painleve.series import RelaxedSubstitution
 
@@ -263,21 +259,20 @@ LIMIT = 1 << 31  # the first exponent a packed field refuses
 
 
 def _check_packed(pairs):
-    """sum_of_products(pairs), through the packed loop, equals the tuple-key
-    loop with ==, and so does the packed loop read through pack/unpack."""
+    """sum_of_products(pairs), the packed loop, equals the tuple-key loop
+    with ==."""
     expected = oracles.sum_of_products_by_tuples(pairs)
     assert sum_of_products(pairs) == expected
-    assert unpack(packed_products([(pack(a), pack(b)) for a, b in pairs])) == expected
     return expected
 
 
 def test_packed_loop_matches_tuple_loop():
-    # fresh names, packed first in reverse alphabetical order, so their
+    # fresh names, registered first in reverse alphabetical order, so their
     # fields run against the order the canonical form sorts them in
     names = ["pk_z", "pk_y", "pk_x", "pk_w"]
     assert not set(names) & set(algebra._FIELDS)
     for name in names:
-        pack(MultiPoly.var(name))
+        MultiPoly.var(name)
     fields = [algebra._FIELDS[name] for name in names]
     assert fields == sorted(fields) and sorted(names) != names
     rng = random.Random(20261019)
@@ -316,14 +311,13 @@ def test_packed_loop_cancels_to_zero_and_drops_symbols():
     # (a + b)(a - b) + (b - a)(a + b) = 0: every key cancels
     zero = _check_packed([(a + b, a - b), (b - a, a + b)])
     assert zero.is_zero and zero.vars == ()
-    assert packed_products([(pack(a + b), pack(a - b)), (pack(b - a), pack(a + b))]) == PACKED_ZERO
+    assert sum_of_products([(a + b, a - b), (b - a, a + b)]) is MultiPoly.zero()
     # a b c - a (b c - c^2 / 2) = a c^2 / 2: b is dropped by the cancellation
     dropped = _check_packed([(a * b, c * Q(2, 3)), (a * Q(-2, 3), b * c - c * c * Q(1, 2))])
     assert dropped.vars == ("pk_a", "pk_c")
     assert dropped == a * c * c * Q(1, 3)
-    # the packed result's symbol bits drop b as well
-    packed = packed_products([(pack(a * b), pack(c)), (pack(-a), pack(b * c - c))])
-    assert packed[2] == pack(a * c)[2]
+    # the result's symbol bits drop b as well
+    assert sum_of_products([(a * b, c), (-a, b * c - c)]).vars == (a * c).vars
     # denominators that cancel leave integer numerators over 1
     assert _check_packed([(a * Q(1, 6), b * 3), (a * Q(1, 4), b * 2)]) == a * b
 
@@ -336,7 +330,7 @@ def test_packed_exponent_at_the_guard_raises():
     with pytest.raises(ExponentOverflow):
         half * half
     with pytest.raises(ExponentOverflow):
-        pack(MultiPoly((x,), {(LIMIT,): 1}))
+        MultiPoly((x,), {(LIMIT,): 1})
     # the guard of a field at any position
     with pytest.raises(ExponentOverflow):
         MultiPoly(("pk_guard_a", x), {(1, LIMIT // 2): 1}) * half
@@ -347,9 +341,8 @@ def test_packed_exponent_at_the_guard_raises():
 
 def test_relaxed_leaf_takes_a_new_symbol_after_packing():
     # as expand_balance appends a coefficient with a fresh resonance
-    # parameter after the leaf packed the earlier ones: f = x^2 + s x
-    fresh = MultiPoly.var("pk_fresh_r")
-    assert "pk_fresh_r" not in algebra._FIELDS
+    # parameter after the nodes cached products of the earlier ones, the
+    # parameter's field numbered only then: f = x^2 + s x
     entries = [MultiPoly.const(2), MultiPoly.var("pk_s") + Q(1, 2)]
     sub = RelaxedSubstitution({"x": entries}, {"x": 0})
     s = MultiPoly.var("pk_s")
@@ -363,11 +356,11 @@ def test_relaxed_leaf_takes_a_new_symbol_after_packing():
         return total
 
     assert [sub.coeff(terms, n, 2) for n in range(4)] == [expected(n, 2) for n in range(4)]
+    assert "pk_fresh_r" not in algebra._FIELDS
+    fresh = MultiPoly.var("pk_fresh_r")
     entries.append(fresh * Q(3, 7) - 1)
-    assert "pk_fresh_r" not in algebra._FIELDS  # appended, not yet packed
     entries.append(fresh * fresh + s)
     assert [sub.coeff(terms, n, 4) for n in range(7)] == [expected(n, 4) for n in range(7)]
-    assert "pk_fresh_r" in algebra._FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +459,7 @@ def test_rational_roots_match_synthetic_division():
         assert ours == roots
     capped = [Q(10**12 + 1), Q(0), Q(1)]
     for search in (rational_roots, oracles.rational_roots_by_synthetic_division):
-        with pytest.raises(_SearchIncomplete):
+        with pytest.raises(SearchIncomplete):
             search(capped)
 
 

@@ -6,6 +6,10 @@ attribute or an import), be exported in `painleve.__all__`, or be named in
 perfbench/spans.py.  A helper that only tests reach belongs in
 tests/oracles.py.  The check reads names only, so a member whose name is
 also used for something else in src/ passes it.
+
+No module but algebra.py imports or reads an attribute named like an
+underscore member of `painleve.algebra` or `MultiPoly`, so the packed key
+format of a polynomial stays private to algebra.py.
 """
 
 import ast
@@ -13,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import painleve
+from painleve import algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "painleve"
@@ -83,3 +88,30 @@ def unused_definitions() -> list[str]:
 def test_src_defines_nothing_only_tests_reach():
     # an allowed definition that gains a caller leaves ALLOWED too
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def _private_members() -> set[str]:
+    """The underscore names of `painleve.algebra` and of `MultiPoly`, dunders aside."""
+    names = set(vars(algebra)) | set(dir(algebra.MultiPoly))
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_only_algebra_names_its_private_members():
+    # the packed key format (fields, symbol bits, numerators over one
+    # denominator) is a decision of algebra.py alone
+    private = _private_members()
+    assert {"_FIELDS", "_den", "_nums", "_bits"} <= private
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in private:
+                leaks.append(f"{path.name}:{node.lineno} {name}")
+    assert leaks == []
