@@ -719,24 +719,20 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(RatMatrix(rows).data)[1])
 
 
-def _kernel(m: list[list], pivots: list[int], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis read off reduced rows; each vector has 1 in its free coordinate."""
+def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
+    """Exact basis of the kernel, read off the reduced rows; each vector has
+    1 in its free coordinate."""
+    m, pivots, _, _ = rref(matrix.data)
     basis = []
-    for free in range(ncols):
+    for free in range(matrix.cols):
         if free in pivots:
             continue
-        vec = [Q(0)] * ncols
+        vec = [Q(0)] * matrix.cols
         vec[free] = Q(1)
         for r, col in enumerate(pivots):
             vec[col] = -m[r][free]
         basis.append(vec)
     return basis
-
-
-def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
-    """Exact basis of the kernel; each vector has 1 in its free coordinate."""
-    m, pivots, _, _ = rref(matrix.data)
-    return _kernel(m, pivots, matrix.cols)
 
 
 def char_poly_coeffs(matrix: RatMatrix) -> list[Fraction]:
@@ -761,11 +757,6 @@ def char_poly_coeffs(matrix: RatMatrix) -> list[Fraction]:
         for i in range(n):
             aux[i][i] += c
     return [Q(c, d ** (n - i)) for i, c in enumerate(ints)]
-
-
-def _univariate(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
-    """The polynomial sum(coeffs[i] * var^i)."""
-    return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs)})
 
 
 # Past this size the divisor search of a coefficient is too slow to run.
@@ -841,38 +832,14 @@ def rational_roots(coeffs: Sequence[Scalar]) -> list[Fraction] | None:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    value: int
-    algebraic: int
-    geometric: int
-    basis: tuple[tuple[Fraction, ...], ...]
+def integer_eigenvalues(matrix: RatMatrix) -> tuple[dict[int, int], list[Fraction]]:
+    """Integer eigenvalues, ascending, with their algebraic multiplicities,
+    and the remainder of the characteristic polynomial (ascending
+    coefficients) once their linear factors are divided out.
 
-
-@dataclass(frozen=True)
-class IntegerSpectrum:
-    pairs: tuple[EigenPair, ...]
-
-
-@dataclass(frozen=True)
-class NonIntegerSpectrum:
-    """The characteristic polynomial does not split over Z.
-
-    Carries the unfactored remainder plus whatever integer eigenvalues were
-    found before the search stalled (their multiplicities and the remainder
-    degree account for the full dimension)."""
-
-    remainder: MultiPoly
-    partial: tuple[EigenPair, ...] = ()
-
-
-def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectrum:
-    """Integer eigenvalues with multiplicities and exact eigenbases.
-
-    The integer roots of the characteristic polynomial come from
-    `rational_roots` and are divided out as often as they divide it.  If the
-    polynomial does not split over Z, the unfactored remainder is reported
-    instead of an eigenvalue list.  Raises SearchIncomplete when the root
+    The integer roots come from `rational_roots` and are divided out as
+    often as they divide the polynomial, so the remainder is [1] exactly
+    when the spectrum splits over Z.  Raises SearchIncomplete when the root
     search is capped.
     """
     poly = char_poly_coeffs(matrix)
@@ -885,29 +852,7 @@ def integer_eigen_data(matrix: RatMatrix) -> IntegerSpectrum | NonIntegerSpectru
             roots[int(root)] = roots.get(int(root), 0) + 1
             poly = quotient
             quotient, value = _synthetic_division(poly, root)
-
-    pairs = []
-    for value in sorted(roots):
-        basis = nullspace(matrix.shifted(value))
-        pairs.append(
-            EigenPair(
-                value=value,
-                algebraic=roots[value],
-                geometric=len(basis),
-                basis=tuple(tuple(v) for v in basis),
-            )
-        )
-    if len(poly) > 1:
-        return NonIntegerSpectrum(_univariate(poly, "lambda"), tuple(pairs))
-    return IntegerSpectrum(tuple(pairs))
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Particular solution (free coordinates set to 0) plus kernel basis."""
-
-    particular: tuple[MultiPoly, ...]
-    nullspace: tuple[tuple[Fraction, ...], ...]
+    return roots, poly
 
 
 @dataclass(frozen=True)
@@ -919,14 +864,14 @@ class Inconsistent:
 
 def solve_affine(
     matrix: RatMatrix, rhs: Sequence[PolyLike]
-) -> AffineSolution | Inconsistent:
-    """Solve M x = b exactly, where b has polynomial entries.
+) -> tuple[MultiPoly, ...] | Inconsistent:
+    """One solution of M x = b, exact, where b has polynomial entries.
 
     The elimination of [M | I] records in its identity block the row
     operations E it applies (the pivots depend on M alone), so each particular
     coordinate and each consistency witness is one row of E b, formed in one
-    `sum_of_products` pass.  Free coordinates are set to zero; the kernel of
-    M is returned separately so callers can attach parameters themselves.
+    `sum_of_products` pass.  Free coordinates are set to zero: callers that
+    need the kernel of M add it themselves.
     """
     if not matrix.is_square():
         raise ShapeError("solve_affine expects a square matrix")
@@ -947,8 +892,7 @@ def solve_affine(
     particular = [MultiPoly.zero()] * n
     for row, col in zip(m, pivots):
         particular[col] = combine(row)
-    kernel = _kernel(m, pivots, n)
-    return AffineSolution(tuple(particular), tuple(tuple(v) for v in kernel))
+    return tuple(particular)
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

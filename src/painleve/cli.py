@@ -20,7 +20,6 @@ import sys
 from .algebra import ExponentOverflow, MultiPoly, ShapeError
 from .core import AnalysisResult, CandidateReport, LimitError, analyze_system
 from .hamiltonian import (
-    Canonical,
     HamiltonianRejected,
     build_canonical_change,
     canonical_exchanges,
@@ -46,7 +45,6 @@ from .regularize import (
     NoRationalRootPivot,
     NonConstantResonanceBlock,
     PivotSelectionError,
-    Regular,
     Regularization,
     regularize,
 )
@@ -215,7 +213,7 @@ def transformed_system_report(reg: Regularization) -> dict:
             f"{name}'": g for name, g in zip(ts.names, ts.g)
         },
         "min_exponents": list(ts.min_exponents),
-        "regular": isinstance(reg.regularity, Regular),
+        "regular": reg.regularity is None,
     }
 
 
@@ -268,7 +266,7 @@ def _print_regularization(sys: ODESystem, reg: Regularization, out) -> None:
     print("transformed system:", file=out)
     for name, g in zip(reg.transformed.names, reg.transformed.g):
         print(f"  {name}' = {g}", file=out)
-    regular = isinstance(reg.regularity, Regular)
+    regular = reg.regularity is None
     print(f"regular: {regular}", file=out)
 
 
@@ -329,7 +327,7 @@ def cmd_regularize(args) -> int:
     report["change_of_variable"] = change_of_variable_report(reg, system)
     report["transformed_system"] = transformed_system_report(reg)
     report["transformed_balance"] = transformed_balance_report(reg)
-    regular = isinstance(reg.regularity, Regular)
+    regular = reg.regularity is None
     if args.json:
         print(serialize_report(report))
     else:
@@ -372,13 +370,13 @@ def cmd_hamiltonian(args) -> int:
     sd = canonical_exchanges(sd)
     pipe = build_canonical_change(hs, cand.balance, sd)
     reg = pipe.regularization
-    canonical = verify_canonical(pipe.change, n)
+    canonical = verify_canonical(pipe.change, n) is None
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, hs.autonomous)
     sub |= {
         "S": sd.S,
         "exchange_set": list(sd.exchange_set),
         "row_swaps": [list(s) for s in sd.row_swaps],
-        "canonical": isinstance(canonical, Canonical),
+        "canonical": canonical,
         "new_hamiltonian": str(nh.regular),
         "dropped_singular": [[o, str(p)] for o, p in nh.dropped],
     }
@@ -388,8 +386,8 @@ def cmd_hamiltonian(args) -> int:
     report["transformed_system"] = transformed_system_report(reg)
     report["transformed_balance"] = transformed_balance_report(reg)
     report["hamiltonian"] = sub
-    regular = isinstance(reg.regularity, Regular)
-    ok = regular and isinstance(canonical, Canonical)
+    regular = reg.regularity is None
+    ok = regular and canonical
     if args.json:
         print(serialize_report(report))
     else:
@@ -397,7 +395,7 @@ def cmd_hamiltonian(args) -> int:
         print(f"d = {d}; pairing {pairing}; exchanges {list(sd.exchange_set)}", file=sys.stdout)
         print(f"symplectic S = {sd.S}", file=sys.stdout)
         _print_regularization(pipe.system, reg, sys.stdout)
-        print(f"canonical: {isinstance(canonical, Canonical)}", file=sys.stdout)
+        print(f"canonical: {canonical}", file=sys.stdout)
         print(f"new hamiltonian: {nh.regular}", file=sys.stdout)
         if nh.dropped:
             print(f"dropped singular terms: {[[o, str(p)] for o, p in nh.dropped]}")

@@ -17,12 +17,12 @@ from fractions import Fraction
 from .algebra import (
     Inconsistent,
     MultiPoly,
-    NonIntegerSpectrum,
     Q,
     RatMatrix,
     SearchIncomplete,
     as_poly,
-    integer_eigen_data,
+    integer_eigenvalues,
+    nullspace,
     poly_det,
     rational_roots,
     solve_affine,
@@ -70,19 +70,6 @@ class Unsolved:
     """The elimination stalled; leading coefficients must be user-supplied."""
 
     reason: str = "elimination stalled"
-
-
-def dominant_part(f: MultiPoly, weights: dict[str, int], degree: int | None = None) -> MultiPoly:
-    """Terms of f with the designated weighted degree.
-
-    With `degree` given this is the Fuchsian slice (used at degree k_i + 1);
-    without it, the slice at the highest occurring weighted degree.
-    """
-    if f.is_zero:
-        return f
-    if degree is None:
-        degree = f.weighted_degree(weights)
-    return f.weighted_part(weights, degree)
 
 
 def _exponent_rows(sys: ODESystem) -> list[list[tuple[int, ...]]]:
@@ -171,7 +158,7 @@ def _dominant_residuals(sys: ODESystem, k, c_polys) -> list[MultiPoly]:
     bindings[sys.t_symbol] = MultiPoly.var(T0_SYMBOL)
     out = []
     for ki, f, ci in zip(k, sys.rhs, c_polys):
-        fd = dominant_part(f, weights, ki + 1)
+        fd = f.weighted_part(weights, ki + 1)
         out.append(fd.replace(bindings) + ci * ki)
     return out
 
@@ -340,7 +327,7 @@ def kowalevskian(sys: ODESystem, dd: DominantData) -> RatMatrix:
     bindings[sys.t_symbol] = MultiPoly.var(T0_SYMBOL)
     rows = []
     for i, (ki, f) in enumerate(zip(dd.exponents, sys.rhs)):
-        fd = dominant_part(f, weights, ki + 1)
+        fd = f.weighted_part(weights, ki + 1)
         row = []
         for j, name in enumerate(sys.u_symbols):
             entry = fd.partial(name).replace(bindings)
@@ -378,27 +365,27 @@ def resonance_structure(K: RatMatrix) -> ResonanceStructure | StructureFailure:
     integer eigenvalues, -1 simple, nothing else below 0, diagonalizable.
     A capped eigenvalue search is a failure, not a guess."""
     try:
-        spectrum = integer_eigen_data(K)
+        roots, remainder = integer_eigenvalues(K)
     except SearchIncomplete as incomplete:
         return StructureFailure("spectrum_search_capped", str(incomplete))
-    if isinstance(spectrum, NonIntegerSpectrum):
-        return StructureFailure("non_integer_spectrum", spectrum.remainder)
-    negatives = [p.value for p in spectrum.pairs if p.value < -1]
+    if len(remainder) > 1:
+        lam = MultiPoly(("lambda",), {(i,): c for i, c in enumerate(remainder)})
+        return StructureFailure("non_integer_spectrum", lam)
+    negatives = tuple(r for r in roots if r < -1)
     if negatives:
-        return StructureFailure("negative_resonance", tuple(negatives))
-    minus_one = next((p for p in spectrum.pairs if p.value == -1), None)
-    if minus_one is None or minus_one.geometric != 1 or minus_one.algebraic != 1:
-        return StructureFailure(
-            "minus_one_multiplicity", 0 if minus_one is None else minus_one.geometric
-        )
-    bad = [p.value for p in spectrum.pairs if p.geometric != p.algebraic]
+        return StructureFailure("negative_resonance", negatives)
+    # eigenbases are formed only for a spectrum that passed the gates above
+    bases = {r: tuple(map(tuple, nullspace(K.shifted(r)))) for r in roots}
+    if roots.get(-1) != 1 or len(bases[-1]) != 1:
+        return StructureFailure("minus_one_multiplicity", len(bases.get(-1, ())))
+    bad = tuple(r for r, m in roots.items() if len(bases[r]) != m)
     if bad:
-        return StructureFailure("not_diagonalizable", tuple(bad))
+        return StructureFailure("not_diagonalizable", bad)
     return ResonanceStructure(
         K=K,
-        resonances=tuple(p.value for p in spectrum.pairs),
-        multiplicities=tuple(p.algebraic for p in spectrum.pairs),
-        eigenbases={p.value: p.basis for p in spectrum.pairs},
+        resonances=tuple(roots),
+        multiplicities=tuple(roots.values()),
+        eigenbases=bases,
     )
 
 
@@ -533,7 +520,7 @@ def expand_balance(
         solution = solve_affine(K.shifted(j), rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
-        a_j = list(solution.particular)
+        a_j = list(solution)
         if j in by_resonance:
             for name, column in zip(by_resonance[j], rs.eigenbases[j]):
                 p = MultiPoly.var(name)

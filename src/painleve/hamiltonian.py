@@ -360,11 +360,6 @@ def build_canonical_change(
 
 
 @dataclass(frozen=True)
-class Canonical:
-    pass
-
-
-@dataclass(frozen=True)
 class CanonicalWitness:
     var_a: str
     var_b: str
@@ -374,9 +369,10 @@ class CanonicalWitness:
 
 def verify_canonical(
     cov: ChangeOfVariable, n_dof: int
-) -> Canonical | CanonicalWitness:
+) -> CanonicalWitness | None:
     """Expand sum dq_i ^ dp_i under the substitution and compare with
-    sum dQ_i ^ dP_i, coefficient by coefficient, exactly."""
+    sum dQ_i ^ dP_i, coefficient by coefficient, exactly: the first
+    coefficient that differs is returned as a witness, None if none does."""
     names = cov.new_names()
     n2 = 2 * n_dof
     partials = cov.jacobian()
@@ -402,7 +398,7 @@ def verify_canonical(
                     order=o,
                     coefficient=residual.coeffs[o],
                 )
-    return Canonical()
+    return None
 
 
 @dataclass(frozen=True)

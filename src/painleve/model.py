@@ -431,7 +431,7 @@ def matrix_json(m: RatMatrix) -> list:
 
 def jsonable(value):
     """Recursively convert report values into JSON-serializable data."""
-    from .series import TruncatedSeries
+    from .series import KNOWN_COMPLETELY, TruncatedSeries
 
     if isinstance(value, Fraction):
         return str(value)
@@ -442,7 +442,7 @@ def jsonable(value):
     if isinstance(value, TruncatedSeries):
         return {
             "var": value.var,
-            "trunc": value.trunc if value.trunc < (1 << 29) else None,
+            "trunc": value.trunc if value.trunc < KNOWN_COMPLETELY else None,
             "terms": [[o, str(value.coeffs[o])] for o in value.orders()],
         }
     if isinstance(value, dict):

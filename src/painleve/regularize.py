@@ -410,11 +410,6 @@ class TransformedSystem:
 
 
 @dataclass(frozen=True)
-class Regular:
-    min_exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SingularWitness:
     index: int
     name: str
@@ -476,15 +471,16 @@ def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem
     )
 
 
-def verify_regularity(ts: TransformedSystem) -> Regular | SingularWitness:
-    """Every right side must have zero coefficient at every negative order."""
+def verify_regularity(ts: TransformedSystem) -> SingularWitness | None:
+    """Every right side must have zero coefficient at every negative order:
+    the first nonzero one is returned as a witness, None if there is none."""
     for idx, gm in enumerate(ts.g):
         for o in gm.orders():
             if o < 0:
                 return SingularWitness(
                     index=idx, name=ts.names[idx], order=o, coefficient=gm.coeffs[o]
                 )
-    return Regular(min_exponents=ts.min_exponents)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +548,7 @@ class Regularization:
     absorption: Absorption
     change: ChangeOfVariable
     transformed: TransformedSystem
-    regularity: Regular | SingularWitness
+    regularity: SingularWitness | None  # None: the transformed system is regular
     transformed_balance: TransformedBalance | None  # None for a singular system
 
 
@@ -575,7 +571,7 @@ def regularize(
     cov = build_triangular_change(nb, absorption)
     ts = transform_system(balance.system, cov)
     verdict = verify_regularity(ts)
-    tb = transform_balance(balance, absorption, cov, ts) if isinstance(verdict, Regular) else None
+    tb = transform_balance(balance, absorption, cov, ts) if verdict is None else None
     return Regularization(
         normalized=nb,
         absorption=absorption,

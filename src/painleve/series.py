@@ -7,7 +7,9 @@ or beyond T are unknown.  All operations propagate the truncation so that
 only genuinely known coefficients are ever produced.
 
 EXACT is a sentinel truncation for objects that are known completely
-(finite Laurent polynomials); arithmetic keeps it out of the way.
+(finite Laurent polynomials); arithmetic keeps it out of the way.  Shifts
+and products move it by a few orders, so any truncation from
+KNOWN_COMPLETELY up counts as known completely.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 from .algebra import MultiPoly, PolyLike, Q, as_poly, sum_of_products
 
 EXACT = 1 << 30
+KNOWN_COMPLETELY = 1 << 20
 
 
 class VariableMismatch(ValueError):
@@ -522,7 +525,7 @@ def rational_power_of_unit(s: TruncatedSeries, num: int, den: int) -> TruncatedS
         raise NotReversible("rational power needs a unit series 1 + O(x)")
     alpha = Q(num, den)
     top = s.trunc if w else 1
-    if top > 1 << 20:
+    if top >= KNOWN_COMPLETELY:
         if alpha.denominator != 1 or alpha < 0:
             raise ValueError(
                 "power of an untruncated non-monomial series is an infinite "

@@ -36,7 +36,6 @@ from typing import Iterable, Mapping
 from painleve import core
 from painleve.algebra import (
     ROOT_SEARCH_CAP,
-    AffineSolution,
     Inconsistent,
     MultiPoly,
     RatMatrix,
@@ -85,10 +84,6 @@ from painleve.series import (
 Laurent = dict  # order -> Fraction
 
 
-def lseries(items) -> Laurent:
-    return {o: Q(c) for o, c in dict(items).items() if Q(c) != 0}
-
-
 def ladd(a: Laurent, b: Laurent) -> Laurent:
     out = dict(a)
     for o, c in b.items():
@@ -100,10 +95,6 @@ def ladd(a: Laurent, b: Laurent) -> Laurent:
 
 def lneg(a: Laurent) -> Laurent:
     return {o: -c for o, c in a.items()}
-
-def lscale(a: Laurent, f) -> Laurent:
-    f = Q(f)
-    return {} if f == 0 else {o: c * f for o, c in a.items()}
 
 
 def lmul(a: Laurent, b: Laurent, cut: int) -> Laurent:
@@ -210,7 +201,7 @@ def expand_balance_by_substitution(
         solution = solve_affine_by_elimination(shifted, rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
-        a_j = list(solution.particular)
+        a_j = list(solution)
         if j in by_resonance:
             for name, column in zip(by_resonance[j], rs.eigenbases[j]):
                 p = MultiPoly.var(name)
@@ -948,7 +939,7 @@ def rref_by_fractions(rows, ncols: int | None = None):
     return m, pivots, det, swaps
 
 
-def solve_affine_by_elimination(matrix: RatMatrix, rhs) -> AffineSolution | Inconsistent:
+def solve_affine_by_elimination(matrix: RatMatrix, rhs) -> tuple[MultiPoly, ...] | Inconsistent:
     """`solve_affine` by eliminating [M | b] with the polynomial column b
     carried through every row operation."""
     n = matrix.rows
@@ -961,16 +952,7 @@ def solve_affine_by_elimination(matrix: RatMatrix, rhs) -> AffineSolution | Inco
     particular = [MultiPoly.zero()] * n
     for row, col in zip(m, pivots):
         particular[col] = row[n]
-    kernel = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Q(0)] * n
-        vec[free] = Q(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -m[r][free]
-        kernel.append(tuple(vec))
-    return AffineSolution(tuple(particular), tuple(kernel))
+    return tuple(particular)
 
 
 def char_poly_coeffs_by_fractions(matrix: RatMatrix) -> list[Q]:

@@ -24,7 +24,6 @@ from painleve.core import (
     verify_dominant_balance,
 )
 from painleve.hamiltonian import (
-    Canonical,
     HamiltonianRejected,
     J_matrix,
     build_canonical_change,
@@ -40,7 +39,6 @@ from painleve.hamiltonian import (
 )
 from painleve.model import parse_hamiltonian, parse_system, hamiltonian_to_system
 from painleve.regularize import (
-    Regular,
     SingularWitness,
     VariableRow,
     regularize,
@@ -194,13 +192,13 @@ def test_criterion_6_gd_regularization(gd_canonical):
     reg = pipe.regularization
     # every right side is a finite Laurent polynomial checked at every order;
     # in particular there is no negative order up to (and beyond) M = 13
-    assert isinstance(reg.regularity, Regular)
+    assert reg.regularity is None
     for g in reg.transformed.g:
         assert g.min_exp is None or g.min_exp >= 0
     ts = transform_system(pipe.system, pipe.change)
     ts_13 = dataclasses.replace(ts, g=tuple(g.truncate(13) for g in ts.g))
-    assert isinstance(verify_regularity(ts_13), Regular)
-    assert isinstance(verify_canonical(pipe.change, 2), Canonical)
+    assert verify_regularity(ts_13) is None
+    assert verify_canonical(pipe.change, 2) is None
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
     assert nh.dropped == ()
     assert hamilton_equations_match(nh, pipe)
@@ -229,7 +227,7 @@ def test_criterion_7_desk_examples():
     assert cand2.structure.resonances == (-1, 6)
     assert check_principal(cand2.balance).principal
     reg2 = regularize(cand2.balance)
-    assert isinstance(reg2.regularity, Regular)
+    assert reg2.regularity is None
     # independent recursion oracle at an instantiated parameter value
     values = {"r2": Q(5, 7)}
     bindings = {

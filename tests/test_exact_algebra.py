@@ -7,15 +7,12 @@ import oracles
 from oracles import char_poly
 from painleve import algebra
 from painleve.algebra import (
-    AffineSolution,
     ExponentOverflow,
     Inconsistent,
-    IntegerSpectrum,
     MultiPoly,
-    NonIntegerSpectrum,
     RatMatrix,
     ShapeError,
-    integer_eigen_data,
+    integer_eigenvalues,
     nullspace,
     poly_det,
     rank,
@@ -105,29 +102,29 @@ def _is_multiple(v, w):
 
 
 def test_integer_eigen_2x2():
-    spec = integer_eigen_data(RatMatrix([[2, 1], [12, 3]]))
-    assert isinstance(spec, IntegerSpectrum)
-    assert tuple(p.value for p in spec.pairs) == (-1, 6)
-    by_value = {p.value: p for p in spec.pairs}
-    assert by_value[-1].algebraic == by_value[-1].geometric == 1
+    M = RatMatrix([[2, 1], [12, 3]])
+    roots, remainder = integer_eigenvalues(M)
+    assert roots == {-1: 1, 6: 1} and list(roots) == [-1, 6]
+    assert remainder == [1]
     # hand oracle: (M - lambda I) v = 0 gives (1,-3) and (1,4)
-    assert _is_multiple(by_value[-1].basis[0], (Q(1), Q(-3)))
-    assert _is_multiple(by_value[6].basis[0], (Q(1), Q(4)))
+    (minus_one,) = nullspace(M.shifted(-1))
+    (six,) = nullspace(M.shifted(6))
+    assert _is_multiple(minus_one, (Q(1), Q(-3)))
+    assert _is_multiple(six, (Q(1), Q(4)))
 
 
 def test_integer_eigen_gd():
     K = RatMatrix([[2, 0, 0, -2], [-2, 4, -2, -2], [12, -6, 5, 2], [-6, 2, 0, 3]])
-    spec = integer_eigen_data(K)
-    assert isinstance(spec, IntegerSpectrum)
-    assert tuple(p.value for p in spec.pairs) == (-1, 2, 5, 8)
-    assert all(p.algebraic == p.geometric == 1 for p in spec.pairs)
+    roots, remainder = integer_eigenvalues(K)
+    assert list(roots.items()) == [(-1, 1), (2, 1), (5, 1), (8, 1)]
+    assert remainder == [1]
+    assert all(len(nullspace(K.shifted(r))) == 1 for r in roots)
 
 
 def test_non_integer_spectrum():
-    out = integer_eigen_data(RatMatrix([[0, 1], [-1, 0]]))
-    assert isinstance(out, NonIntegerSpectrum)
-    lam = MultiPoly.var("lambda")
-    assert out.remainder == lam**2 + 1
+    roots, remainder = integer_eigenvalues(RatMatrix([[0, 1], [-1, 0]]))
+    assert roots == {}
+    assert remainder == [1, 0, 1]  # lambda^2 + 1
 
 
 def test_eigen_exactness_random():
@@ -137,19 +134,17 @@ def test_eigen_exactness_random():
         M = RatMatrix(
             [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
         )
-        spec = integer_eigen_data(M)
-        if isinstance(spec, NonIntegerSpectrum):
-            # multiplicities plus the unfactored degree cover the dimension
-            total = sum(p.algebraic for p in spec.partial)
-            assert total + spec.remainder.degree_in("lambda") == n
-            pairs = spec.partial
-        else:
-            assert sum(p.algebraic for p in spec.pairs) == n
-            pairs = spec.pairs
-        for pair in pairs:
-            shifted = oracles.matrix_sub(M, oracles.matrix_scale(RatMatrix.identity(n), pair.value))
-            assert M.shifted(pair.value) == shifted
-            for vec in pair.basis:
+        roots, remainder = integer_eigenvalues(M)
+        # multiplicities plus the unfactored degree cover the dimension
+        assert sum(roots.values()) + len(remainder) - 1 == n
+        # and no integer root is left in the remainder
+        assert all(r.denominator != 1 for r in oracles.rational_roots_by_synthetic_division(remainder))
+        for value in roots:
+            shifted = oracles.matrix_sub(M, oracles.matrix_scale(RatMatrix.identity(n), value))
+            assert M.shifted(value) == shifted
+            basis = nullspace(shifted)
+            assert 1 <= len(basis) <= roots[value]
+            for vec in basis:
                 assert all(x == 0 for x in shifted.matvec(list(vec)))
 
 
@@ -176,18 +171,13 @@ r3 = MultiPoly.var("r3")
 
 
 def test_solve_affine_identity():
-    sol = solve_affine(RatMatrix.identity(2), [r2, r3 + 1])
-    assert isinstance(sol, AffineSolution)
-    assert sol.particular == (r2, r3 + 1)
-    assert sol.nullspace == ()
+    assert solve_affine(RatMatrix.identity(2), [r2, r3 + 1]) == (r2, r3 + 1)
 
 
 def test_solve_affine_free_coordinate():
+    # the free coordinate is set to zero
     sol = solve_affine(RatMatrix([[0, 0], [0, 1]]), [MultiPoly.zero(), r2])
-    assert isinstance(sol, AffineSolution)
-    assert sol.particular == (MultiPoly.zero(), r2)
-    assert len(sol.nullspace) == 1
-    assert _is_multiple(sol.nullspace[0], (Q(1), Q(0)))
+    assert sol == (MultiPoly.zero(), r2)
 
 
 def test_solve_affine_inconsistent():
@@ -216,12 +206,12 @@ def test_solve_affine_solution_property_random():
             for i in range(n)
         ]
         sol = solve_affine(M, b)
-        assert isinstance(sol, AffineSolution)
+        assert isinstance(sol, tuple)
         # M (particular + sum c_k v_k) = b for arbitrary rational c_k
-        weights = [Q(rng.randint(-3, 3)) for _ in sol.nullspace]
+        kernel = nullspace(M)
+        weights = [Q(rng.randint(-3, 3)) for _ in kernel]
         x = [
-            sol.particular[j]
-            + sum((Q(w) * v[j] for w, v in zip(weights, sol.nullspace)), MultiPoly.zero())
+            sol[j] + sum((Q(w) * v[j] for w, v in zip(weights, kernel)), MultiPoly.zero())
             for j in range(n)
         ]
         for i in range(n):

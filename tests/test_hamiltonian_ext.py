@@ -15,7 +15,6 @@ from painleve.core import (
     resonance_structure,
 )
 from painleve.hamiltonian import (
-    Canonical,
     CanonicalWitness,
     HamiltonianRejected,
     J_matrix,
@@ -34,7 +33,7 @@ from painleve.hamiltonian import (
     verify_canonical,
 )
 from painleve.model import HamiltonianSystem, hamiltonian_to_system, parse_hamiltonian
-from painleve.regularize import ChangeOfVariable, Regular, VariableRow, regularize
+from painleve.regularize import ChangeOfVariable, VariableRow, regularize
 
 DATA = Path(__file__).parent / "data"
 
@@ -326,7 +325,7 @@ def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
     assert rows["p2"].exponent(cov.k) == 5 - 3
     assert rows["p1"].exponent(cov.k) == 8 - 5
     assert rows["p1"].rho_factor == Q(-1, 2)
-    assert isinstance(pipe.regularization.regularity, Regular)
+    assert pipe.regularization.regularity is None
 
 
 @pytest.mark.parametrize("exchange_set", [(0,), (1,), (0, 1)])
@@ -338,8 +337,8 @@ def test_forced_exchanges_give_a_canonical_change_gd(gd_hamiltonian, gd_candidat
     )
     forced = dataclasses.replace(sd, exchange_set=exchange_set)
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, forced)
-    assert isinstance(pipe.regularization.regularity, Regular)
-    assert isinstance(verify_canonical(pipe.change, 2), Canonical)
+    assert pipe.regularization.regularity is None
+    assert verify_canonical(pipe.change, 2) is None
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
     assert hamilton_equations_match(nh, pipe)
 
@@ -349,7 +348,7 @@ def test_verify_canonical_gd(gd_hamiltonian, gd_candidate):
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
-    assert isinstance(verify_canonical(pipe.change, 2), Canonical)
+    assert verify_canonical(pipe.change, 2) is None
 
 
 def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
@@ -389,7 +388,7 @@ def test_one_dof_canonical(one_dof):
     row = cov.rows[0]
     assert row.rho_factor == Q(-1, 2)
     assert row.exponent(cov.k) == 6 - 3
-    assert isinstance(verify_canonical(cov, 1), Canonical)
+    assert verify_canonical(cov, 1) is None
     nh = new_hamiltonian(pipe.hamiltonian.H, cov, pipe.system.u_symbols, True)
     assert nh.dropped == ()
     assert hamilton_equations_match(nh, pipe)
@@ -442,8 +441,8 @@ def test_non_autonomous_hamiltonian_drops_singular_terms(text, d, dropped):
         symplectic_normalize(resonance_columns(cand.balance), d)
     )
     pipe = build_canonical_change(hs, cand.balance, sd)
-    assert isinstance(pipe.regularization.regularity, Regular)
-    assert isinstance(verify_canonical(pipe.change, 1), Canonical)
+    assert pipe.regularization.regularity is None
+    assert verify_canonical(pipe.change, 1) is None
     nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, False)
     # the time-dependent terms pull back to singular orders
     assert [[o, str(p)] for o, p in nh.dropped] == dropped

@@ -17,7 +17,6 @@ import oracles
 from oracles import char_poly
 from painleve import algebra
 from painleve.algebra import (
-    AffineSolution,
     ExponentOverflow,
     Inconsistent,
     MultiPoly,
@@ -128,12 +127,10 @@ def _check_solve_affine(M, rng):
         assert isinstance(out, Inconsistent)
         assert out.witness.is_constant and not out.witness.is_zero
         return "inconsistent"
-    assert isinstance(out, AffineSolution)
     # free coordinates set to zero, as in sympy's parametrized solution
     particular = sol.subs({p: 0 for p in params})
-    assert list(out.particular) == [MultiPoly.const(_from_sympy(v)) for v in particular]
-    assert [list(v) for v in out.nullspace] == nullspace(M)
-    return "family" if out.nullspace else "unique"
+    assert list(out) == [MultiPoly.const(_from_sympy(v)) for v in particular]
+    return "family" if nullspace(M) else "unique"
 
 
 def _oracle_roots(coeffs):
@@ -425,7 +422,7 @@ def test_solve_affine_matches_polynomial_column_elimination():
         assert out == oracles.solve_affine_by_elimination(M, b)
         outcomes.append(type(out))
     assert outcomes.count(Inconsistent) >= 10
-    assert outcomes.count(AffineSolution) >= 40
+    assert outcomes.count(tuple) >= 40
 
 
 def test_char_poly_coeffs_match_fraction_faddeev_leverrier():

@@ -18,7 +18,6 @@ from painleve.core import (
     analyze_system,
     basic_resonance_check,
     check_principal,
-    dominant_part,
     enumerate_fuchsian_exponents,
     expand_balance,
     kowalevskian,
@@ -36,26 +35,27 @@ u = MultiPoly.var("u")
 
 def test_dominant_part_degree_slice():
     f = u**2 + 1
-    assert dominant_part(f, {"u": 1}, 2) == u**2
-    assert dominant_part(f, {"u": 1}) == u**2  # natural slice = top degree
-    assert dominant_part(f, {"u": 1}, 3).is_zero
+    assert f.weighted_part({"u": 1}, 2) == u**2
+    assert f.weighted_degree({"u": 1}) == 2  # the top slice is the one above
+    assert f.weighted_part({"u": 1}, 3).is_zero
 
 
 def test_dominant_part_two_variables():
     u1, u2 = MultiPoly.var("u1"), MultiPoly.var("u2")
     f2 = 6 * u1**2 + u2
     # weights (2,3): 6 u1^2 sits at degree 4 = k2 + 1
-    assert dominant_part(f2, {"u1": 2, "u2": 3}, 4) == 6 * u1**2
+    assert f2.weighted_part({"u1": 2, "u2": 3}, 4) == 6 * u1**2
 
 
 def test_dominant_part_gd_commutes_with_differentiation(gd_hamiltonian, gd_system):
     # slice of dH/dp_i at degree l_i + 1 equals d(H^D)/dp_i for the GD weights
     weights = {"q1": 2, "q2": 4, "p1": 5, "p2": 3}
-    HD = dominant_part(gd_hamiltonian.H, weights)  # all of H: weighted homogeneous
-    assert HD == gd_hamiltonian.H
+    H = gd_hamiltonian.H
+    HD = H.weighted_part(weights, H.weighted_degree(weights))
+    assert HD == H  # all of H: weighted homogeneous
     f1 = gd_system.rhs[0]  # dH/dp1, k-target l1 + 1 = 3... exponents (2,4,5,3)
-    assert dominant_part(f1, weights, 3) == HD.partial("p1")
-    assert dominant_part(f1, weights, 3) == -2 * MultiPoly.var("p2")
+    assert f1.weighted_part(weights, 3) == HD.partial("p1")
+    assert f1.weighted_part(weights, 3) == -2 * MultiPoly.var("p2")
 
 
 def test_enumerate_cubic_empty():
@@ -224,6 +224,30 @@ def test_resonance_structure_failures():
     jordan = RatMatrix([[-1, 0, 0], [0, 2, 1], [0, 0, 2]])
     out = resonance_structure(jordan)
     assert isinstance(out, StructureFailure) and out.reason == "not_diagonalizable"
+
+
+def test_rejected_spectrum_forms_no_eigenbasis(monkeypatch):
+    # the kernels of K - rI are formed only for a spectrum that passed the
+    # non-integer and negative-resonance gates
+    real = algebra.nullspace
+    kernels = []
+
+    def counting(matrix):
+        kernels.append(matrix)
+        return real(matrix)
+
+    for module in (algebra, core):
+        if getattr(module, "nullspace", None) is real:
+            monkeypatch.setattr(module, "nullspace", counting)
+    # eigenvalues -1 and +-i: an integer root before a non-integer remainder
+    out = resonance_structure(RatMatrix([[-1, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    assert out.reason == "non_integer_spectrum"
+    assert out.detail == MultiPoly.var("lambda") ** 2 + 1
+    out = resonance_structure(RatMatrix([[-1, 0], [0, -2]]))
+    assert out == StructureFailure("negative_resonance", (-2,))
+    assert kernels == []
+    assert isinstance(resonance_structure(RatMatrix([[2, 1], [12, 3]])), ResonanceStructure)
+    assert len(kernels) == 2  # the patch reaches the kernels that are formed
 
 
 def test_basic_resonance_check(riccati_system, pole2_system, gd_system, gd_candidate):

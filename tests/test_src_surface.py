@@ -4,8 +4,9 @@ A top-level function or class, or a method whose name is not a dunder,
 must be named somewhere in src/ outside its own definition (as a name, an
 attribute or an import), be exported in `painleve.__all__`, or be named in
 perfbench/spans.py.  A helper that only tests reach belongs in
-tests/oracles.py.  The check reads names only, so a member whose name is
-also used for something else in src/ passes it.
+tests/oracles.py, and each definition there must in turn be named by a
+test, a fixture or another oracle.  The check reads names only, so a
+member whose name is also used for something else passes it.
 
 No module but algebra.py imports or reads an attribute named like an
 underscore member of `painleve.algebra` or `MultiPoly`, so the packed key
@@ -21,6 +22,7 @@ from painleve import algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "painleve"
+TESTS = ROOT / "tests"
 SPANS = ROOT / "perfbench" / "spans.py"
 
 # definitions kept although nothing in src/ reaches them yet
@@ -69,16 +71,17 @@ def _spans_names() -> set[str]:
     return strings | set(_names(tree))
 
 
-def unused_definitions() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def unused_definitions(directory: Path, checked=None, reached=frozenset()) -> list[str]:
+    """Definitions in the modules `checked` (default: all) of `directory`
+    that no module there names outside the definition itself, and that are
+    not in `reached`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
     counts = {module: _names(tree) for module, tree in trees.items()}
-    exported = set(painleve.__all__)
-    spans = _spans_names()
     flagged = []
-    for module, tree in trees.items():
+    for module in checked or trees:
         others = set().union(*(c for m, c in counts.items() if m != module))
-        for qualified, name, node in _definitions(tree):
-            if name in exported or name in spans or name in others:
+        for qualified, name, node in _definitions(trees[module]):
+            if name in reached or name in others:
                 continue
             if counts[module][name] == _names(node)[name]:  # named only inside itself
                 flagged.append(f"{module}.{qualified}")
@@ -87,7 +90,12 @@ def unused_definitions() -> list[str]:
 
 def test_src_defines_nothing_only_tests_reach():
     # an allowed definition that gains a caller leaves ALLOWED too
-    assert sorted(unused_definitions()) == sorted(ALLOWED)
+    reached = set(painleve.__all__) | _spans_names()
+    assert sorted(unused_definitions(SRC, reached=reached)) == sorted(ALLOWED)
+
+
+def test_oracles_define_nothing_no_test_reaches():
+    assert unused_definitions(TESTS, checked=["oracles"]) == []
 
 
 def _private_members() -> set[str]:
