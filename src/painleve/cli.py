@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, is_dataclass, replace
 
 from .algebra import ExponentOverflow, MultiPoly, ShapeError
-from .core import AnalysisResult, CandidateReport, LimitError, analyze_system
+from .core import AnalysisResult, CandidateReport, LimitError, analyze_system, check_principal
 from .hamiltonian import (
     HamiltonianRejected,
     build_canonical_change,
@@ -32,12 +33,12 @@ from .hamiltonian import (
     verify_canonical,
 )
 from .model import (
-    BalanceSpec,
     HamiltonianSystem,
     ODESystem,
     ParseError,
     hamiltonian_to_system,
     jsonable,
+    parse_expr,
     parse_input,
     serialize_report,
 )
@@ -109,9 +110,10 @@ def exit_code(err: BaseException) -> int | None:
     return next((EXIT_CODES[c] for c in type(err).__mro__ if c in EXIT_CODES), None)
 
 
-def _parse_spec(args, system: ODESystem) -> BalanceSpec | None:
-    from .model import _parse_expr
-
+def _parse_spec(
+    args, system: ODESystem
+) -> tuple[tuple[int, ...] | None, tuple[MultiPoly, ...] | None]:
+    """The --exponents and --leading overrides, each None when not given."""
     exponents = None
     leading = None
     if args.exponents is not None:
@@ -125,18 +127,16 @@ def _parse_spec(args, system: ODESystem) -> BalanceSpec | None:
         # each entry is a rational or a polynomial in the declared parameters
         try:
             leading = tuple(
-                _parse_expr(chunk, 0, set(system.param_symbols))
+                parse_expr(chunk, 0, set(system.param_symbols))
                 for chunk in args.leading.split(",")
             )
         except ParseError as err:
             raise UsageError(f"bad --leading: {err}")
         if len(leading) != system.n:
             raise UsageError(f"--leading needs {system.n} entries")
-    if exponents is None and leading is None:
-        return None
-    if exponents is None:
+    if exponents is None and leading is not None:
         raise UsageError("--leading requires --exponents")
-    return BalanceSpec(exponents=exponents, leading=leading)
+    return exponents, leading
 
 
 def _validate(args) -> None:
@@ -159,10 +159,9 @@ def candidate_report(sys: ODESystem, cand: CandidateReport) -> dict:
     if cand.structure is not None:
         report["resonances"] = list(cand.structure.resonances)
     if cand.principal is not None:
-        report["resonance_matrix"] = [
-            [str(entry) for entry in row] for row in cand.principal.resonance_matrix
-        ]
-        report["resonance_matrix_det"] = str(cand.principal.det)
+        matrix, det = cand.principal
+        report["resonance_matrix"] = [[str(entry) for entry in row] for row in matrix]
+        report["resonance_matrix_det"] = str(det)
     if cand.balance is not None:
         report["balance_coefficients"] = {
             name: cand.balance.series(i).rename_var(DT_DISPLAY)
@@ -177,8 +176,6 @@ def candidate_report(sys: ODESystem, cand: CandidateReport) -> dict:
 
 
 def _detail_json(detail) -> object:
-    from dataclasses import asdict, is_dataclass
-
     if is_dataclass(detail) and not isinstance(detail, type):
         return jsonable(
             {"kind": type(detail).__name__, **{k: v for k, v in asdict(detail).items()}}
@@ -284,8 +281,10 @@ def _analyze(args) -> tuple[ODESystem, HamiltonianSystem | None, AnalysisResult]
     else:
         hs = None
         system = parsed
-    spec = _parse_spec(args, system)
-    result = analyze_system(system, bound=args.bound, order=args.order, spec=spec)
+    exponents, leading = _parse_spec(args, system)
+    result = analyze_system(
+        system, bound=args.bound, order=args.order, exponents=exponents, leading=leading
+    )
     return system, hs, result
 
 
@@ -349,7 +348,6 @@ def cmd_hamiltonian(args) -> int:
         print("error: canonical construction needs rational leading data", file=sys.stderr)
         return 1
 
-    report = candidate_report(system, cand)
     # sd is the result of the last stage run; each stage needs the one
     # before, and a rejection reports what the earlier stages found
     sub: dict = {}
@@ -362,27 +360,39 @@ def cmd_hamiltonian(args) -> int:
             sd = symplectic_normalize(resonance_columns(cand.balance), d)
     if isinstance(sd, HamiltonianRejected):
         sub["rejected"] = jsonable({"reason": sd.reason, "detail": str(sd.detail)})
+        report = candidate_report(system, cand)
         report["hamiltonian"] = sub
         # a normalization rejection's text leaves out its detail, often a matrix
         detail = "" if "pairing" in sub else f" ({sd.detail})"
         print(serialize_report(report) if args.json else f"rejected: {sd.reason}{detail}")
         return 1
     sd = canonical_exchanges(sd)
-    pipe = build_canonical_change(hs, cand.balance, sd)
-    reg = pipe.regularization
-    canonical = verify_canonical(pipe.change, n) is None
-    nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, hs.autonomous)
+    ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
+    esys = balance.system
+    # the candidate in the exchanged coordinates, in which the change is built
+    cand = replace(
+        cand,
+        exponents=balance.dominant.exponents,
+        leading=balance.dominant.leading,
+        K=balance.structure.K,
+        structure=balance.structure,
+        balance=balance,
+        principal=check_principal(balance),
+    )
+    canonical = verify_canonical(reg.change, n) is None
+    regular_h, dropped = new_hamiltonian(ehs.H, reg.change, esys.u_symbols, hs.autonomous)
     sub |= {
         "S": sd.S,
         "exchange_set": list(sd.exchange_set),
         "row_swaps": [list(s) for s in sd.row_swaps],
         "canonical": canonical,
-        "new_hamiltonian": str(nh.regular),
-        "dropped_singular": [[o, str(p)] for o, p in nh.dropped],
+        "new_hamiltonian": str(regular_h),
+        "dropped_singular": [[o, str(p)] for o, p in dropped],
     }
     if hs.autonomous:
-        sub["hamilton_equations_match"] = hamilton_equations_match(nh, pipe)
-    report["change_of_variable"] = change_of_variable_report(reg, pipe.system)
+        sub["hamilton_equations_match"] = hamilton_equations_match(regular_h, reg.transformed)
+    report = candidate_report(esys, cand)
+    report["change_of_variable"] = change_of_variable_report(reg, esys)
     report["transformed_system"] = transformed_system_report(reg)
     report["transformed_balance"] = transformed_balance_report(reg)
     report["hamiltonian"] = sub
@@ -391,14 +401,14 @@ def cmd_hamiltonian(args) -> int:
     if args.json:
         print(serialize_report(report))
     else:
-        _print_candidate(pipe.system, cand, sys.stdout)
+        _print_candidate(esys, cand, sys.stdout)
         print(f"d = {d}; pairing {pairing}; exchanges {list(sd.exchange_set)}", file=sys.stdout)
         print(f"symplectic S = {sd.S}", file=sys.stdout)
-        _print_regularization(pipe.system, reg, sys.stdout)
+        _print_regularization(esys, reg, sys.stdout)
         print(f"canonical: {canonical}", file=sys.stdout)
-        print(f"new hamiltonian: {nh.regular}", file=sys.stdout)
-        if nh.dropped:
-            print(f"dropped singular terms: {[[o, str(p)] for o, p in nh.dropped]}")
+        print(f"new hamiltonian: {regular_h}", file=sys.stdout)
+        if dropped:
+            print(f"dropped singular terms: {[[o, str(p)] for o, p in dropped]}")
     return 0 if ok else 1
 
 

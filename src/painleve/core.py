@@ -27,7 +27,7 @@ from .algebra import (
     rational_roots,
     solve_affine,
 )
-from .model import T0_SYMBOL, BalanceSpec, ODESystem
+from .model import T0_SYMBOL, ODESystem
 from .series import EXACT, RelaxedSubstitution, TruncatedSeries, substitute_poly
 
 SERIES_VAR = "dt"  # stands for (t - t0)
@@ -446,30 +446,6 @@ def needed_parameter_count(rs: ResonanceStructure) -> int:
     return sum(m for r, m in zip(rs.resonances, rs.multiplicities) if r >= 1)
 
 
-class _RecursionRhs:
-    """[x^(j - k_i - 1)] f_i(U_{<j}) for each i, one order j at a time.
-
-    U_{<j} are the partial sums of the balance, read from `coeffs`, whose
-    lists the recursion extends in place; the time symbol is t0 + x.  Each
-    f_i is one term list of a `RelaxedSubstitution` over those lists, so an
-    order costs O(j) coefficient products instead of the O(j^2) of
-    expanding f(U_{<j}).
-    """
-
-    def __init__(self, sys: ODESystem, k: tuple[int, ...], coeffs: list[list[MultiPoly]]):
-        lists = dict(zip(sys.u_symbols, coeffs))
-        first = {name: -ki for name, ki in zip(sys.u_symbols, k)}
-        if not sys.autonomous:
-            lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
-            first[sys.t_symbol] = 0
-        self.sub = RelaxedSubstitution(lists, first)
-        self.k = k
-        self.terms = [self.sub.terms(f) for f in sys.rhs]
-
-    def __call__(self, j: int) -> list[MultiPoly]:
-        return [self.sub.coeff(terms, j - ki - 1, j) for ki, terms in zip(self.k, self.terms)]
-
-
 def expand_balance(
     sys: ODESystem,
     dd: DominantData,
@@ -512,11 +488,23 @@ def expand_balance(
         by_resonance[r] = [next(name_iter) for _ in range(m)]
         parameters.extend((nm, r) for nm in by_resonance[r])
 
+    # rhs_j is [x^(j - k_i - 1)] f_i(U_{<j}) for each i.  U_{<j} are the
+    # partial sums of the balance, read from `coeffs`, whose lists the
+    # recursion extends in place; the time symbol is t0 + x.  Each f_i is one
+    # term list of a `RelaxedSubstitution` over those lists, so an order
+    # costs O(j) coefficient products instead of the O(j^2) of expanding
+    # f(U_{<j}).
     coeffs: list[list[MultiPoly]] = [[as_poly(c)] for c in dd.leading]
-    rhs_at = _RecursionRhs(sys, k, coeffs)
+    lists = dict(zip(sys.u_symbols, coeffs))
+    first = {name: -ki for name, ki in zip(sys.u_symbols, k)}
+    if not sys.autonomous:
+        lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
+        first[sys.t_symbol] = 0
+    sub = RelaxedSubstitution(lists, first)
+    rhs_terms = [sub.terms(f) for f in sys.rhs]
 
     for j in range(1, order):
-        rhs = [-c for c in rhs_at(j)]
+        rhs = [-sub.coeff(terms, j - ki - 1, j) for ki, terms in zip(k, rhs_terms)]
         solution = solve_affine(K.shifted(j), rhs)
         if isinstance(solution, Inconsistent):
             return FailureAtResonance(j=j, witness=solution.witness)
@@ -538,15 +526,6 @@ def expand_balance(
     )
 
 
-@dataclass(frozen=True)
-class PrincipalVerdict:
-    principal: bool
-    n_s: int
-    n: int
-    resonance_matrix: tuple[tuple[MultiPoly, ...], ...]
-    det: MultiPoly
-
-
 def resonance_matrix_columns(balance: Balance) -> list[tuple[int, tuple[MultiPoly, ...]]]:
     """(resonance, column) pairs of the resonance matrix: the basic vector at
     -1, then one column per parameter, dc/dr at 0 and the parameter's
@@ -563,24 +542,15 @@ def resonance_matrix_columns(balance: Balance) -> list[tuple[int, tuple[MultiPol
     return columns
 
 
-def check_principal(balance: Balance) -> PrincipalVerdict:
-    """Principal iff the free-parameter count is n and the resonance matrix
-    (basic vector | dc/dr columns | eigenbases) has nonzero determinant."""
-    n = balance.system.n
+def check_principal(balance: Balance) -> tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly]:
+    """The resonance matrix (basic vector | dc/dr columns | eigenbases), one
+    row per variable, and its determinant.  The determinant is zero unless
+    the matrix is square, that is unless the free parameters number n, so
+    the balance is principal iff it is nonzero."""
     columns = [column for _, column in resonance_matrix_columns(balance)]
-    n_s = len(columns)
-    rows = [[column[ir] for column in columns] for ir in range(n)]
-    if n_s == n:
-        det = poly_det(rows)
-    else:
-        det = MultiPoly.zero()
-    return PrincipalVerdict(
-        principal=(n_s == n and not det.is_zero),
-        n_s=n_s,
-        n=n,
-        resonance_matrix=tuple(tuple(r) for r in rows),
-        det=det,
-    )
+    rows = tuple(zip(*columns))  # the basic vector is always a column
+    det = poly_det(rows) if len(columns) == len(rows) else MultiPoly.zero()
+    return rows, det
 
 
 @dataclass(frozen=True)
@@ -623,13 +593,12 @@ class CandidateReport:
     K: RatMatrix | None = None
     structure: ResonanceStructure | None = None
     balance: Balance | None = None
-    principal: PrincipalVerdict | None = None
+    # (resonance matrix, determinant) of `check_principal`
+    principal: tuple[tuple[tuple[MultiPoly, ...], ...], MultiPoly] | None = None
 
 
 @dataclass
 class AnalysisResult:
-    system: ODESystem
-    bound: int
     candidates: list[CandidateReport]
     verdict: str
 
@@ -684,9 +653,8 @@ def analyze_candidate(sys: ODESystem, k: tuple[int, ...], c, order: int | None) 
         report.detail = balance
         return report
     report.balance = balance
-    verdict = check_principal(balance)
-    report.principal = verdict
-    report.verdict = "principal" if verdict.principal else "not_principal"
+    report.principal = check_principal(balance)
+    report.verdict = "not_principal" if report.principal[1].is_zero else "principal"
     return report
 
 
@@ -694,23 +662,24 @@ def analyze_system(
     sys: ODESystem,
     bound: int = 10,
     order: int | None = None,
-    spec: BalanceSpec | None = None,
+    exponents: tuple[int, ...] | None = None,
+    leading: tuple[MultiPoly, ...] | None = None,
 ) -> AnalysisResult:
     """Run the full test: enumerate exponents, solve dominants, expand,
-    classify.  A BalanceSpec pins the exponents and/or leading data instead
-    of searching."""
+    classify.  Given `exponents`, and with them `leading`, the candidate is
+    pinned instead of searched for."""
     candidates: list[CandidateReport] = []
-    if spec is not None and spec.exponents is not None:
-        k = tuple(spec.exponents)
-        exponents = [k] if is_fuchsian(sys, k) else []
+    if exponents is not None:
+        k = tuple(exponents)
+        search = [k] if is_fuchsian(sys, k) else []
     else:
-        exponents = enumerate_fuchsian_exponents(sys, bound)
-    if not exponents:
-        return AnalysisResult(sys, bound, [], "fails:exponents")
+        search = enumerate_fuchsian_exponents(sys, bound)
+    if not search:
+        return AnalysisResult([], "fails:exponents")
 
-    for k in exponents:
-        if spec is not None and spec.leading is not None:
-            leadings: list = [spec.leading]
+    for k in search:
+        if leading is not None:
+            leadings: list = [leading]
         else:
             solved = solve_dominant(sys, k)
             if isinstance(solved, Unsolved):
@@ -721,6 +690,6 @@ def analyze_system(
             candidates.append(analyze_candidate(sys, k, c, order))
 
     if not candidates:
-        return AnalysisResult(sys, bound, [], "fails:dominant")
+        return AnalysisResult([], "fails:dominant")
     verdict = min((c.verdict for c in candidates), key=lambda v: _VERDICT_RANK.get(v, 9))
-    return AnalysisResult(sys, bound, candidates, verdict)
+    return AnalysisResult(candidates, verdict)

@@ -19,10 +19,11 @@ from fractions import Fraction
 
 from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rank, rref
 from .core import Balance, ResonanceStructure, resonance_matrix_columns
-from .model import HamiltonianSystem, ODESystem, hamiltonian_to_system
+from .model import HamiltonianSystem, hamiltonian_to_system
 from .regularize import (
     ChangeOfVariable,
     Regularization,
+    TransformedSystem,
     regular_part,
     regularize,
 )
@@ -97,7 +98,6 @@ def symplectic_pairing(
 
 @dataclass(frozen=True)
 class SymplecticData:
-    d: int
     column_resonances: tuple[int, ...]  # per S column, after the last n are reversed
     S: RatMatrix
     exchange_set: tuple[int, ...] = ()  # dof indices with q <-> p exchanged
@@ -212,7 +212,7 @@ def symplectic_normalize(
     )
     if S.transpose() * J * S != J:
         return HamiltonianRejected("not_symplectic", S)
-    return SymplecticData(d=d, column_resonances=col_resonances, S=S)
+    return SymplecticData(column_resonances=col_resonances, S=S)
 
 
 # ----------------------------------------------------------------------
@@ -309,21 +309,6 @@ def apply_exchanges(
 # canonical change of variable
 
 
-@dataclass(frozen=True)
-class CanonicalPipeline:
-    hamiltonian: HamiltonianSystem  # exchanged coordinates
-    balance: Balance  # of the exchanged system
-    regularization: Regularization
-
-    @property
-    def system(self) -> ODESystem:
-        return self.balance.system
-
-    @property
-    def change(self) -> ChangeOfVariable:
-        return self.regularization.change
-
-
 def canonical_variable_names(n: int) -> tuple[str, tuple[str, ...]]:
     """tau name and rho names in construction order q_1..q_n, p_n..p_1."""
     tau = "Q1"
@@ -333,8 +318,10 @@ def canonical_variable_names(n: int) -> tuple[str, tuple[str, ...]]:
 
 def build_canonical_change(
     hs: HamiltonianSystem, balance: Balance, sd: SymplecticData
-) -> CanonicalPipeline:
-    """Run the triangular construction on the balance in the symplectic order.
+) -> tuple[HamiltonianSystem, Balance, Regularization]:
+    """Run the triangular construction on the balance in the symplectic order;
+    the Hamiltonian, the balance and its regularization, all three in the
+    exchanged coordinates.
 
     The variables go q_1, ..., q_n, p_n, ..., p_1 (after exchanges) and the
     last variable's coefficient carries the -1/k_1 factor that makes the
@@ -352,7 +339,7 @@ def build_canonical_change(
         tau_name=tau_name,
         last_factor=Q(-1, balance.dominant.exponents[0]),
     )
-    return CanonicalPipeline(hamiltonian=ehs, balance=balance, regularization=reg)
+    return ehs, balance, reg
 
 
 # ----------------------------------------------------------------------
@@ -401,19 +388,15 @@ def verify_canonical(
     return None
 
 
-@dataclass(frozen=True)
-class NewHamiltonian:
-    regular: MultiPoly  # polynomial in (t, Q..., P...)
-    dropped: tuple[tuple[int, MultiPoly], ...]  # singular coefficients (order, poly)
-
-
 def new_hamiltonian(
     H: MultiPoly,
     cov: ChangeOfVariable,
     u_symbols: tuple[str, ...],
     autonomous: bool,
-) -> NewHamiltonian:
-    """Substitute the change of variable into H and split off the regular part.
+) -> tuple[MultiPoly, tuple[tuple[int, MultiPoly], ...]]:
+    """Substitute the change of variable into H and split off the regular part:
+    that part, a polynomial in (t, Q..., P...), and the singular coefficients
+    as (order, coefficient) pairs.
 
     Autonomous systems must come out with an identically zero singular part;
     anything else is an implementation fault and raises.
@@ -427,16 +410,12 @@ def new_hamiltonian(
         raise AssertionError(
             f"autonomous Hamiltonian produced singular terms: {dropped}"
         )
-    return NewHamiltonian(regular=regular, dropped=tuple(dropped))
+    return regular, tuple(dropped)
 
 
-def hamilton_equations_match(
-    nh: NewHamiltonian, pipeline: CanonicalPipeline
-) -> bool:
-    """Hamilton's equations of the regular part equal the transformed right
-    sides exactly (autonomous finite check)."""
-    ts = pipeline.regularization.transformed
-    h0 = nh.regular
+def hamilton_equations_match(h0: MultiPoly, ts: TransformedSystem) -> bool:
+    """Hamilton's equations of the regular part h0 of the new Hamiltonian
+    equal the transformed right sides exactly (autonomous finite check)."""
     for m, name in enumerate(ts.names):
         if any(o < 0 for o in ts.g[m].coeffs):
             return False

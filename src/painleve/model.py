@@ -101,14 +101,6 @@ class HamiltonianSystem:
         return self.t_symbol not in self.H.symbols()
 
 
-@dataclass
-class BalanceSpec:
-    """User-side overrides for the leading data of a balance."""
-
-    exponents: tuple[int, ...] | None = None
-    leading: tuple[MultiPoly, ...] | None = None
-
-
 def hamiltonian_to_system(hs: HamiltonianSystem) -> ODESystem:
     """Canonical equations q_i' = dH/dp_i, p_i' = -dH/dq_i, ordered (q..., p...)."""
     rhs = [hs.H.partial(p) for p in hs.p_symbols]
@@ -263,7 +255,8 @@ class _ExprParser:
         raise ParseError(f"unexpected token {value!r}", self.line, col)
 
 
-def _parse_expr(text: str, line: int, symbols: set[str]) -> MultiPoly:
+def parse_expr(text: str, line: int, symbols: set[str]) -> MultiPoly:
+    """One polynomial expression over `symbols`; errors name `line`."""
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty expression", line)
@@ -378,7 +371,7 @@ def _parse_system_body(lines) -> ODESystem:
             raise UndeclaredSymbol(f"equation for undeclared variable {name!r}", lineno)
         if name in equations:
             raise ParseError(f"duplicate equation for {name!r}", lineno)
-        equations[name] = _parse_expr(expr_text, lineno, symbols)
+        equations[name] = parse_expr(expr_text, lineno, symbols)
     missing = [name for name in u_names if name not in equations]
     if missing:
         raise ParseError(f"missing equation for {missing[0]!r}", 1)
@@ -401,7 +394,7 @@ def _parse_hamiltonian_body(lines) -> HamiltonianSystem:
             raise ParseError(f"expected 'H = ...': {line!r}", lineno)
         if H is not None:
             raise ParseError("duplicate Hamiltonian line", lineno)
-        H = _parse_expr(m.group(1), lineno, symbols)
+        H = parse_expr(m.group(1), lineno, symbols)
     if H is None:
         raise ParseError("missing 'H = ...' line", 1)
     return HamiltonianSystem(

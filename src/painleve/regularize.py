@@ -210,13 +210,6 @@ class VariableRow:
         return self.resonance - k[self.index]
 
 
-@dataclass(frozen=True)
-class Absorption:
-    stages: tuple[Stage, ...]
-    rows: tuple[VariableRow, ...]  # in construction order
-    order: tuple[int, ...]  # pivot first, then absorbed variables in order
-
-
 def _greedy_rows(columns_matrix: list[list[Fraction]], m: int) -> list[int]:
     """Indices of the first m rows each independent of the rows before it:
     the Gauss-Jordan pivot columns of the transposed block."""
@@ -231,8 +224,10 @@ def absorb_resonances(
     var_order: tuple[int, ...] | None = None,
     rho_names: tuple[str, ...] | None = None,
     last_factor: Fraction | None = None,
-) -> Absorption:
-    """Absorb each resonance block in increasing order.
+) -> tuple[tuple[Stage, ...], tuple[VariableRow, ...], tuple[int, ...]]:
+    """Absorb each resonance block in increasing order: the stages, the
+    substitution rows in construction order, and that order (the pivot
+    first, then the absorbed variables in turn).
 
     `var_order` prescribes which variables are absorbed in which sequence
     (used by the canonical construction); otherwise rows are chosen greedily
@@ -356,9 +351,7 @@ def absorb_resonances(
 
     if last_factor is not None and rows:
         rows[-1] = replace(rows[-1], rho_factor=last_factor)
-    return Absorption(
-        stages=tuple(stages), rows=tuple(rows), order=tuple(construction_order)
-    )
+    return tuple(stages), tuple(rows), tuple(construction_order)
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +396,6 @@ class ChangeOfVariable:
 
 @dataclass(frozen=True)
 class TransformedSystem:
-    tau_name: str
     names: tuple[str, ...]  # tau + rho names, construction order
     g: tuple[TruncatedSeries, ...]  # right sides, finite Laurent in tau
     min_exponents: tuple[int, ...]  # per equation, before verification
@@ -417,14 +409,16 @@ class SingularWitness:
     coefficient: MultiPoly
 
 
-def build_triangular_change(nb: NormalizedBalance, absorption: Absorption) -> ChangeOfVariable:
+def build_triangular_change(
+    nb: NormalizedBalance, rows: tuple[VariableRow, ...], order: tuple[int, ...]
+) -> ChangeOfVariable:
     return ChangeOfVariable(
         tau_name=nb.tau_name,
         pivot=nb.pivot,
         k=nb.balance.dominant.exponents,
         beta=nb.beta,
-        order=absorption.order,
-        rows=absorption.rows,
+        order=order,
+        rows=rows,
     )
 
 
@@ -435,7 +429,6 @@ def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem
     diagonal, so the solve is exact forward substitution and every g_i is a
     finite Laurent polynomial in tau.
     """
-    tau = cov.tau_name
     subs = cov.substitution()
     bindings = {sys.u_symbols[i]: s for i, s in subs.items()}
     order = cov.order
@@ -466,9 +459,7 @@ def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem
             raise AssertionError("Jacobian is not lower triangular")
         g.append(gm)
         min_exps.append(gm.min_exp if gm.min_exp is not None else 0)
-    return TransformedSystem(
-        tau_name=tau, names=cov.new_names(), g=tuple(g), min_exponents=tuple(min_exps)
-    )
+    return TransformedSystem(names=cov.new_names(), g=tuple(g), min_exponents=tuple(min_exps))
 
 
 def verify_regularity(ts: TransformedSystem) -> SingularWitness | None:
@@ -502,7 +493,7 @@ def regular_part(s: TruncatedSeries) -> MultiPoly:
 
 
 def transform_balance(
-    balance: Balance, absorption: Absorption, cov: ChangeOfVariable, ts: TransformedSystem
+    balance: Balance, stages: tuple[Stage, ...], cov: ChangeOfVariable, ts: TransformedSystem
 ) -> TransformedBalance:
     """The Taylor solution x_j = [g(x)]_(j-1) / j of the regular transformed
     system, with t = t0 + (t - t0), tau(t0) = 0 and rho_v(t0) = a_(v,lambda)
@@ -516,7 +507,7 @@ def transform_balance(
     M, t, t0 = balance.order, balance.system.t_symbol, MultiPoly.var(balance.t0_symbol)
     factors = {row.rho_name: row.rho_factor for row in cov.rows}
     initial: dict[str, MultiPoly] = {}
-    for stage in absorption.stages:
+    for stage in stages:
         at_t0 = {**initial, t: t0}
         for rho, a in zip(stage.rho_names, stage.a_lam):
             initial[rho] = a.replace(at_t0) * (1 / factors[rho])
@@ -545,7 +536,7 @@ def transform_balance(
 @dataclass(frozen=True)
 class Regularization:
     normalized: NormalizedBalance
-    absorption: Absorption
+    stages: tuple[Stage, ...]
     change: ChangeOfVariable
     transformed: TransformedSystem
     regularity: SingularWitness | None  # None: the transformed system is regular
@@ -565,16 +556,16 @@ def regularize(
     cut = min(balance.order, max(balance.structure.largest + 1, 1))
     truncated = replace(balance, order=cut, coeffs=tuple(row[:cut] for row in balance.coeffs))
     nb = indicial_normalization(truncated, pivot=pivot, tau_name=tau_name)
-    absorption = absorb_resonances(
+    stages, rows, order = absorb_resonances(
         nb, var_order=var_order, rho_names=rho_names, last_factor=last_factor
     )
-    cov = build_triangular_change(nb, absorption)
+    cov = build_triangular_change(nb, rows, order)
     ts = transform_system(balance.system, cov)
     verdict = verify_regularity(ts)
-    tb = transform_balance(balance, absorption, cov, ts) if verdict is None else None
+    tb = transform_balance(balance, stages, cov, ts) if verdict is None else None
     return Regularization(
         normalized=nb,
-        absorption=absorption,
+        stages=stages,
         change=cov,
         transformed=ts,
         regularity=verdict,

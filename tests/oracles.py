@@ -61,7 +61,6 @@ from painleve.core import (
 )
 from painleve.model import HamiltonianSystem, ODESystem
 from painleve.regularize import (
-    Absorption,
     ChangeOfVariable,
     NormalizedBalance,
     PivotSelectionError,
@@ -641,7 +640,7 @@ def absorb_resonances_by_growing_precision(
     var_order: tuple[int, ...] | None = None,
     rho_names: tuple[str, ...] | None = None,
     last_factor: Q | None = None,
-) -> Absorption:
+) -> tuple[tuple[Stage, ...], tuple[VariableRow, ...], tuple[int, ...]]:
     """`regularize.absorb_resonances` as the engine first ran it, with
     `substitute_coeffs_by_power_table` for every substitution.
 
@@ -764,9 +763,7 @@ def absorb_resonances_by_growing_precision(
 
     if last_factor is not None and rows:
         rows[-1] = replace(rows[-1], rho_factor=last_factor)
-    return Absorption(
-        stages=tuple(stages), rows=tuple(rows), order=tuple(construction_order)
-    )
+    return tuple(stages), tuple(rows), tuple(construction_order)
 
 
 def series_linear_combo(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -176,6 +177,32 @@ def test_hamiltonian_gd(capsys):
     assert sub["dropped_singular"] == []
     assert sub["hamilton_equations_match"] is True
     assert report["transformed_system"]["regular"] is True
+
+
+def test_hamiltonian_reports_the_exchanged_coordinates(capsys, monkeypatch):
+    # under the exchange (q1, p1) -> (p1, -q1) the change of variable is
+    # built on the exchanged balance; the candidate fields must describe that
+    # balance, not the input one, under the same symbol names
+    import painleve.cli as cli
+
+    exchanges = cli.canonical_exchanges
+    monkeypatch.setattr(
+        cli, "canonical_exchanges", lambda sd: dataclasses.replace(exchanges(sd), exchange_set=(0,))
+    )
+    code, out, _ = run(capsys, "hamiltonian", str(DATA / "gd.ham"), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["hamiltonian"]["exchange_set"] == [0]
+    exponents = report["exponents"]
+    assert exponents == [5, 4, 2, 3]
+    assert report["leading"] == ["1", "0", "1", "1"]
+    assert report["change_of_variable"]["rows"]["q1"] == [[-exponents[0], "1"]]
+    assert report["balance_coefficients"]["q1"]["terms"][0] == [-5, "1"]
+    assert report["resonance_matrix_det"] != "0"
+    code, out, _ = run(capsys, "hamiltonian", str(DATA / "gd.ham"))
+    assert code == 0
+    assert out.startswith("candidate k=(5, 4, 2, 3) c=(1, 0, 1, 1)\n")
+    assert "  q1 = Q1^-5\n" in out
 
 
 def test_cli_calls_leave_no_garbage_cycle(capsys):

@@ -189,7 +189,7 @@ def _block_diag_symplectic(A: RatMatrix) -> SymplecticData:
     B = A.inverse().transpose()
     rows = [list(A.row(i)) + [Q(0)] * n for i in range(n)]
     rows += [[Q(0)] * n + list(B.row(i)) for i in range(n)]
-    return SymplecticData(d=0, column_resonances=tuple(range(2 * n)), S=RatMatrix(rows))
+    return SymplecticData(column_resonances=tuple(range(2 * n)), S=RatMatrix(rows))
 
 
 def _leading_minors(S: RatMatrix, n: int) -> list:
@@ -249,7 +249,6 @@ def test_apply_exchanges_preserves_hamiltonian_form(henon_heiles):
 
         # force an exchange on dof 0 and a relabeling swap
         sd = SymplecticData(
-            d=0,
             column_resonances=(),
             S=RatMatrix.identity(4),
             exchange_set=(0,),
@@ -300,7 +299,7 @@ def test_exchanged_balance_solves_exchanged_system(henon_heiles, exchange_set, r
     esys = hamiltonian_to_system(ehs)
     assert exchanged.system == esys
     assert residual_check(esys, exchanged) == balance.order - max(balance.dominant.exponents) - 1
-    assert check_principal(exchanged).principal
+    assert not check_principal(exchanged)[1].is_zero
     assert exchanged.parameters == balance.parameters
     # after a pure relabelling the analysis of the exchanged system finds the
     # permuted balance coefficient for coefficient; after a sign flip its
@@ -316,16 +315,16 @@ def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
-    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
-    cov = pipe.change
-    names = [pipe.system.u_symbols[i] for i in cov.order]
+    _, balance, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
+    cov = reg.change
+    names = [balance.system.u_symbols[i] for i in cov.order]
     assert names == ["q1", "q2", "p2", "p1"]
-    rows = {pipe.system.u_symbols[r.index]: r for r in cov.rows}
+    rows = {balance.system.u_symbols[r.index]: r for r in cov.rows}
     assert rows["q2"].exponent(cov.k) == 2 - 4
     assert rows["p2"].exponent(cov.k) == 5 - 3
     assert rows["p1"].exponent(cov.k) == 8 - 5
     assert rows["p1"].rho_factor == Q(-1, 2)
-    assert pipe.regularization.regularity is None
+    assert reg.regularity is None
 
 
 @pytest.mark.parametrize("exchange_set", [(0,), (1,), (0, 1)])
@@ -336,19 +335,19 @@ def test_forced_exchanges_give_a_canonical_change_gd(gd_hamiltonian, gd_candidat
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
     forced = dataclasses.replace(sd, exchange_set=exchange_set)
-    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, forced)
-    assert pipe.regularization.regularity is None
-    assert verify_canonical(pipe.change, 2) is None
-    nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
-    assert hamilton_equations_match(nh, pipe)
+    ehs, balance, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, forced)
+    assert reg.regularity is None
+    assert verify_canonical(reg.change, 2) is None
+    regular, _ = new_hamiltonian(ehs.H, reg.change, balance.system.u_symbols, True)
+    assert hamilton_equations_match(regular, reg.transformed)
 
 
 def test_verify_canonical_gd(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
-    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
-    assert verify_canonical(pipe.change, 2) is None
+    _, _, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
+    assert verify_canonical(reg.change, 2) is None
 
 
 def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
@@ -356,8 +355,8 @@ def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
-    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
-    cov = pipe.change
+    _, _, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
+    cov = reg.change
     last = cov.rows[-1]
     plain_last = VariableRow(
         index=last.index,
@@ -382,27 +381,27 @@ def test_one_dof_canonical(one_dof):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(cand.balance), d)
     )
-    pipe = build_canonical_change(hs, cand.balance, sd)
-    cov = pipe.change
+    ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
+    cov = reg.change
     # the momentum variable carries the -1/k factor at tau^(mu0 - l1) = tau^3
     row = cov.rows[0]
     assert row.rho_factor == Q(-1, 2)
     assert row.exponent(cov.k) == 6 - 3
     assert verify_canonical(cov, 1) is None
-    nh = new_hamiltonian(pipe.hamiltonian.H, cov, pipe.system.u_symbols, True)
-    assert nh.dropped == ()
-    assert hamilton_equations_match(nh, pipe)
+    regular, dropped = new_hamiltonian(ehs.H, cov, balance.system.u_symbols, True)
+    assert dropped == ()
+    assert hamilton_equations_match(regular, reg.transformed)
 
 
 def test_new_hamiltonian_gd(gd_hamiltonian, gd_candidate):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(gd_candidate.balance), 8)
     )
-    pipe = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
-    nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, True)
-    assert nh.dropped == ()
-    assert not nh.regular.is_zero
-    assert hamilton_equations_match(nh, pipe)
+    ehs, balance, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
+    regular, dropped = new_hamiltonian(ehs.H, reg.change, balance.system.u_symbols, True)
+    assert dropped == ()
+    assert not regular.is_zero
+    assert hamilton_equations_match(regular, reg.transformed)
 
 
 def test_new_hamiltonian_substitution_mechanics():
@@ -418,8 +417,8 @@ def test_new_hamiltonian_substitution_mechanics():
         ),
     )
     H = MultiPoly.var("q") * MultiPoly.var("p")
-    nh = new_hamiltonian(H, cov, ("q", "p"), True)
-    assert nh.regular == MultiPoly.var("P1")
+    regular, _ = new_hamiltonian(H, cov, ("q", "p"), True)
+    assert regular == MultiPoly.var("P1")
 
 
 @pytest.mark.parametrize(
@@ -440,14 +439,14 @@ def test_non_autonomous_hamiltonian_drops_singular_terms(text, d, dropped):
     sd = canonical_exchanges(
         symplectic_normalize(resonance_columns(cand.balance), d)
     )
-    pipe = build_canonical_change(hs, cand.balance, sd)
-    assert pipe.regularization.regularity is None
-    assert verify_canonical(pipe.change, 1) is None
-    nh = new_hamiltonian(pipe.hamiltonian.H, pipe.change, pipe.system.u_symbols, False)
+    ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
+    assert reg.regularity is None
+    assert verify_canonical(reg.change, 1) is None
+    regular, singular = new_hamiltonian(ehs.H, reg.change, balance.system.u_symbols, False)
     # the time-dependent terms pull back to singular orders
-    assert [[o, str(p)] for o, p in nh.dropped] == dropped
+    assert [[o, str(p)] for o, p in singular] == dropped
     # Hamilton's equations of the regular part give the transformed system
-    assert hamilton_equations_match(nh, pipe)
+    assert hamilton_equations_match(regular, reg.transformed)
 
 
 def test_henon_heiles_symplectic_structure():

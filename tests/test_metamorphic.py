@@ -9,6 +9,11 @@ must get related results.
 * Shifting time, t -> t + a, in a non-autonomous system keeps every
   candidate, and `regularize` of each principal balance stays regular or
   not: the shift only moves the pole, t0 -> t0 - a.
+* Raising the expansion order keeps every candidate and verdict, extends
+  each balance's coefficients, and leaves the change of variable and the
+  transformed system of `regularize` as they were: both read the balance
+  only up to its largest resonance.  The transformed balances agree below
+  the shorter truncation.
 
 Only the analysis is compared.  A rescaled system need not regularize: the
 pivot needs a rational k-th root of 1/c, which a rescaling can take away.
@@ -19,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import agrees_with
 from painleve.algebra import MultiPoly
 from painleve.core import analyze_system
 from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
@@ -122,3 +128,31 @@ def test_time_shift_keeps_the_candidates_and_regularity(name, system, order, a):
     assert _summary(shifted, order) == _summary(system, order)
     regular = _regular(system, order)
     assert regular and _regular(shifted, order) == regular
+
+
+PREFIX_INPUTS = ("gd.ham", "painleve1.ham", "pole2.sys", "riccati.sys")
+
+
+@pytest.mark.parametrize("name", PREFIX_INPUTS)
+def test_raising_the_order_extends_the_balances(name):
+    system = dict(SYSTEMS)[name]
+    low, high = analyze_system(system, order=12), analyze_system(system, order=20)
+    assert low.verdict == high.verdict
+    assert [(c.exponents, c.leading, c.verdict, c.structure) for c in low.candidates] == [
+        (c.exponents, c.leading, c.verdict, c.structure) for c in high.candidates
+    ]
+    regularized = 0
+    for short, long in zip(low.candidates, high.candidates):
+        if short.balance is None:
+            continue
+        assert all(row == whole[:12] for row, whole in zip(short.balance.coeffs, long.balance.coeffs))
+        if short.verdict != "principal":
+            continue
+        a, b = regularize(short.balance), regularize(long.balance)
+        assert a.change == b.change and a.transformed == b.transformed
+        ta, tb = a.transformed_balance, b.transformed_balance
+        assert ta.initial_values == tb.initial_values
+        assert agrees_with(ta.tau, tb.tau) and ta.rho.keys() == tb.rho.keys()
+        assert all(agrees_with(ta.rho[nm], tb.rho[nm]) for nm in ta.rho)
+        regularized += 1
+    assert regularized

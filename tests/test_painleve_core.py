@@ -26,7 +26,7 @@ from painleve.core import (
     solve_dominant,
     verify_dominant_balance,
 )
-from painleve.model import BalanceSpec, hamiltonian_to_system, parse_input, parse_system
+from painleve.model import hamiltonian_to_system, parse_input, parse_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -329,25 +329,25 @@ def test_expand_balance_inconsistent_recursion():
 
 
 def test_check_principal_riccati(riccati_candidate):
-    verdict = check_principal(riccati_candidate.balance)
-    assert verdict.principal and verdict.n_s == 1
-    assert verdict.det == MultiPoly.const(1)
+    matrix, det = check_principal(riccati_candidate.balance)
+    assert matrix == ((MultiPoly.const(1),),)  # the basic vector -k c alone
+    assert det == MultiPoly.const(1)
 
 
 def test_check_principal_gd(gd_candidate):
-    verdict = check_principal(gd_candidate.balance)
-    assert verdict.principal
-    assert verdict.n_s == 4
-    assert not verdict.det.is_zero
+    matrix, det = check_principal(gd_candidate.balance)
+    assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
+    assert not det.is_zero
 
 
 def test_check_principal_stripped_parameter(gd_candidate):
+    # three columns for four variables: no square matrix, so a zero determinant
     stripped = dataclasses.replace(
         gd_candidate.balance, parameters=gd_candidate.balance.parameters[:-1]
     )
-    verdict = check_principal(stripped)
-    assert not verdict.principal
-    assert verdict.n_s == 3
+    matrix, det = check_principal(stripped)
+    assert len(matrix) == 4 and all(len(row) == 3 for row in matrix)
+    assert det.is_zero
 
 
 def test_residual_check_passes(gd_system, gd_candidate):
@@ -379,8 +379,7 @@ def test_parameterized_leading_coefficients_resonance_zero():
     # resonance-0 family with K (dc/dr) = 0
     sys = parse_system("system\nvars: u1,u2\nu1' = u1^2\nu2' = u2\n")
     r = MultiPoly.var("r")
-    spec = BalanceSpec(exponents=(1, 0), leading=(MultiPoly.const(-1), r))
-    result = analyze_system(sys, order=8, spec=spec)
+    result = analyze_system(sys, order=8, exponents=(1, 0), leading=(MultiPoly.const(-1), r))
     assert result.verdict == "principal"
     cand = result.principal_candidates()[0]
     assert cand.structure.resonances == (-1, 0)
@@ -401,11 +400,12 @@ def test_analyze_system_gd_overall(gd_analysis):
 
 
 def test_analyze_system_with_spec_overrides(gd_system):
-    spec = BalanceSpec(
+    result = analyze_system(
+        gd_system,
+        order=10,
         exponents=(2, 4, 5, 3),
         leading=tuple(MultiPoly.const(x) for x in (1, 0, -1, 1)),
     )
-    result = analyze_system(gd_system, order=10, spec=spec)
     assert result.verdict == "principal"
     assert len(result.candidates) == 1
     assert result.candidates[0].balance.order == 10

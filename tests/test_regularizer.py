@@ -17,7 +17,6 @@ from painleve.algebra import MultiPoly
 from painleve.cli import main
 from painleve.core import SERIES_VAR, T0_SYMBOL, analyze_system
 from painleve.model import (
-    BalanceSpec,
     ODESystem,
     ParseError,
     hamiltonian_to_system,
@@ -90,7 +89,7 @@ def _transformed_balance_solves_system(reg):
     values = {T0_SYMBOL: Q(2, 3)}
     for idx, (nm, _) in enumerate(balance.parameters):
         values[nm] = Q(3 + 2 * idx, 5)
-    series = {ts.tau_name: tb.tau}
+    series = {ts.names[0]: tb.tau}
     series.update(tb.rho)
     cut = min(s.trunc for s in series.values()) - 1
     inst = {}
@@ -105,7 +104,7 @@ def _transformed_balance_solves_system(reg):
         poly = MultiPoly.zero()
         for o in g.orders():
             assert o >= 0
-            poly = poly + g.coeffs[o] * MultiPoly.var(ts.tau_name) ** o
+            poly = poly + g.coeffs[o] * MultiPoly.var(ts.names[0]) ** o
         g_polys.append(poly)
     # non-autonomous right sides carry t: bind it to t0 + s
     t_laurent = {0: values[T0_SYMBOL], 1: Q(1)}
@@ -140,7 +139,7 @@ def test_pole2_full(pole2_candidate):
     balance = pole2_candidate.balance
     reg = regularize(balance)
     assert reg.normalized.beta == 1  # c1 = 1, k1 = 2
-    stages = reg.absorption.stages
+    stages = reg.stages
     assert len(stages) == 1 and stages[0].resonance == 6
     assert stages[0].pivot_block.rows == 1
     assert stages[0].pivot_block.entry(0, 0) != 0
@@ -165,8 +164,8 @@ def test_gd_full(gd_candidate):
     balance = gd_candidate.balance
     reg = regularize(balance)
     assert reg.normalized.beta == 1
-    assert [s.resonance for s in reg.absorption.stages] == [2, 5, 8]
-    for stage in reg.absorption.stages:
+    assert [s.resonance for s in reg.stages] == [2, 5, 8]
+    for stage in reg.stages:
         assert stage.pivot_block.det() != 0
     assert reg.regularity is None
     # triangularity: head coefficients use only earlier rho symbols
@@ -208,7 +207,7 @@ def test_painleve_ii_initial_value_is_read_at_t0():
     for cand in result.principal_candidates():
         reg = regularize(cand.balance)
         assert reg.regularity is None
-        (a_lam,) = reg.absorption.stages[0].a_lam
+        (a_lam,) = reg.stages[0].a_lam
         assert "t" in a_lam.symbols()
         assert reg.transformed_balance.initial_values["rho2"] == a_lam.replace({"t": MultiPoly.var(T0_SYMBOL)})
         _roundtrip(cand.balance, reg)
@@ -228,11 +227,12 @@ def test_no_rational_root_pivot():
 def test_resonance_zero_absorption():
     sysm = parse_system("system\nvars: u1,u2\nu1' = u1^2\nu2' = u2\n")
     r = MultiPoly.var("r")
-    spec = BalanceSpec(exponents=(1, 0), leading=(MultiPoly.const(-1), r))
-    balance = analyze_system(sysm, order=8, spec=spec).principal_candidates()[0].balance
+    balance = analyze_system(
+        sysm, order=8, exponents=(1, 0), leading=(MultiPoly.const(-1), r)
+    ).principal_candidates()[0].balance
     reg = regularize(balance)
     assert reg.regularity is None
-    assert [s.resonance for s in reg.absorption.stages] == [0]
+    assert [s.resonance for s in reg.stages] == [0]
     row = reg.change.rows[0]
     assert row.head == () and row.exponent(reg.change.k) == 0
     # u2 = rho2 exactly: the transformed equation must be rho2' = rho2
@@ -253,7 +253,7 @@ def test_multiplicity_two_resonance_block():
     balance = cand.balance
     assert len(balance.parameters) == 2
     reg = regularize(balance)
-    stages = reg.absorption.stages
+    stages = reg.stages
     assert len(stages) == 1
     assert stages[0].resonance == 2 and len(stages[0].variables) == 2
     assert stages[0].pivot_block.rows == 2
@@ -299,15 +299,14 @@ def test_multiplicity_two_block_with_coupling():
         "system\nvars: u1,u2,u3\nu1' = u1^2\nu2' = u2 + u3\nu3' = u3\n"
     )
     r, w = MultiPoly.var("r"), MultiPoly.var("w")
-    spec = BalanceSpec(exponents=(1, 0, 0), leading=(MultiPoly.const(-1), r, w))
-    result = analyze_system(sysm, order=8, spec=spec)
+    result = analyze_system(sysm, order=8, exponents=(1, 0, 0), leading=(MultiPoly.const(-1), r, w))
     cand = result.principal_candidates()[0]
     assert cand.structure.resonances == (-1, 0)
     assert cand.structure.multiplicities == (1, 2)
     reg = regularize(cand.balance)
     assert reg.regularity is None
-    assert len(reg.absorption.stages) == 1
-    assert reg.absorption.stages[0].pivot_block.det() != 0
+    assert len(reg.stages) == 1
+    assert reg.stages[0].pivot_block.det() != 0
     # the new system is linear: rho2' = rho2 + rho3, rho3' = rho3
     rho2, rho3 = MultiPoly.var("rho2"), MultiPoly.var("rho3")
     assert reg.transformed.g[1].coeffs == {0: rho2 + rho3}
@@ -343,9 +342,9 @@ def test_normalization_resonance_matrix_invertible(gd_candidate):
 
 def test_absorption_respects_prescribed_order(gd_candidate):
     nb = indicial_normalization(gd_candidate.balance)
-    absorption = absorb_resonances(nb, var_order=(1, 3, 2))
-    assert absorption.order == (0, 1, 3, 2)
-    cov = build_triangular_change(nb, absorption)
+    _, rows, order = absorb_resonances(nb, var_order=(1, 3, 2))
+    assert order == (0, 1, 3, 2)
+    cov = build_triangular_change(nb, rows, order)
     ts = transform_system(gd_candidate.balance.system, cov)
     assert verify_regularity(ts) is None
 
@@ -506,8 +505,8 @@ def test_canonical_transformed_balance_matches_composition(monkeypatch, capsys, 
     home = sys.modules["painleve.regularize"]
     taylor, calls = home.transform_balance, []
 
-    def recorded(balance, absorption, cov, ts):
-        calls.append((balance, cov, taylor(balance, absorption, cov, ts)))
+    def recorded(balance, stages, cov, ts):
+        calls.append((balance, cov, taylor(balance, stages, cov, ts)))
         return calls[-1][2]
 
     monkeypatch.setattr(home, "transform_balance", recorded)
@@ -529,7 +528,7 @@ def test_taylor_solution_refuses_to_read_a_capped_series(pole2_candidate):
     early = TruncatedSeries(g_tau.var, {0: g_tau.coeffs[0], 5: g_tau.coeffs[6]}, EXACT)
     ts = dataclasses.replace(reg.transformed, g=(early, g_rho))
     with pytest.raises(AssertionError, match="tau' reads a series beyond its truncation"):
-        transform_balance(pole2_candidate.balance, reg.absorption, reg.change, ts)
+        transform_balance(pole2_candidate.balance, reg.stages, reg.change, ts)
 
 
 def test_singular_system_has_no_transformed_balance(monkeypatch, capsys, pole2_candidate):

@@ -8,17 +8,17 @@ tests/oracles.py, and each definition there must in turn be named by a
 test, a fixture or another oracle.  The check reads names only, so a
 member whose name is also used for something else passes it.
 
-No module but algebra.py imports or reads an attribute named like an
-underscore member of `painleve.algebra` or `MultiPoly`, so the packed key
+An underscore name stays private to the module that binds it: no other
+module imports it or reads an attribute by that name.  So the packed key
 format of a polynomial stays private to algebra.py.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import painleve
-from painleve import algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "painleve"
@@ -28,7 +28,7 @@ SPANS = ROOT / "perfbench" / "spans.py"
 # definitions kept although nothing in src/ reaches them yet
 ALLOWED = {
     # certificates of a balance: an opt-in CLI flag is to report them
-    # (ROADMAP item 6, "Opt-in certificates and an in-package trace")
+    # (ROADMAP item 9, "Opt-in certificates and an in-package trace")
     "core.residual_check",
     "core.basic_resonance_check",
 }
@@ -98,28 +98,45 @@ def test_oracles_define_nothing_no_test_reaches():
     assert unused_definitions(TESTS, checked=["oracles"]) == []
 
 
-def _private_members() -> set[str]:
-    """The underscore names of `painleve.algebra` and of `MultiPoly`, dunders aside."""
-    names = set(vars(algebra)) | set(dir(algebra.MultiPoly))
-    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def test_only_algebra_names_its_private_members():
+def _private_members(module: str, tree: ast.Module) -> set[str]:
+    """The underscore names, dunders aside, that a module binds: its
+    functions, classes, arguments, assigned names and stored attributes, and
+    the members of its classes (slots among them)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(importlib.import_module(f"painleve.{module}"), node.name)
+            names |= set(dir(cls))
+    return {name for name in names if _is_private(name)}
+
+
+def test_each_module_keeps_its_private_names():
     # the packed key format (fields, symbol bits, numerators over one
-    # denominator) is a decision of algebra.py alone
-    private = _private_members()
-    assert {"_FIELDS", "_den", "_nums", "_bits"} <= private
+    # denominator) is a decision of algebra.py alone, and so on for every
+    # module's own helpers
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    private = {module: _private_members(module, tree) for module, tree in trees.items()}
+    assert {"_FIELDS", "_den", "_nums", "_bits"} <= private["algebra"]
     leaks = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "algebra.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in private:
-                leaks.append(f"{path.name}:{node.lineno} {name}")
+    for module, tree in trees.items():
+        others = set().union(*(names for m, names in private.items() if m != module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("painleve")):
+                leaks += [f"{module}:{node.lineno} {a.name}" for a in node.names if _is_private(a.name)]
+            elif isinstance(node, ast.Attribute):
+                if node.attr in others and node.attr not in private[module]:
+                    leaks.append(f"{module}:{node.lineno} {node.attr}")
     assert leaks == []
