@@ -15,11 +15,12 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 
 from .algebra import ExponentOverflow, MultiPoly, ShapeError
-from .core import AnalysisResult, CandidateReport, LimitError, analyze_system, check_principal
+from .core import AnalysisResult, CandidateReport, LimitError, analyze_system, expanded_candidate
 from .hamiltonian import (
     HamiltonianRejected,
     build_canonical_change,
@@ -52,6 +53,9 @@ from .regularize import (
 from .series import NotReversible, TruncationUnderflow, VariableMismatch
 
 DT_DISPLAY = "(t-t0)"
+# a head coefficient of the change of variable prints bare when it is a
+# rational, and in parentheses when it is a polynomial
+RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,94 +181,82 @@ def candidate_report(sys: ODESystem, cand: CandidateReport) -> dict:
 
 def _detail_json(detail) -> object:
     if is_dataclass(detail) and not isinstance(detail, type):
-        return jsonable(
-            {"kind": type(detail).__name__, **{k: v for k, v in asdict(detail).items()}}
-        )
-    return jsonable(str(detail))
+        return jsonable({"kind": type(detail).__name__, **asdict(detail)})
+    return str(detail)
 
 
-def change_of_variable_report(reg: Regularization, sys: ODESystem) -> dict:
+def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
+    """The change of variable, the transformed system and its Taylor balance."""
     cov = reg.change
     rows = {
         sys.u_symbols[cov.pivot]: [[-cov.k[cov.pivot], "1"]],
     }
     for row in cov.rows:
-        entries = [[o, str(p)] for o, p in row.head]
         rho = MultiPoly.var(row.rho_name) * row.rho_factor
-        entries.append([row.exponent(cov.k), str(rho)])
-        rows[sys.u_symbols[row.index]] = entries
-    return {
-        "pivot_order": [sys.u_symbols[i] for i in cov.order],
-        "root_beta": str(cov.beta),
-        "tau": cov.tau_name,
-        "new_variables": list(cov.new_names()),
-        "rows": rows,
-    }
-
-
-def transformed_system_report(reg: Regularization) -> dict:
+        rows[sys.u_symbols[row.index]] = [[o, str(p)] for o, p in row.head] + [
+            [row.exponent(cov.k), str(rho)]
+        ]
     ts = reg.transformed
-    return {
-        "variables": list(ts.names),
-        "right_sides": {
-            f"{name}'": g for name, g in zip(ts.names, ts.g)
-        },
-        "min_exponents": list(ts.min_exponents),
-        "regular": reg.regularity is None,
-    }
-
-
-def transformed_balance_report(reg: Regularization) -> dict | None:
     tb = reg.transformed_balance
-    if tb is None:  # a singular transformed system has no Taylor solution
-        return None
     return {
-        "tau_series": tb.tau.rename_var(DT_DISPLAY),
-        "rho_series": {nm: s.rename_var(DT_DISPLAY) for nm, s in tb.rho.items()},
-        "initial_values": {nm: str(p) for nm, p in tb.initial_values.items()},
-        "tau_derivative_at_t0": str(reg.normalized.beta),
+        "change_of_variable": {
+            "pivot_order": [sys.u_symbols[i] for i in cov.order],
+            "root_beta": str(cov.beta),
+            "tau": cov.tau_name,
+            "new_variables": list(cov.new_names()),
+            "rows": rows,
+        },
+        "transformed_system": {
+            "variables": list(ts.names),
+            "right_sides": {f"{name}'": g for name, g in zip(ts.names, ts.g)},
+            "min_exponents": list(ts.min_exponents),
+            "regular": reg.regularity is None,
+        },
+        # a singular transformed system has no Taylor solution
+        "transformed_balance": None if tb is None else {
+            "tau_series": tb.tau.rename_var(DT_DISPLAY),
+            "rho_series": {nm: s.rename_var(DT_DISPLAY) for nm, s in tb.rho.items()},
+            "initial_values": {nm: str(p) for nm, p in tb.initial_values.items()},
+            "tau_derivative_at_t0": str(reg.normalized.beta),
+        },
     }
 
 
 # ----------------------------------------------------------------------
-# pretty printing
+# pretty printing, from the report dicts above
 
 
-def _print_candidate(sys: ODESystem, cand: CandidateReport, out) -> None:
-    c_text = (
-        "(" + ", ".join(str(x) for x in cand.leading) + ")" if cand.leading else "?"
-    )
-    print(f"candidate k={tuple(cand.exponents)} c={c_text}", file=out)
-    print(f"  verdict: {cand.verdict}", file=out)
-    if cand.structure is not None:
-        print(f"  resonances: {list(cand.structure.resonances)}", file=out)
-    if cand.balance is not None:
-        for i, name in enumerate(sys.u_symbols):
-            series = cand.balance.series(i).rename_var(DT_DISPLAY)
-            print(f"  {name} = {series}", file=out)
-    if cand.detail is not None:
-        print(f"  detail: {_detail_json(cand.detail)}", file=out)
+def _print_candidate(report: dict) -> None:
+    leading = report.get("leading")
+    c_text = "(" + ", ".join(leading) + ")" if leading else "?"
+    print(f"candidate k={tuple(report['exponents'])} c={c_text}")
+    print(f"  verdict: {report['verdict']}")
+    if "resonances" in report:
+        print(f"  resonances: {report['resonances']}")
+    for name, series in report.get("balance_coefficients", {}).items():
+        print(f"  {name} = {series}")
+    if "detail" in report:
+        print(f"  detail: {report['detail']}")
 
 
-def _print_regularization(sys: ODESystem, reg: Regularization, out) -> None:
-    cov = reg.change
-    print(f"pivot order: {[sys.u_symbols[i] for i in cov.order]}", file=out)
-    print(f"tau'({cov.tau_name}) at t0: {cov.beta}", file=out)
-    print("change of variable:", file=out)
-    print(f"  {sys.u_symbols[cov.pivot]} = {cov.tau_name}^{-cov.k[cov.pivot]}", file=out)
-    for row in cov.rows:
-        parts = []
-        for o, p in row.head:
-            body = str(p) if p.is_constant else f"({p})"
-            parts.append(f"{body}*{cov.tau_name}^{o}")
-        rho = MultiPoly.var(row.rho_name) * row.rho_factor
-        parts.append(f"({rho})*{cov.tau_name}^{row.exponent(cov.k)}")
-        print(f"  {sys.u_symbols[row.index]} = " + " + ".join(parts), file=out)
-    print("transformed system:", file=out)
-    for name, g in zip(reg.transformed.names, reg.transformed.g):
-        print(f"  {name}' = {g}", file=out)
-    regular = reg.regularity is None
-    print(f"regular: {regular}", file=out)
+def _print_regularization(report: dict) -> None:
+    cov = report["change_of_variable"]
+    tau = cov["tau"]
+    print(f"pivot order: {cov['pivot_order']}")
+    print(f"tau'({tau}) at t0: {cov['root_beta']}")
+    print("change of variable:")
+    # the pivot row comes first; every other row ends with its rho term
+    (pivot, [[pivot_exponent, _]]), *rows = cov["rows"].items()
+    print(f"  {pivot} = {tau}^{pivot_exponent}")
+    for name, (*head, (rho_exponent, rho)) in rows:
+        parts = [f"{p if RATIONAL.fullmatch(p) else f'({p})'}*{tau}^{o}" for o, p in head]
+        parts.append(f"({rho})*{tau}^{rho_exponent}")
+        print(f"  {name} = " + " + ".join(parts))
+    ts = report["transformed_system"]
+    print("transformed system:")
+    for lhs, g in ts["right_sides"].items():
+        print(f"  {lhs} = {g}")
+    print(f"regular: {ts['regular']}")
 
 
 # ----------------------------------------------------------------------
@@ -302,18 +294,14 @@ def _pick_principal(result: AnalysisResult, index: int) -> CandidateReport:
 def cmd_test(args) -> int:
     system, _, result = _analyze(args)
     reports = [candidate_report(system, cand) for cand in result.candidates]
-    top: dict = {"verdict": result.verdict}
-    principal = result.principal_candidates()
-    if principal:
-        top.update(candidate_report(system, principal[0]))
-        top["verdict"] = result.verdict
-    top["balances"] = reports
+    principal = next((r for r in reports if r["verdict"] == "principal"), {})
+    top = {**principal, "verdict": result.verdict, "balances": reports}
     if args.json:
         print(serialize_report(top))
     else:
         print(f"verdict: {result.verdict}")
-        for cand in result.candidates:
-            _print_candidate(system, cand, sys.stdout)
+        for report in reports:
+            _print_candidate(report)
     return 0 if principal else 1
 
 
@@ -322,17 +310,13 @@ def cmd_regularize(args) -> int:
     cand = _pick_principal(result, args.balance_index)
     assert cand.balance is not None
     reg = regularize(cand.balance)
-    report = candidate_report(system, cand)
-    report["change_of_variable"] = change_of_variable_report(reg, system)
-    report["transformed_system"] = transformed_system_report(reg)
-    report["transformed_balance"] = transformed_balance_report(reg)
-    regular = reg.regularity is None
+    report = candidate_report(system, cand) | regularization_report(reg, system)
     if args.json:
         print(serialize_report(report))
     else:
-        _print_candidate(system, cand, sys.stdout)
-        _print_regularization(system, reg, sys.stdout)
-    return 0 if regular else 1
+        _print_candidate(report)
+        _print_regularization(report)
+    return 0 if report["transformed_system"]["regular"] else 1
 
 
 def cmd_hamiltonian(args) -> int:
@@ -360,8 +344,7 @@ def cmd_hamiltonian(args) -> int:
             sd = symplectic_normalize(resonance_columns(cand.balance), d)
     if isinstance(sd, HamiltonianRejected):
         sub["rejected"] = jsonable({"reason": sd.reason, "detail": str(sd.detail)})
-        report = candidate_report(system, cand)
-        report["hamiltonian"] = sub
+        report = candidate_report(system, cand) | {"hamiltonian": sub}
         # a normalization rejection's text leaves out its detail, often a matrix
         detail = "" if "pairing" in sub else f" ({sd.detail})"
         print(serialize_report(report) if args.json else f"rejected: {sd.reason}{detail}")
@@ -369,16 +352,6 @@ def cmd_hamiltonian(args) -> int:
     sd = canonical_exchanges(sd)
     ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
     esys = balance.system
-    # the candidate in the exchanged coordinates, in which the change is built
-    cand = replace(
-        cand,
-        exponents=balance.dominant.exponents,
-        leading=balance.dominant.leading,
-        K=balance.structure.K,
-        structure=balance.structure,
-        balance=balance,
-        principal=check_principal(balance),
-    )
     canonical = verify_canonical(reg.change, n) is None
     regular_h, dropped = new_hamiltonian(ehs.H, reg.change, esys.u_symbols, hs.autonomous)
     sub |= {
@@ -391,25 +364,24 @@ def cmd_hamiltonian(args) -> int:
     }
     if hs.autonomous:
         sub["hamilton_equations_match"] = hamilton_equations_match(regular_h, reg.transformed)
-    report = candidate_report(esys, cand)
-    report["change_of_variable"] = change_of_variable_report(reg, esys)
-    report["transformed_system"] = transformed_system_report(reg)
-    report["transformed_balance"] = transformed_balance_report(reg)
-    report["hamiltonian"] = sub
-    regular = reg.regularity is None
-    ok = regular and canonical
+    # the candidate in the exchanged coordinates, in which the change is built
+    report = (
+        candidate_report(esys, expanded_candidate(balance))
+        | regularization_report(reg, esys)
+        | {"hamiltonian": sub}
+    )
     if args.json:
         print(serialize_report(report))
     else:
-        _print_candidate(esys, cand, sys.stdout)
-        print(f"d = {d}; pairing {pairing}; exchanges {list(sd.exchange_set)}", file=sys.stdout)
-        print(f"symplectic S = {sd.S}", file=sys.stdout)
-        _print_regularization(esys, reg, sys.stdout)
-        print(f"canonical: {canonical}", file=sys.stdout)
-        print(f"new hamiltonian: {regular_h}", file=sys.stdout)
-        if dropped:
-            print(f"dropped singular terms: {[[o, str(p)] for o, p in dropped]}")
-    return 0 if ok else 1
+        _print_candidate(report)
+        print(f"d = {d}; pairing {pairing}; exchanges {sub['exchange_set']}")
+        print(f"symplectic S = {sub['S']}")
+        _print_regularization(report)
+        print(f"canonical: {canonical}")
+        print(f"new hamiltonian: {sub['new_hamiltonian']}")
+        if sub["dropped_singular"]:
+            print(f"dropped singular terms: {sub['dropped_singular']}")
+    return 0 if report["transformed_system"]["regular"] and canonical else 1
 
 
 def main(argv=None) -> int:

@@ -584,7 +584,7 @@ def residual_check(sys: ODESystem, balance: Balance) -> int | ResidualWitness:
 # whole-system analysis
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateReport:
     exponents: tuple[int, ...]
     verdict: str  # principal | not_principal | fails:<stage>
@@ -617,30 +617,36 @@ _VERDICT_RANK = {
 }
 
 
+def expanded_candidate(balance: Balance) -> CandidateReport:
+    """The record of a candidate whose balance expanded, every field read
+    from that balance: principal iff its resonance matrix is nonsingular."""
+    principal = check_principal(balance)
+    return CandidateReport(
+        exponents=balance.dominant.exponents,
+        verdict="not_principal" if principal[1].is_zero else "principal",
+        leading=balance.dominant.leading,
+        K=balance.structure.K,
+        structure=balance.structure,
+        balance=balance,
+        principal=principal,
+    )
+
+
 def analyze_candidate(sys: ODESystem, k: tuple[int, ...], c, order: int | None) -> CandidateReport:
     """Dominant check, Kowalevskian, spectrum, expansion and principal check
     of one candidate (k, c).  The declared parameters of `sys` name its
     resonance parameters when they fit: as many as it needs, and none of
     them in a right side or in the leading data."""
-    report = CandidateReport(exponents=k, verdict="fails:dominant")
     dd = verify_dominant_balance(sys, k, c)
     if isinstance(dd, Rejected):
-        report.detail = dd
-        return report
-    report.leading = dd.leading
+        return CandidateReport(k, "fails:dominant", detail=dd)
     try:
         K = kowalevskian(sys, dd)
     except NonConstantKowalevskian as err:
-        report.verdict = "fails:kowalevskian"
-        report.detail = str(err)
-        return report
-    report.K = K
+        return CandidateReport(k, "fails:kowalevskian", dd.leading, detail=str(err))
     rs = resonance_structure(K)
     if isinstance(rs, StructureFailure):
-        report.verdict = "fails:spectrum"
-        report.detail = rs
-        return report
-    report.structure = rs
+        return CandidateReport(k, "fails:spectrum", dd.leading, detail=rs, K=K)
     M = order if order is not None else max(rs.largest + 5, 2)
     names: tuple[str, ...] | None = sys.param_symbols
     if len(names) != needed_parameter_count(rs) or any(
@@ -649,13 +655,8 @@ def analyze_candidate(sys: ODESystem, k: tuple[int, ...], c, order: int | None) 
         names = None  # the declared names do not fit this candidate or already mean something
     balance = expand_balance(sys, dd, rs, M, names)
     if isinstance(balance, FailureAtResonance):
-        report.verdict = "fails:resonance"
-        report.detail = balance
-        return report
-    report.balance = balance
-    report.principal = check_principal(balance)
-    report.verdict = "not_principal" if report.principal[1].is_zero else "principal"
-    return report
+        return CandidateReport(k, "fails:resonance", dd.leading, detail=balance, K=K, structure=rs)
+    return expanded_candidate(balance)
 
 
 def analyze_system(
@@ -667,7 +668,10 @@ def analyze_system(
 ) -> AnalysisResult:
     """Run the full test: enumerate exponents, solve dominants, expand,
     classify.  Given `exponents`, and with them `leading`, the candidate is
-    pinned instead of searched for."""
+    pinned instead of searched for; `leading` alone is a ValueError, since
+    a leading vector solves the dominant balance of one exponent vector."""
+    if leading is not None and exponents is None:
+        raise ValueError("leading coefficients need the exponents they solve")
     candidates: list[CandidateReport] = []
     if exponents is not None:
         k = tuple(exponents)

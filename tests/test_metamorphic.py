@@ -14,11 +14,16 @@ must get related results.
   transformed system of `regularize` as they were: both read the balance
   only up to its largest resonance.  The transformed balances agree below
   the shorter truncation.
+* A canonical exchange (q_i, p_i) -> (p_i, -q_i) of a Hamiltonian system
+  carries a principal balance to a principal balance of the exchanged
+  Hamiltonian: the exchanged balance that the canonical change is built on
+  gets the record that analyzing the exchanged Hamiltonian afresh gives.
 
 Only the analysis is compared.  A rescaled system need not regularize: the
 pivot needs a rational k-th root of 1/c, which a rescaling can take away.
 """
 
+import dataclasses
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -26,7 +31,14 @@ import pytest
 
 from oracles import agrees_with
 from painleve.algebra import MultiPoly
-from painleve.core import analyze_system
+from painleve.core import analyze_system, expanded_candidate
+from painleve.hamiltonian import (
+    build_canonical_change,
+    canonical_exchanges,
+    check_almost_weighted_homogeneous,
+    resonance_columns,
+    symplectic_normalize,
+)
 from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
 from painleve.regularize import regularize
 
@@ -156,3 +168,25 @@ def test_raising_the_order_extends_the_balances(name):
         assert all(agrees_with(ta.rho[nm], tb.rho[nm]) for nm in ta.rho)
         regularized += 1
     assert regularized
+
+
+def test_an_exchanged_balance_is_a_balance_of_the_exchanged_hamiltonian():
+    # force the exchange (q1, p1) -> (p1, -q1) on GD's principal balance
+    hs = parse_input((DATA / "gd.ham").read_text())
+    cand = analyze_system(hamiltonian_to_system(hs)).principal_candidates()[0]
+    d = check_almost_weighted_homogeneous(hs, cand.exponents[:2], cand.exponents[2:])
+    sd = canonical_exchanges(symplectic_normalize(resonance_columns(cand.balance), d))
+    sd = dataclasses.replace(sd, exchange_set=(0,))
+    ehs, balance, _ = build_canonical_change(hs, cand.balance, sd)
+    exchanged = expanded_candidate(balance)
+    assert exchanged.exponents == (5, 4, 2, 3)
+    assert [str(c) for c in exchanged.leading] == ["1", "0", "1", "1"]
+    [fresh] = [
+        c
+        for c in analyze_system(hamiltonian_to_system(ehs)).candidates
+        if (c.exponents, c.leading) == (exchanged.exponents, exchanged.leading)
+    ]
+    assert fresh.verdict == exchanged.verdict == "principal"
+    assert fresh.K == exchanged.K
+    assert fresh.structure.resonances == exchanged.structure.resonances
+    assert fresh.structure.multiplicities == exchanged.structure.multiplicities

@@ -20,6 +20,7 @@ from painleve.core import (
     check_principal,
     enumerate_fuchsian_exponents,
     expand_balance,
+    expanded_candidate,
     kowalevskian,
     resonance_structure,
     residual_check,
@@ -409,6 +410,22 @@ def test_analyze_system_with_spec_overrides(gd_system):
     assert result.verdict == "principal"
     assert len(result.candidates) == 1
     assert result.candidates[0].balance.order == 10
+
+
+def test_leading_without_exponents_is_refused(gd_system):
+    # a leading vector solves the dominant balance of one exponent vector; it
+    # must not be applied to every exponent vector of a search
+    with pytest.raises(ValueError, match="exponents"):
+        analyze_system(gd_system, leading=tuple(MultiPoly.const(x) for x in (1, 0, -1, 1)))
+
+
+def test_expanded_candidate_is_the_record_of_its_balance(gd_analysis):
+    expanded = [c for c in gd_analysis.candidates if c.balance is not None]
+    assert {c.verdict for c in expanded} == {"principal"}
+    for cand in expanded:
+        assert expanded_candidate(cand.balance) == cand
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expanded[0].verdict = "not_principal"
 
 
 def test_declared_parameter_names_the_resonance_parameter_without_a_spec():
