@@ -217,7 +217,7 @@ def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
             "tau_series": tb.tau.rename_var(DT_DISPLAY),
             "rho_series": {nm: s.rename_var(DT_DISPLAY) for nm, s in tb.rho.items()},
             "initial_values": {nm: str(p) for nm, p in tb.initial_values.items()},
-            "tau_derivative_at_t0": str(reg.normalized.beta),
+            "tau_derivative_at_t0": str(cov.beta),
         },
     }
 
@@ -343,7 +343,7 @@ def cmd_hamiltonian(args) -> int:
             sub["pairing"] = [list(p) for p in pairing]
             sd = symplectic_normalize(resonance_columns(cand.balance), d)
     if isinstance(sd, HamiltonianRejected):
-        sub["rejected"] = jsonable({"reason": sd.reason, "detail": str(sd.detail)})
+        sub["rejected"] = {"reason": sd.reason, "detail": str(sd.detail)}
         report = candidate_report(system, cand) | {"hamiltonian": sub}
         # a normalization rejection's text leaves out its detail, often a matrix
         detail = "" if "pairing" in sub else f" ({sd.detail})"

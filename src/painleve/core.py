@@ -51,10 +51,6 @@ class LimitError(ValueError):
 class DominantData:
     exponents: tuple[int, ...]
     leading: tuple[MultiPoly, ...]
-    fuchsian: bool = True
-
-    def weights(self, sys: ODESystem) -> dict[str, int]:
-        return dict(zip(sys.u_symbols, self.exponents))
 
 
 @dataclass(frozen=True)
@@ -151,28 +147,35 @@ def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[
     return found
 
 
-def _dominant_residuals(sys: ODESystem, k, c_polys) -> list[MultiPoly]:
-    """f_i^D(t0, c) + k_i c_i for each equation (zero iff the balance holds)."""
+def _unknowns(n: int) -> list[str]:
+    return [f"_c{i}" for i in range(n)]  # the parser reserves names that start with "_"
+
+
+def dominant_equations(sys: ODESystem, k) -> tuple[MultiPoly, ...]:
+    """The dominant balance of the exponents k: R_i(c) = f_i^D(t0, c) + k_i c_i
+    over the unknowns `_c<i>`, with f_i^D the part of f_i of weighted degree
+    k_i + 1.  A leading vector c solves it iff R(c) = 0, and the Jacobian of
+    R at c is the Kowalevskian matrix."""
     weights = dict(zip(sys.u_symbols, k))
-    bindings = {name: poly for name, poly in zip(sys.u_symbols, c_polys)}
-    bindings[sys.t_symbol] = MultiPoly.var(T0_SYMBOL)
-    out = []
-    for ki, f, ci in zip(k, sys.rhs, c_polys):
-        fd = f.weighted_part(weights, ki + 1)
-        out.append(fd.replace(bindings) + ci * ki)
-    return out
+    unknowns = [MultiPoly.var(nm) for nm in _unknowns(sys.n)]
+    bindings = {**dict(zip(sys.u_symbols, unknowns)), sys.t_symbol: MultiPoly.var(T0_SYMBOL)}
+    return tuple(
+        f.weighted_part(weights, ki + 1).replace(bindings) + ci * ki
+        for ki, f, ci in zip(k, sys.rhs, unknowns)
+    )
 
 
-def verify_dominant_balance(sys: ODESystem, k, c) -> DominantData | Rejected:
-    """Check f_i^D(t0, c) = -k_i c_i symbolically for every equation."""
+def verify_dominant_balance(equations, k, c) -> DominantData | Rejected:
+    """Check R(c) = 0, that is f_i^D(t0, c) = -k_i c_i, for every equation."""
     k = tuple(int(x) for x in k)
     c_polys = tuple(as_poly(x) for x in c)
-    if len(k) != sys.n or len(c_polys) != sys.n:
+    if len(k) != len(equations) or len(c_polys) != len(equations):
         raise ValueError("exponent and leading vectors must have length n")
-    for index, residual in enumerate(_dominant_residuals(sys, k, c_polys)):
+    values = dict(zip(_unknowns(len(equations)), c_polys))
+    for index, residual in enumerate(e.replace(values) for e in equations):
         if not residual.is_zero:
             return Rejected(index=index, residual=residual)
-    return DominantData(exponents=k, leading=c_polys, fuchsian=is_fuchsian(sys, k))
+    return DominantData(exponents=k, leading=c_polys)
 
 
 # Nodes one solve_dominant call may visit before it gives up; no solve over
@@ -266,9 +269,9 @@ def _solution(assigned: list[tuple[str, MultiPoly]], names, equations) -> tuple 
     return None
 
 
-def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
-    """Rational solutions of the dominant-balance equations by successive
-    elimination.
+def solve_dominant(equations) -> list[tuple[Fraction, ...]] | Unsolved:
+    """Rational solutions of R(c) = 0, the `dominant_equations`, by
+    successive elimination.
 
     Three moves, repeated until nothing is left: substitute an equation that
     is linear in one unknown with a nonzero constant coefficient; branch on
@@ -279,10 +282,8 @@ def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
     So is a search that runs past SEARCH_BUDGET nodes or meets a coefficient
     above algebra.ROOT_SEARCH_CAP, since its solutions may be incomplete.
     """
-    k = tuple(int(x) for x in k)
-    names = [f"_c{i}" for i in range(sys.n)]
-    c_polys = [MultiPoly.var(nm) for nm in names]
-    equations = [e for e in _dominant_residuals(sys, k, c_polys) if not e.is_zero]
+    names = _unknowns(len(equations))
+    equations = [e for e in equations if not e.is_zero]
     if any(T0_SYMBOL in e.symbols() for e in equations):
         return Unsolved("time-dependent dominant equations")
 
@@ -318,24 +319,20 @@ def solve_dominant(sys: ODESystem, k) -> list[tuple[Fraction, ...]] | Unsolved:
 # Kowalevskian matrix and resonances
 
 
-def kowalevskian(sys: ODESystem, dd: DominantData) -> RatMatrix:
-    """K = d(f^D)/d(u) at (t0, c) plus diag(k)."""
-    if not dd.fuchsian:
-        raise ValueError("Kowalevskian matrix requires Fuchsian exponents")
-    weights = dd.weights(sys)
-    bindings = {name: poly for name, poly in zip(sys.u_symbols, dd.leading)}
-    bindings[sys.t_symbol] = MultiPoly.var(T0_SYMBOL)
+def kowalevskian(equations, dd: DominantData) -> RatMatrix:
+    """K = dR/dc at c, the Jacobian of the `dominant_equations`: that is
+    d(f^D)/d(u) at (t0, c) plus diag(k)."""
+    names = _unknowns(len(equations))
+    values = dict(zip(names, dd.leading))
     rows = []
-    for i, (ki, f) in enumerate(zip(dd.exponents, sys.rhs)):
-        fd = f.weighted_part(weights, ki + 1)
+    for i, (ki, equation) in enumerate(zip(dd.exponents, equations)):
         row = []
-        for j, name in enumerate(sys.u_symbols):
-            entry = fd.partial(name).replace(bindings)
-            if not entry.is_constant:
-                raise NonConstantKowalevskian(
-                    f"entry ({i},{j}) is not a rational constant: {entry}"
-                )
-            row.append(entry.constant_value() + (ki if i == j else 0))
+        for j, name in enumerate(names):
+            entry = equation.partial(name).replace(values)
+            if not entry.is_constant:  # named as the entry of d(f^D)/d(u), without k_i
+                fd = entry - (ki if i == j else 0)
+                raise NonConstantKowalevskian(f"entry ({i},{j}) is not a rational constant: {fd}")
+            row.append(entry.constant_value())
         rows.append(row)
     return RatMatrix(rows)
 
@@ -632,16 +629,16 @@ def expanded_candidate(balance: Balance) -> CandidateReport:
     )
 
 
-def analyze_candidate(sys: ODESystem, k: tuple[int, ...], c, order: int | None) -> CandidateReport:
+def analyze_candidate(sys: ODESystem, equations, k, c, order: int | None) -> CandidateReport:
     """Dominant check, Kowalevskian, spectrum, expansion and principal check
-    of one candidate (k, c).  The declared parameters of `sys` name its
-    resonance parameters when they fit: as many as it needs, and none of
-    them in a right side or in the leading data."""
-    dd = verify_dominant_balance(sys, k, c)
+    of one candidate (k, c) of the `dominant_equations` of k.  The declared
+    parameters of `sys` name its resonance parameters when they fit: as many
+    as it needs, and none of them in a right side or in the leading data."""
+    dd = verify_dominant_balance(equations, k, c)
     if isinstance(dd, Rejected):
         return CandidateReport(k, "fails:dominant", detail=dd)
     try:
-        K = kowalevskian(sys, dd)
+        K = kowalevskian(equations, dd)
     except NonConstantKowalevskian as err:
         return CandidateReport(k, "fails:kowalevskian", dd.leading, detail=str(err))
     rs = resonance_structure(K)
@@ -669,29 +666,26 @@ def analyze_system(
     """Run the full test: enumerate exponents, solve dominants, expand,
     classify.  Given `exponents`, and with them `leading`, the candidate is
     pinned instead of searched for; `leading` alone is a ValueError, since
-    a leading vector solves the dominant balance of one exponent vector."""
+    a leading vector solves the dominant balance of one exponent vector.  A
+    pinned vector must lie in the searched box: k >= 0, k != 0, Fuchsian."""
     if leading is not None and exponents is None:
         raise ValueError("leading coefficients need the exponents they solve")
     candidates: list[CandidateReport] = []
     if exponents is not None:
         k = tuple(exponents)
-        search = [k] if is_fuchsian(sys, k) else []
+        search = [k] if any(k) and min(k) >= 0 and is_fuchsian(sys, k) else []
     else:
         search = enumerate_fuchsian_exponents(sys, bound)
     if not search:
         return AnalysisResult([], "fails:exponents")
 
     for k in search:
-        if leading is not None:
-            leadings: list = [leading]
-        else:
-            solved = solve_dominant(sys, k)
-            if isinstance(solved, Unsolved):
-                candidates.append(CandidateReport(k, "fails:dominant", detail=solved))
-                continue
-            leadings = solved
-        for c in leadings:
-            candidates.append(analyze_candidate(sys, k, c, order))
+        equations = dominant_equations(sys, k)
+        solved = [leading] if leading is not None else solve_dominant(equations)
+        if isinstance(solved, Unsolved):
+            candidates.append(CandidateReport(k, "fails:dominant", detail=solved))
+            continue
+        candidates.extend(analyze_candidate(sys, equations, k, c, order) for c in solved)
 
     if not candidates:
         return AnalysisResult([], "fails:dominant")

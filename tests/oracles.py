@@ -55,7 +55,6 @@ from painleve.core import (
     ResonanceStructure,
     Unsolved,
     _divide_out,
-    _dominant_residuals,
     _monomial_content,
     _rational_roots,
 )
@@ -242,10 +241,8 @@ def solve_dominant_by_fixed_point(sys: ODESystem, k) -> list[tuple[Q, ...]] | Un
     most n + 1 sweeps), solutions are collected in a list and deduplicated
     afterwards, and a stall is checked before and after dropping the zero
     vector.  Reads `core.SEARCH_BUDGET` at call time."""
-    k = tuple(int(x) for x in k)
     names = [f"_c{i}" for i in range(sys.n)]
-    c_polys = [MultiPoly.var(nm) for nm in names]
-    equations = [e for e in _dominant_residuals(sys, k, c_polys) if not e.is_zero]
+    equations = [e for e in core.dominant_equations(sys, k) if not e.is_zero]
     if any(T0_SYMBOL in e.symbols() for e in equations):
         return Unsolved("time-dependent dominant equations")
 

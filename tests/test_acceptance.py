@@ -19,6 +19,7 @@ from painleve.core import (
     residual_check,
     check_principal,
     analyze_system,
+    dominant_equations,
     kowalevskian,
     resonance_structure,
     verify_dominant_balance,
@@ -269,7 +270,8 @@ def test_criterion_8_property_suites(
             if cand.K is not None and cand.leading is not None:
                 # (K + I) (-k . c) = 0 for every accepted dominant balance,
                 # including those that later fail the spectrum gate
-                dd = verify_dominant_balance(sysm, cand.exponents, cand.leading)
+                equations = dominant_equations(sysm, cand.exponents)
+                dd = verify_dominant_balance(equations, cand.exponents, cand.leading)
                 assert not isinstance(dd, Rejected)
                 assert basic_resonance_check(dd, cand.K)
 
@@ -351,8 +353,9 @@ def test_criterion_9_negative_controls(gd_candidate):
 
     # engineered inconsistent recursion -> FailureAtResonance, nonzero witness
     sysm = parse_system("system\nvars: u1,u2\nu1' = u1^2 + u1\nu2' = 2*u1*u2 - u2^2\n")
-    dd = verify_dominant_balance(sysm, (1, 1), (-1, -1))
-    K = kowalevskian(sysm, dd)
+    equations = dominant_equations(sysm, (1, 1))
+    dd = verify_dominant_balance(equations, (1, 1), (-1, -1))
+    K = kowalevskian(equations, dd)
     rs2 = resonance_structure(K)
     failure = expand_balance(sysm, dd, rs2, 4)
     assert isinstance(failure, FailureAtResonance)

@@ -16,6 +16,7 @@ from painleve.core import (
     Balance,
     FailureAtResonance,
     analyze_system,
+    dominant_equations,
     expand_balance,
     verify_dominant_balance,
 )
@@ -52,7 +53,8 @@ def _expandable(system):
     for cand in analyze_system(system).candidates:
         if cand.structure is None:
             continue
-        dd = verify_dominant_balance(system, cand.exponents, cand.leading)
+        equations = dominant_equations(system, cand.exponents)
+        dd = verify_dominant_balance(equations, cand.exponents, cand.leading)
         yield dd, cand.structure, max(cand.structure.largest + 5, 2)
 
 

@@ -153,6 +153,16 @@ def test_regularize_non_principal_exit_1(capsys):
     assert err == "error: no principal balance found (verdict fails:exponents)\n"
 
 
+def test_regularize_negative_pinned_exponent_exit_1(capsys, tmp_path):
+    # u' = 2 is regular: k = -1 lies outside the search box, so no balance
+    # reaches the root extraction of the change of variable
+    path = tmp_path / "const.sys"
+    path.write_text("system\nvars: u\nu' = 2\n")
+    code, out, err = run(capsys, "regularize", str(path), "--exponents=-1")
+    assert (code, out) == (1, "")
+    assert err == "error: no principal balance found (verdict fails:exponents)\n"
+
+
 def test_regularize_gd(capsys):
     code, out, _ = run(
         capsys, "regularize", str(DATA / "gd.ham"), "--bound", "5", "--json"

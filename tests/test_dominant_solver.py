@@ -11,7 +11,12 @@ import pytest
 from oracles import solve_dominant_by_fixed_point
 from painleve import algebra, core
 from painleve.algebra import MultiPoly
-from painleve.core import Unsolved, enumerate_fuchsian_exponents, solve_dominant
+from painleve.core import (
+    Unsolved,
+    dominant_equations,
+    enumerate_fuchsian_exponents,
+    solve_dominant,
+)
 from painleve.model import ODESystem
 from test_exponent_search import DATA_SYSTEMS
 
@@ -25,7 +30,7 @@ def _kind(solved) -> str:
 def _compare_on(sys: ODESystem, exponents) -> set[str]:
     kinds = set()
     for k in exponents:
-        solved = solve_dominant(sys, k)
+        solved = solve_dominant(dominant_equations(sys, k))
         assert solved == solve_dominant_by_fixed_point(sys, k), k
         kinds.add(_kind(solved))
     return kinds

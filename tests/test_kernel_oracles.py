@@ -1,6 +1,7 @@
 """sympy oracles for the exact kernels: the one elimination (`rref`) behind
 det, inverse, rank, nullspace and solve_affine, the characteristic
-polynomial, and the one rational-root search; and the one product loop,
+polynomial, the one rational-root search, and the Kowalevskian matrix
+rebuilt from each right side's dominant part; and the one product loop,
 `sum_of_products`, against a fold of the validating ring references and,
 with `==`, against the tuple-key loop that packed keys replaced.
 
@@ -31,7 +32,10 @@ from painleve.algebra import (
     solve_affine,
     sum_of_products,
 )
+from painleve.core import analyze_system
+from painleve.model import T0_SYMBOL
 from painleve.series import RelaxedSubstitution
+from test_exponent_search import DATA_SYSTEMS
 
 sympy = pytest.importorskip("sympy")
 
@@ -66,6 +70,52 @@ def _from_sympy(value):
 
 
 MATRICES = [_random_matrix(random.Random(seed), 1 + seed % 6) for seed in range(200)]
+
+
+def _sympy_expr(p: MultiPoly):
+    symbols = [sympy.Symbol(name) for name in p.symbols()]
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.prod([x**e for x, e in zip(symbols, exps)])
+            for exps, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _sympy_kowalevskian(system, k, leading):
+    """d(f^D)/d(u) at u = c, t = t0, plus diag(k): f_i^D keeps the terms of
+    the sympy `Poly` of f_i in u whose weighted degree is k_i + 1."""
+    u = [sympy.Symbol(name) for name in system.u_symbols]
+    dominant = []
+    for ki, f in zip(k, system.rhs):
+        poly = sympy.Poly(_sympy_expr(f), *u)
+        dominant.append(
+            sum(
+                (
+                    coeff * sympy.prod([x**m for x, m in zip(u, monom)])
+                    for monom, coeff in poly.terms()
+                    if sum(kj * mj for kj, mj in zip(k, monom)) == ki + 1
+                ),
+                sympy.Integer(0),
+            )
+        )
+    at = {x: _sympy_expr(c) for x, c in zip(u, leading)}
+    at[sympy.Symbol(system.t_symbol)] = sympy.Symbol(T0_SYMBOL)
+    jacobian = sympy.Matrix(dominant).jacobian(u).subs(at, simultaneous=True)
+    return (jacobian + sympy.diag(*k)).applyfunc(sympy.expand)
+
+
+@pytest.mark.parametrize("name", sorted(DATA_SYSTEMS))
+def test_kowalevskian_matches_sympy_on_data(name):
+    system = DATA_SYSTEMS[name]
+    reached = [c for c in analyze_system(system).candidates if c.K is not None]
+    for cand in reached:
+        assert _sympy_kowalevskian(system, cand.exponents, cand.leading) == _to_sympy(
+            cand.K.data
+        ), cand.exponents
+    assert reached or name == "cubic.sys"  # u' = u^3 has no Fuchsian exponents
 
 
 def test_oracle_matrices_cover_singular_and_rank_deficient():

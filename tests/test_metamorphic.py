@@ -2,8 +2,8 @@
 must get related results.
 
 * Rescaling u_i = lambda_i v_i by nonzero rationals keeps every candidate's
-  exponents, verdict and resonances, and divides its leading coefficients
-  by lambda_i.
+  exponents, verdict and resonances, divides its leading coefficients by
+  lambda_i, and maps its Kowalevskian K to D^-1 K D, D = diag(lambda).
 * Reversing the variable order reverses the exponents and the leading data
   and keeps the verdicts and resonances.
 * Shifting time, t -> t + a, in a non-autonomous system keeps every
@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from oracles import agrees_with
-from painleve.algebra import MultiPoly
+from painleve.algebra import MultiPoly, RatMatrix
 from painleve.core import analyze_system, expanded_candidate
 from painleve.hamiltonian import (
     build_canonical_change,
@@ -101,17 +101,36 @@ def _summary(system: ODESystem, order, leading=lambda c: c, exponents=lambda k: 
     return result.verdict, sorted(rows, key=repr)
 
 
+def _kowalevskians(system: ODESystem, order, leading=lambda c: c) -> dict:
+    """The Kowalevskian of every candidate that reaches one, by exponents
+    and leading data mapped back to the original system."""
+    return {
+        (cand.exponents, tuple(str(x) for x in leading(cand.leading))): cand.K
+        for cand in analyze_system(system, order=order).candidates
+        if cand.K is not None
+    }
+
+
 @pytest.mark.parametrize("order", [None, 12])
 @pytest.mark.parametrize("name,system", SYSTEMS, ids=[name for name, _ in SYSTEMS])
 def test_rescaling_divides_the_leading_data(name, system, order):
     scales = [SCALES[i % len(SCALES)] for i in range(system.n)]
+
+    def unscaled(c):
+        return [x * s for x, s in zip(c, scales)]
+
     original = _summary(system, order)
-    rescaled = _summary(
-        _rescaled(system, scales),
-        order,
-        leading=lambda c: [x * s for x, s in zip(c, scales)],
-    )
+    rescaled = _summary(_rescaled(system, scales), order, leading=unscaled)
     assert rescaled == original
+    # K'_ij = K_ij s_j / s_i
+    K_original = _kowalevskians(system, order)
+    K_rescaled = _kowalevskians(_rescaled(system, scales), order, leading=unscaled)
+    assert K_rescaled.keys() == K_original.keys()
+    for key, K in K_original.items():
+        conjugated = [
+            [K.entry(i, j) * sj / si for j, sj in enumerate(scales)] for i, si in enumerate(scales)
+        ]
+        assert K_rescaled[key] == RatMatrix(conjugated), key
 
 
 @pytest.mark.parametrize("order", [None, 12])

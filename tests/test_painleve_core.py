@@ -17,7 +17,9 @@ from painleve.core import (
     Unsolved,
     analyze_system,
     basic_resonance_check,
+    DominantData,
     check_principal,
+    dominant_equations,
     enumerate_fuchsian_exponents,
     expand_balance,
     expanded_candidate,
@@ -59,6 +61,52 @@ def test_dominant_part_gd_commutes_with_differentiation(gd_hamiltonian, gd_syste
     assert f1.weighted_part(weights, 3) == -2 * MultiPoly.var("p2")
 
 
+def _data_system(name):
+    parsed = parse_input((DATA / name).read_text())
+    return parsed if name.endswith(".sys") else hamiltonian_to_system(parsed)
+
+
+@pytest.mark.parametrize("name, calls", [("gd.ham", 68), ("pole2.sys", 8), ("riccati.sys", 1)])
+def test_dominant_part_built_once_per_exponent_vector(monkeypatch, name, calls):
+    # one weighted part per right side and exponent vector; the dominant
+    # check and the Kowalevskian read the equations built for the solve
+    sys = _data_system(name)
+    vectors = enumerate_fuchsian_exponents(sys)
+    count = 0
+    weighted_part = MultiPoly.weighted_part
+
+    def counted(self, weights, degree):
+        nonlocal count
+        count += 1
+        return weighted_part(self, weights, degree)
+
+    monkeypatch.setattr(MultiPoly, "weighted_part", counted)
+    result = analyze_system(sys)
+    assert count == sys.n * len(vectors) == calls
+    reached = [c for c in result.candidates if c.K is not None]
+    assert reached
+    equations = {c.exponents: dominant_equations(sys, c.exponents) for c in reached}
+    count = 0
+    for cand in reached:
+        dd = verify_dominant_balance(equations[cand.exponents], cand.exponents, cand.leading)
+        assert kowalevskian(equations[cand.exponents], dd) == cand.K
+    assert count == 0
+
+
+@pytest.mark.parametrize(
+    "text, exponents",
+    [
+        ("system\nvars: u\nu' = 2\n", (-1,)),  # regular: no singularity to find
+        ((DATA / "pole2.sys").read_text(), (0, 0)),
+        ((DATA / "pole2.sys").read_text(), (0, -1)),
+    ],
+)
+def test_pinned_exponents_outside_the_search_box_fail_the_exponents(text, exponents):
+    # a pinned vector must lie where the search looks: k >= 0, k != 0, Fuchsian
+    result = analyze_system(parse_input(text), exponents=exponents)
+    assert (result.verdict, result.candidates) == ("fails:exponents", [])
+
+
 def test_enumerate_cubic_empty():
     sys = parse_system("system\nvars: u\nu' = u^3\n")
     assert enumerate_fuchsian_exponents(sys, bound=10) == []
@@ -81,25 +129,26 @@ def test_enumerate_bound_validation():
 
 
 def test_verify_dominant_riccati(riccati_system):
-    dd = verify_dominant_balance(riccati_system, (1,), (Q(-1),))
-    assert not isinstance(dd, Rejected)
-    assert dd.fuchsian
-    rejected = verify_dominant_balance(riccati_system, (1,), (Q(2),))
+    equations = dominant_equations(riccati_system, (1,))
+    dd = verify_dominant_balance(equations, (1,), (Q(-1),))
+    assert dd == DominantData((1,), (MultiPoly.const(-1),))
+    rejected = verify_dominant_balance(equations, (1,), (Q(2),))
     assert isinstance(rejected, Rejected) and not rejected.residual.is_zero
 
 
 def test_verify_dominant_pole2(pole2_system):
-    dd = verify_dominant_balance(pole2_system, (2, 3), (Q(1), Q(-2)))
+    dd = verify_dominant_balance(dominant_equations(pole2_system, (2, 3)), (2, 3), (Q(1), Q(-2)))
     assert not isinstance(dd, Rejected)
 
 
 def test_verify_dominant_gd(gd_system):
-    dd = verify_dominant_balance(gd_system, (2, 4, 5, 3), (1, 0, -1, 1))
+    k = (2, 4, 5, 3)
+    dd = verify_dominant_balance(dominant_equations(gd_system, k), k, (1, 0, -1, 1))
     assert not isinstance(dd, Rejected)
 
 
 def test_solve_dominant_gd_lifted(gd_system):
-    solutions = solve_dominant(gd_system, (2, 4, 5, 3))
+    solutions = solve_dominant(dominant_equations(gd_system, (2, 4, 5, 3)))
     assert (Q(1), Q(0), Q(-1), Q(1)) in solutions
     assert (Q(3), Q(9), Q(9), Q(3)) in solutions
 
@@ -108,7 +157,7 @@ def test_solve_dominant_branches_on_common_factor():
     # u1' = u1 u2, u2' = u1 u2 needs the monomial-factor branch to reach
     # the genuine balance c = (-1, -1)
     sys = parse_system("system\nvars: u1,u2\nu1' = u1*u2\nu2' = u1*u2\n")
-    assert solve_dominant(sys, (1, 1)) == [(Q(-1), Q(-1))]
+    assert solve_dominant(dominant_equations(sys, (1, 1))) == [(Q(-1), Q(-1))]
 
 
 def test_solve_dominant_stall_is_unsolved():
@@ -117,14 +166,14 @@ def test_solve_dominant_stall_is_unsolved():
     sys = parse_system(
         "system\nvars: u1,u2\nu1' = u1^2 + u2^2 + u1*u2\nu2' = u1^2 - u2^2\n"
     )
-    assert isinstance(solve_dominant(sys, (1, 1)), Unsolved)
+    assert isinstance(solve_dominant(dominant_equations(sys, (1, 1))), Unsolved)
 
 
 def test_solve_dominant_large_linear_factor_is_exact():
     # 10^13 c^2 + c = c (10^13 c + 1): the linear factor is solved as
     # -const/lead, with no divisor search of the large coefficient
     sys = parse_system("system\nvars: u\nu' = 10000000000000*u^2\n")
-    assert solve_dominant(sys, (1,)) == [(Q(-1, 10**13),)]
+    assert solve_dominant(dominant_equations(sys, (1,))) == [(Q(-1, 10**13),)]
     assert analyze_system(sys).verdict == "principal"
 
 
@@ -132,7 +181,7 @@ def test_solve_dominant_capped_root_search_is_unsolved():
     # c1 (2*10^14 c1^2 - 2) has the rational roots +-1/10^7, but the
     # quadratic factor's lead is past the search cap: report, do not drop
     sys = parse_system("system\nvars: u1,u2\nu1' = u2\nu2' = 200000000000000*u1^3\n")
-    assert solve_dominant(sys, (1, 2)) == Unsolved("rational-root search capped")
+    assert solve_dominant(dominant_equations(sys, (1, 2))) == Unsolved("rational-root search capped")
     [cand] = analyze_system(sys).candidates
     assert cand.verdict == "fails:dominant"
     assert cand.detail == Unsolved("rational-root search capped")
@@ -142,17 +191,18 @@ def test_solve_dominant_checks_parameterized_equations_identically():
     # at k = (1, 2), c1 = a c2 and c2 = 0 resolve to numbers; checking
     # -a c2 + c1 = 0 at them must not need a value for the parameter a
     sys = parse_system("system\nvars: u, v\nparams: a\nu' = -a*v\nv' = 81 - u\n")
-    assert solve_dominant(sys, (1, 2)) == []
+    assert solve_dominant(dominant_equations(sys, (1, 2))) == []
     assert analyze_system(sys).verdict == "fails:dominant"
 
 
 def test_solve_dominant_budget_exhaustion_is_unsolved(monkeypatch):
     sys = hamiltonian_to_system(parse_input((DATA / "henon_heiles.ham").read_text()))
     exponents = enumerate_fuchsian_exponents(sys, 10)
-    assert all(not isinstance(solve_dominant(sys, k), Unsolved) for k in exponents)
+    equations = {k: dominant_equations(sys, k) for k in exponents}
+    assert all(not isinstance(solve_dominant(equations[k]), Unsolved) for k in exponents)
     monkeypatch.setattr(core, "SEARCH_BUDGET", 5)
     budget = Unsolved("search budget exhausted")
-    exhausted = [k for k in exponents if solve_dominant(sys, k) == budget]
+    exhausted = [k for k in exponents if solve_dominant(equations[k]) == budget]
     assert exhausted
     reports = {c.exponents: c for c in analyze_system(sys).candidates}
     for k in exhausted:
@@ -173,13 +223,15 @@ def test_capped_spectrum_search_fails_the_spectrum(monkeypatch):
 
 
 def test_kowalevskian_riccati(riccati_system):
-    dd = verify_dominant_balance(riccati_system, (1,), (Q(-1),))
-    assert kowalevskian(riccati_system, dd) == RatMatrix([[-1]])
+    equations = dominant_equations(riccati_system, (1,))
+    dd = verify_dominant_balance(equations, (1,), (Q(-1),))
+    assert kowalevskian(equations, dd) == RatMatrix([[-1]])
 
 
 def test_kowalevskian_pole2(pole2_system):
-    dd = verify_dominant_balance(pole2_system, (2, 3), (1, -2))
-    assert kowalevskian(pole2_system, dd) == RatMatrix([[2, 1], [12, 3]])
+    equations = dominant_equations(pole2_system, (2, 3))
+    dd = verify_dominant_balance(equations, (2, 3), (1, -2))
+    assert kowalevskian(equations, dd) == RatMatrix([[2, 1], [12, 3]])
 
 
 def test_kowalevskian_gd(gd_candidate):
@@ -193,10 +245,25 @@ def test_kowalevskian_nonconstant_reported():
     # u2' = u1*u2 keeps c2 free but puts it into the matrix entries
     sys = parse_system("system\nvars: u1,u2\nu1' = u1^2\nu2' = u1*u2\n")
     r = MultiPoly.var("r")
-    dd = verify_dominant_balance(sys, (1, 1), (MultiPoly.const(-1), r))
+    equations = dominant_equations(sys, (1, 1))
+    dd = verify_dominant_balance(equations, (1, 1), (MultiPoly.const(-1), r))
     assert not isinstance(dd, Rejected)
-    with pytest.raises(NonConstantKowalevskian):
-        kowalevskian(sys, dd)
+    with pytest.raises(NonConstantKowalevskian, match=r"entry \(1,0\) .*: r$"):
+        kowalevskian(equations, dd)
+
+
+def test_kowalevskian_nonconstant_diagonal_names_the_fd_entry():
+    # c = (-1, 0, r): d(f_2^D)/d(u2) = u1 + u3 = r - 1; the message names
+    # that entry, not the K entry r - 1 + k_2
+    sys = parse_system(
+        "system\nvars: u1,u2,u3\nu1' = u1^2\nu2' = u1*u2 + u2*u3\nu3' = u1*u3\n"
+    )
+    k = (1, 1, 1)
+    equations = dominant_equations(sys, k)
+    dd = verify_dominant_balance(equations, k, (-1, 0, MultiPoly.var("r")))
+    assert not isinstance(dd, Rejected)
+    with pytest.raises(NonConstantKowalevskian, match=r"entry \(1,1\) .*: r - 1$"):
+        kowalevskian(equations, dd)
 
 
 def test_resonance_structure_simple():
@@ -252,11 +319,12 @@ def test_rejected_spectrum_forms_no_eigenbasis(monkeypatch):
 
 
 def test_basic_resonance_check(riccati_system, pole2_system, gd_system, gd_candidate):
-    dd1 = verify_dominant_balance(riccati_system, (1,), (Q(-1),))
+    dd1 = verify_dominant_balance(dominant_equations(riccati_system, (1,)), (1,), (Q(-1),))
     assert basic_resonance_check(dd1, RatMatrix([[-1]]))
-    dd2 = verify_dominant_balance(pole2_system, (2, 3), (1, -2))
+    dd2 = verify_dominant_balance(dominant_equations(pole2_system, (2, 3)), (2, 3), (1, -2))
     assert basic_resonance_check(dd2, RatMatrix([[2, 1], [12, 3]]))
-    dd3 = verify_dominant_balance(gd_system, (2, 4, 5, 3), (1, 0, -1, 1))
+    k = (2, 4, 5, 3)
+    dd3 = verify_dominant_balance(dominant_equations(gd_system, k), k, (1, 0, -1, 1))
     assert basic_resonance_check(dd3, gd_candidate.K)
 
 
@@ -317,9 +385,10 @@ def test_expand_balance_parameters_respect_resonance_order(gd_candidate):
 
 def test_expand_balance_inconsistent_recursion():
     sys = parse_system("system\nvars: u1,u2\nu1' = u1^2 + u1\nu2' = 2*u1*u2 - u2^2\n")
-    dd = verify_dominant_balance(sys, (1, 1), (-1, -1))
+    equations = dominant_equations(sys, (1, 1))
+    dd = verify_dominant_balance(equations, (1, 1), (-1, -1))
     assert not isinstance(dd, Rejected)
-    K = kowalevskian(sys, dd)
+    K = kowalevskian(equations, dd)
     rs = resonance_structure(K)
     assert isinstance(rs, ResonanceStructure)
     assert rs.resonances == (-1, 1)
