@@ -20,7 +20,8 @@ import sys
 from dataclasses import asdict, is_dataclass
 
 from .algebra import ExponentOverflow, MultiPoly, ShapeError
-from .core import AnalysisResult, CandidateReport, LimitError, analyze_system, expanded_candidate
+from .core import DEFAULT_BOUND, AnalysisResult, CandidateReport, LimitError, analyze_system
+from .core import expanded_candidate
 from .hamiltonian import (
     HamiltonianRejected,
     build_canonical_change,
@@ -52,7 +53,6 @@ from .regularize import (
 )
 from .series import NotReversible, TruncationUnderflow, VariableMismatch
 
-DT_DISPLAY = "(t-t0)"
 # a head coefficient of the change of variable prints bare when it is a
 # rational, and in parentheses when it is a polynomial
 RATIONAL = re.compile(r"-?\d+(/\d+)?")
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("test", "regularize", "hamiltonian"):
         p = sub.add_parser(name)
         p.add_argument("file", help="input file (system or hamiltonian grammar)")
-        p.add_argument("--bound", type=int, default=10, help="exponent search bound (default 10)")
+        bound_help = "exponent search bound (default %(default)s)"
+        p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help=bound_help)
         p.add_argument("--order", type=int, default=None, help="series truncation order")
         p.add_argument("--exponents", default=None, help="comma-separated leading exponents")
         p.add_argument("--leading", default=None, help="comma-separated leading coefficients")
@@ -168,8 +169,7 @@ def candidate_report(sys: ODESystem, cand: CandidateReport) -> dict:
         report["resonance_matrix_det"] = str(det)
     if cand.balance is not None:
         report["balance_coefficients"] = {
-            name: cand.balance.series(i).rename_var(DT_DISPLAY)
-            for i, name in enumerate(sys.u_symbols)
+            name: cand.balance.series(i) for i, name in enumerate(sys.u_symbols)
         }
         report["parameters"] = [
             {"name": nm, "resonance": r} for nm, r in cand.balance.parameters
@@ -214,8 +214,8 @@ def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
         },
         # a singular transformed system has no Taylor solution
         "transformed_balance": None if tb is None else {
-            "tau_series": tb.tau.rename_var(DT_DISPLAY),
-            "rho_series": {nm: s.rename_var(DT_DISPLAY) for nm, s in tb.rho.items()},
+            "tau_series": tb.tau,
+            "rho_series": tb.rho,
             "initial_values": {nm: str(p) for nm, p in tb.initial_values.items()},
             "tau_derivative_at_t0": str(cov.beta),
         },

@@ -27,10 +27,12 @@ from .algebra import (
     rational_roots,
     solve_affine,
 )
-from .model import T0_SYMBOL, ODESystem
+from .model import SERIES_VAR, T0_SYMBOL, T_SYMBOL, ODESystem
 from .series import EXACT, RelaxedSubstitution, TruncatedSeries, substitute_poly
 
-SERIES_VAR = "dt"  # stands for (t - t0)
+DEFAULT_BOUND = 10  # of the exponent search
+# the time symbol as the exact series t0 + (t-t0)
+TIME_SERIES = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT)
 
 
 class NonConstantKowalevskian(ValueError):
@@ -96,7 +98,7 @@ def is_fuchsian(sys: ODESystem, k: tuple[int, ...]) -> bool:
 EXPONENT_BUDGET = 250_000
 
 
-def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = 10) -> list[tuple[int, ...]]:
+def enumerate_fuchsian_exponents(sys: ODESystem, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
     """All exponent vectors 0 <= k_i <= bound (not all zero) passing the
     Fuchsian inequality, in lexicographic order.
 
@@ -158,7 +160,7 @@ def dominant_equations(sys: ODESystem, k) -> tuple[MultiPoly, ...]:
     R at c is the Kowalevskian matrix."""
     weights = dict(zip(sys.u_symbols, k))
     unknowns = [MultiPoly.var(nm) for nm in _unknowns(sys.n)]
-    bindings = {**dict(zip(sys.u_symbols, unknowns)), sys.t_symbol: MultiPoly.var(T0_SYMBOL)}
+    bindings = {**dict(zip(sys.u_symbols, unknowns)), T_SYMBOL: MultiPoly.var(T0_SYMBOL)}
     return tuple(
         f.weighted_part(weights, ki + 1).replace(bindings) + ci * ki
         for ki, f, ci in zip(k, sys.rhs, unknowns)
@@ -418,16 +420,11 @@ class Balance:
     order: int
     coeffs: tuple[tuple[MultiPoly, ...], ...]  # [i][j] for 0 <= j < order
     parameters: tuple[tuple[str, int], ...]  # (name, resonance), resonance 0 = leading level
-    t0_symbol: str = T0_SYMBOL
 
     def series(self, i: int, trunc: int | None = None) -> TruncatedSeries:
         ki = self.dominant.exponents[i]
         coeffs = {j - ki: self.coeffs[i][j] for j in range(self.order)}
         return TruncatedSeries(SERIES_VAR, coeffs, self.order - ki if trunc is None else trunc)
-
-    def time_series(self) -> TruncatedSeries:
-        """The time symbol as the exact series t0 + dt."""
-        return TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(self.t0_symbol), 1: 1}, EXACT)
 
 
 @dataclass(frozen=True)
@@ -495,8 +492,8 @@ def expand_balance(
     lists = dict(zip(sys.u_symbols, coeffs))
     first = {name: -ki for name, ki in zip(sys.u_symbols, k)}
     if not sys.autonomous:
-        lists[sys.t_symbol] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
-        first[sys.t_symbol] = 0
+        lists[T_SYMBOL] = [MultiPoly.var(T0_SYMBOL), MultiPoly.const(1)]
+        first[T_SYMBOL] = 0
     sub = RelaxedSubstitution(lists, first)
     rhs_terms = [sub.terms(f) for f in sys.rhs]
 
@@ -564,7 +561,7 @@ def residual_check(sys: ODESystem, balance: Balance) -> int | ResidualWitness:
     bound = balance.order - max(k) - 1
     bindings = {name: balance.series(i) for i, name in enumerate(sys.u_symbols)}
     if not sys.autonomous:
-        bindings[sys.t_symbol] = balance.time_series()
+        bindings[T_SYMBOL] = TIME_SERIES
     for i, name in enumerate(sys.u_symbols):
         derivative = bindings[name].var_derivative()
         rhs = substitute_poly(sys.rhs[i], bindings, order=bound)
@@ -658,7 +655,7 @@ def analyze_candidate(sys: ODESystem, equations, k, c, order: int | None) -> Can
 
 def analyze_system(
     sys: ODESystem,
-    bound: int = 10,
+    bound: int = DEFAULT_BOUND,
     order: int | None = None,
     exponents: tuple[int, ...] | None = None,
     leading: tuple[MultiPoly, ...] | None = None,

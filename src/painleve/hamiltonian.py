@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rank, rref
 from .core import Balance, ResonanceStructure, resonance_matrix_columns
-from .model import HamiltonianSystem, hamiltonian_to_system
+from .model import P_PREFIX, Q_PREFIX, HamiltonianSystem, hamiltonian_to_system
 from .regularize import (
     ChangeOfVariable,
     Regularization,
@@ -311,9 +311,8 @@ def apply_exchanges(
 
 def canonical_variable_names(n: int) -> tuple[str, tuple[str, ...]]:
     """tau name and rho names in construction order q_1..q_n, p_n..p_1."""
-    tau = "Q1"
-    rho = [f"Q{i}" for i in range(2, n + 1)] + [f"P{i}" for i in range(n, 0, -1)]
-    return tau, tuple(rho)
+    rho = [f"{Q_PREFIX}{i}" for i in range(2, n + 1)] + [f"{P_PREFIX}{i}" for i in range(n, 0, -1)]
+    return f"{Q_PREFIX}1", tuple(rho)
 
 
 def build_canonical_change(
@@ -373,7 +372,7 @@ def verify_canonical(
                 total = total - partials[qi][b] * partials[pi][a]
             expected = Q(0)
             for i in range(1, n_dof + 1):
-                qa, pa = pos[f"Q{i}"], pos[f"P{i}"]
+                qa, pa = pos[f"{Q_PREFIX}{i}"], pos[f"{P_PREFIX}{i}"]
                 if (a, b) == (min(qa, pa), max(qa, pa)):
                     expected = Q(1) if qa < pa else Q(-1)
             residual = total - TruncatedSeries.constant(cov.tau_name, expected, trunc=EXACT)
@@ -420,10 +419,10 @@ def hamilton_equations_match(h0: MultiPoly, ts: TransformedSystem) -> bool:
         if any(o < 0 for o in ts.g[m].coeffs):
             return False
         g_poly = regular_part(ts.g[m])
-        if name.startswith("Q"):
-            expected = h0.partial("P" + name[1:])
+        if name.startswith(Q_PREFIX):
+            expected = h0.partial(P_PREFIX + name[len(Q_PREFIX) :])
         else:
-            expected = -h0.partial("Q" + name[1:])
+            expected = -h0.partial(Q_PREFIX + name[len(P_PREFIX) :])
         if g_poly != expected:
             return False
     return True

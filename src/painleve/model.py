@@ -28,10 +28,13 @@ from .algebra import MultiPoly, RatMatrix
 
 T_SYMBOL = "t"
 T0_SYMBOL = "t0"  # the pole position of a balance
+SERIES_VAR = "(t-t0)"  # the variable of every series; not an identifier, so never a declared name
 
 # Parameters live on into the regularized and canonical systems, whose new
 # variables are tau and rho<n> (regularize) or Q<n> and P<n> (hamiltonian).
-_NEW_VARIABLE = re.compile(r"tau|(rho|Q|P)\d+")
+TAU = "tau"
+RHO_PREFIX, Q_PREFIX, P_PREFIX = "rho", "Q", "P"
+_NEW_VARIABLE = re.compile(rf"{TAU}|({RHO_PREFIX}|{Q_PREFIX}|{P_PREFIX})\d+")
 
 
 class ParseError(ValueError):
@@ -55,13 +58,12 @@ class ODESystem:
 
     u_symbols: tuple[str, ...]
     rhs: tuple[MultiPoly, ...]
-    t_symbol: str = T_SYMBOL
     param_symbols: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.u_symbols) != len(self.rhs):
             raise ValueError("one right side per declared variable is required")
-        allowed = set(self.u_symbols) | set(self.param_symbols) | {self.t_symbol}
+        allowed = set(self.u_symbols) | set(self.param_symbols) | {T_SYMBOL}
         for name, f in zip(self.u_symbols, self.rhs):
             bad = [s for s in f.symbols() if s not in allowed]
             if bad:
@@ -73,7 +75,7 @@ class ODESystem:
 
     @property
     def autonomous(self) -> bool:
-        return all(self.t_symbol not in f.symbols() for f in self.rhs)
+        return all(T_SYMBOL not in f.symbols() for f in self.rhs)
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,12 @@ class HamiltonianSystem:
     q_symbols: tuple[str, ...]
     p_symbols: tuple[str, ...]
     H: MultiPoly
-    t_symbol: str = T_SYMBOL
     param_symbols: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.q_symbols) != len(self.p_symbols):
             raise ValueError("need equally many position and momentum symbols")
-        allowed = set(self.q_symbols) | set(self.p_symbols) | set(self.param_symbols) | {self.t_symbol}
+        allowed = set(self.q_symbols) | set(self.p_symbols) | set(self.param_symbols) | {T_SYMBOL}
         bad = [s for s in self.H.symbols() if s not in allowed]
         if bad:
             raise ValueError(f"undeclared symbol {bad[0]} in the Hamiltonian")
@@ -98,7 +99,7 @@ class HamiltonianSystem:
 
     @property
     def autonomous(self) -> bool:
-        return self.t_symbol not in self.H.symbols()
+        return T_SYMBOL not in self.H.symbols()
 
 
 def hamiltonian_to_system(hs: HamiltonianSystem) -> ODESystem:
@@ -108,7 +109,6 @@ def hamiltonian_to_system(hs: HamiltonianSystem) -> ODESystem:
     return ODESystem(
         u_symbols=hs.q_symbols + hs.p_symbols,
         rhs=tuple(rhs),
-        t_symbol=hs.t_symbol,
         param_symbols=hs.param_symbols,
     )
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import MultiPoly, Q, RatMatrix, ShapeError, as_poly, rref, sum_of_products
-from .core import Balance, SERIES_VAR
-from .model import ODESystem
+from .core import Balance
+from .model import RHO_PREFIX, SERIES_VAR, T0_SYMBOL, T_SYMBOL, TAU, ODESystem
 from .series import (
     EXACT,
     RelaxedSubstitution,
@@ -42,8 +42,6 @@ from .series import (
     substitute_coeffs,
     substitute_poly,
 )
-
-TAU = "tau"
 
 
 class NoRationalRootPivot(ValueError):
@@ -160,8 +158,8 @@ def indicial_normalization(
             f"root of order {k[pivot]}"
         )
 
-    t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(sysm.t_symbol), 1: -1}, EXACT)
-    t0_binding = {balance.t0_symbol: t_minus_dt}
+    t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T_SYMBOL), 1: -1}, EXACT)
+    t0_binding = {T0_SYMBOL: t_minus_dt}
     in_t = [substitute_coeffs(balance.series(i), t0_binding) for i in range(sysm.n)]
     # u_pivot = c (t-t0)^(-k) (1 + w); tau = beta (t-t0) (1 + w)^(-1/k), beta^k = 1/c
     unit = in_t[pivot].shift(k[pivot]).scale(beta ** k[pivot])
@@ -254,7 +252,7 @@ def absorb_resonances(
     series = {i: nb.series[i] for i in remaining}
     params = list(balance.parameters)  # (name, resonance), resonance-sorted
     if rho_names is None:
-        rho_names = tuple(f"rho{i}" for i in range(2, 2 + len(remaining)))
+        rho_names = tuple(f"{RHO_PREFIX}{i}" for i in range(2, 2 + len(remaining)))
     if len(rho_names) != len(remaining):
         raise ValueError("need one rho name per non-pivot variable")
     if len(params) != len(remaining):
@@ -441,7 +439,7 @@ def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem
         i = order[m]
         J = jacobian[i]
         rhs = substitute_poly(sys.rhs[i], bindings, order=EXACT)
-        phi_t = subs[i].map_coeffs(lambda p: p.partial(sys.t_symbol))
+        phi_t = subs[i].map_coeffs(lambda p: p.partial(T_SYMBOL))
         rhs = rhs - phi_t
         for c in range(m):
             if not J[c].is_zero:
@@ -504,16 +502,16 @@ def transform_balance(
     its end (a monomial of g_i with x_k and a tau exponent below
     T_i - 1 - T_k, T the truncations) is refused as a fault.
     """
-    M, t, t0 = balance.order, balance.system.t_symbol, MultiPoly.var(balance.t0_symbol)
+    M, t0 = balance.order, MultiPoly.var(T0_SYMBOL)
     factors = {row.rho_name: row.rho_factor for row in cov.rows}
     initial: dict[str, MultiPoly] = {}
     for stage in stages:
-        at_t0 = {**initial, t: t0}
+        at_t0 = {**initial, T_SYMBOL: t0}
         for rho, a in zip(stage.rho_names, stage.a_lam):
             initial[rho] = a.replace(at_t0) * (1 / factors[rho])
     tau, rhos = ts.names[0], ts.names[1:]
     truncs = dict(zip(ts.names, [M + 1] + [M - row.resonance for row in cov.rows]))
-    lists = {tau: [], t: [t0, MultiPoly.const(1)], **{nm: [initial[nm]] for nm in rhos}}
+    lists = {tau: [], T_SYMBOL: [t0, MultiPoly.const(1)], **{nm: [initial[nm]] for nm in rhos}}
     sub = RelaxedSubstitution(lists, {**dict.fromkeys(lists, 0), tau: 1})
     equations = [(nm, sub.terms(regular_part(g))) for nm, g in zip(ts.names, ts.g)]
     for nm, terms in equations:
@@ -535,7 +533,6 @@ def transform_balance(
 
 @dataclass(frozen=True)
 class Regularization:
-    normalized: NormalizedBalance
     stages: tuple[Stage, ...]
     change: ChangeOfVariable
     transformed: TransformedSystem
@@ -564,7 +561,6 @@ def regularize(
     verdict = verify_regularity(ts)
     tb = transform_balance(balance, stages, cov, ts) if verdict is None else None
     return Regularization(
-        normalized=nb,
         stages=stages,
         change=cov,
         transformed=ts,

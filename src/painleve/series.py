@@ -498,6 +498,13 @@ def revert_series(s: TruncatedSeries) -> TruncatedSeries:
     if s.is_zero or s.min_exp != 1:
         raise NotReversible("reversion needs min_exp exactly 1")
     scale = -1 / _constant_lead(s)
+    if s.trunc >= KNOWN_COMPLETELY:  # only a monomial c x has an exact inverse, x / c
+        if len(s.coeffs) > 1:
+            raise ValueError(
+                "reversion of an untruncated non-monomial series is an infinite "
+                "object; truncate the operand first"
+            )
+        return TruncatedSeries.monomial(s.var, 1, -scale)
     g = _ZERO
     for k, c in s.coeffs.items():
         if k != 1:

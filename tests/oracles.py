@@ -58,7 +58,7 @@ from painleve.core import (
     _monomial_content,
     _rational_roots,
 )
-from painleve.model import HamiltonianSystem, ODESystem
+from painleve.model import T_SYMBOL, HamiltonianSystem, ODESystem
 from painleve.regularize import (
     ChangeOfVariable,
     NormalizedBalance,
@@ -191,7 +191,7 @@ def expand_balance_by_substitution(
             for i, name in enumerate(sys.u_symbols)
         }
         if not autonomous:
-            partials[sys.t_symbol] = t_series
+            partials[T_SYMBOL] = t_series
         for i in range(n):
             expanded = substitute_poly_by_power_table(sys.rhs[i], partials, order=j - k[i])
             rhs.append(-expanded.coeff(j - k[i] - 1))
@@ -781,12 +781,11 @@ def reexpanded_coeffs_by_taylor(balance: Balance) -> list[list[MultiPoly]]:
     into sum_m (-1)^m/m! (d^m a_{i,j-m}/d t0^m)(t).  Exact because the
     time dependence is polynomial; a no-op for autonomous systems.
     """
-    t0 = balance.t0_symbol
-    t = balance.system.t_symbol
+    t0 = T0_SYMBOL
     if all(t0 not in p.symbols() for row in balance.coeffs for p in row):
         return [list(row) for row in balance.coeffs]
     out: list[list[MultiPoly]] = []
-    t_poly = MultiPoly.var(t)
+    t_poly = MultiPoly.var(T_SYMBOL)
     for row in balance.coeffs:
         new_row = []
         for j in range(len(row)):
@@ -818,8 +817,8 @@ def transform_balance_by_composition(nb: NormalizedBalance, cov: ChangeOfVariabl
     and each rho series must carry no negative orders.
     """
     balance = nb.balance
-    t_series = balance.time_series()
-    tau_s = substitute_coeffs(nb.tau_in_dt, {balance.system.t_symbol: t_series})
+    t_series = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT)
+    tau_s = substitute_coeffs(nb.tau_in_dt, {T_SYMBOL: t_series})
     rho_series: dict[str, TruncatedSeries] = {}
     initial: dict[str, MultiPoly] = {}
 
@@ -837,8 +836,8 @@ def transform_balance_by_composition(nb: NormalizedBalance, cov: ChangeOfVariabl
             if poly.is_zero:
                 continue
             bound = {nm: rho_series[nm] for nm in poly.symbols() if nm in rho_series}
-            if balance.system.t_symbol in poly.symbols():
-                bound[balance.system.t_symbol] = t_series
+            if T_SYMBOL in poly.symbols():
+                bound[T_SYMBOL] = t_series
             coeff_series = (
                 substitute_poly(poly, bound, order=EXACT)
                 if bound

@@ -18,6 +18,7 @@ from painleve.algebra import (
     rank,
     solve_affine,
 )
+from painleve.model import T_SYMBOL
 from test_exponent_search import DATA_SYSTEMS
 
 u = MultiPoly.var("u")
@@ -426,7 +427,7 @@ def test_one_term_bindings_form_no_products(count_products):
     def rename_all():
         for sys in DATA_SYSTEMS.values():
             bindings = {u: MultiPoly.var(f"_c{i}") for i, u in enumerate(sys.u_symbols)}
-            bindings[sys.t_symbol] = MultiPoly.var("t0")
+            bindings[T_SYMBOL] = MultiPoly.var("t0")
             for f in sys.rhs:
                 f.replace(bindings)
 

@@ -11,6 +11,7 @@ from painleve import core
 from painleve.algebra import MultiPoly
 from painleve.core import enumerate_fuchsian_exponents, is_fuchsian
 from painleve.model import (
+    T_SYMBOL,
     HamiltonianSystem,
     ODESystem,
     ParseError,
@@ -56,14 +57,13 @@ def _kind(sys: ODESystem, f: MultiPoly) -> str:
         return "param"
     if f.is_zero or f.is_constant:
         return "zero" if f.is_zero else "const"
-    return "t-only" if f.symbols() == (sys.t_symbol,) else "other"
+    return "t-only" if f.symbols() == (T_SYMBOL,) else "other"
 
 
 def _assert_permutation_invariant(sys: ODESystem, perm: list[int], bound: int) -> None:
     permuted = ODESystem(
         tuple(sys.u_symbols[p] for p in perm),
         tuple(sys.rhs[p] for p in perm),
-        sys.t_symbol,
         sys.param_symbols,
     )
     found = enumerate_fuchsian_exponents(sys, bound)

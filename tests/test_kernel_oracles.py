@@ -33,7 +33,7 @@ from painleve.algebra import (
     sum_of_products,
 )
 from painleve.core import analyze_system
-from painleve.model import T0_SYMBOL
+from painleve.model import T0_SYMBOL, T_SYMBOL
 from painleve.series import RelaxedSubstitution
 from test_exponent_search import DATA_SYSTEMS
 
@@ -102,7 +102,7 @@ def _sympy_kowalevskian(system, k, leading):
             )
         )
     at = {x: _sympy_expr(c) for x, c in zip(u, leading)}
-    at[sympy.Symbol(system.t_symbol)] = sympy.Symbol(T0_SYMBOL)
+    at[sympy.Symbol(T_SYMBOL)] = sympy.Symbol(T0_SYMBOL)
     jacobian = sympy.Matrix(dominant).jacobian(u).subs(at, simultaneous=True)
     return (jacobian + sympy.diag(*k)).applyfunc(sympy.expand)
 

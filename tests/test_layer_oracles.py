@@ -19,7 +19,15 @@ from oracles import (
 from painleve.algebra import MultiPoly, RatMatrix, as_poly
 from painleve.core import SERIES_VAR, analyze_system, basic_resonance_vector, resonance_matrix_columns
 from painleve.hamiltonian import J_matrix, _transversal_rows, resonance_columns
-from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
+from painleve.model import (
+    T0_SYMBOL,
+    T_SYMBOL,
+    ODESystem,
+    ParseError,
+    hamiltonian_to_system,
+    parse_input,
+    parse_system,
+)
 from painleve.regularize import (
     PivotSelectionError,
     _greedy_rows,
@@ -76,12 +84,12 @@ def test_time_reexpansion_is_the_taylor_formula(name, order):
         table = reexpanded_coeffs_by_taylor(balance)
         assert table != [list(row) for row in balance.coeffs]  # t0 does occur
         k = balance.dominant.exponents
-        t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(system.t_symbol), 1: -1}, EXACT)
+        t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T_SYMBOL), 1: -1}, EXACT)
         for i in range(system.n):
             by_taylor = TruncatedSeries(
                 SERIES_VAR, {j - k[i]: table[i][j] for j in range(order)}, order - k[i]
             )
-            assert substitute_coeffs(balance.series(i), {balance.t0_symbol: t_minus_dt}) == by_taylor
+            assert substitute_coeffs(balance.series(i), {T0_SYMBOL: t_minus_dt}) == by_taylor
         pivot = choose_pivot(balance)
         nb = indicial_normalization(balance)
         assert (nb.tau_in_dt, nb.series) == _normalization_from_table(balance, table, pivot)
@@ -93,7 +101,7 @@ def test_time_reexpansion_skips_autonomous_balances(gd_candidate):
     t_minus_dt = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var("t"), 1: -1}, EXACT)
     for i in range(balance.system.n):
         series = balance.series(i)
-        assert substitute_coeffs(series, {balance.t0_symbol: t_minus_dt}) is series
+        assert substitute_coeffs(series, {T0_SYMBOL: t_minus_dt}) is series
 
 
 def _seeded_matrix(rng: random.Random, n_rows: int, n_cols: int) -> list[list[Q]]:

@@ -18,19 +18,29 @@ must get related results.
   carries a principal balance to a principal balance of the exchanged
   Hamiltonian: the exchanged balance that the canonical change is built on
   gets the record that analyzing the exchanged Hamiltonian afresh gives.
+* A canonical shear p_i -> p_i + dF/dq_i of a Hamiltonian system, each
+  dF/dq_i of weight below k of p_i, keeps the verdict, the exponents,
+  leading data and resonances of every principal balance, and whether
+  `hamiltonian` finds the new system regular and the change canonical.
+  A weight-raising F breaks the Fuchsian rows of the dominant balance.
 
 Only the analysis is compared.  A rescaled system need not regularize: the
 pivot needs a rational k-th root of 1/c, which a rescaling can take away.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import random
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from oracles import agrees_with
+from oracles import agrees_with, print_hamiltonian
 from painleve.algebra import MultiPoly, RatMatrix
+from painleve.cli import main
 from painleve.core import analyze_system, expanded_candidate
 from painleve.hamiltonian import (
     build_canonical_change,
@@ -39,7 +49,7 @@ from painleve.hamiltonian import (
     resonance_columns,
     symplectic_normalize,
 )
-from painleve.model import ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
+from painleve.model import T_SYMBOL, ODESystem, ParseError, hamiltonian_to_system, parse_input, parse_system
 from painleve.regularize import regularize
 
 DATA = Path(__file__).parent / "data"
@@ -72,20 +82,18 @@ def _rescaled(system: ODESystem, scales) -> ODESystem:
     """The system for v with u_i = scales[i] v_i, kept under the names u_i."""
     into = {u: MultiPoly.var(u) * s for u, s in zip(system.u_symbols, scales)}
     rhs = tuple(f.replace(into) * (1 / s) for f, s in zip(system.rhs, scales))
-    return ODESystem(system.u_symbols, rhs, system.t_symbol, system.param_symbols)
+    return ODESystem(system.u_symbols, rhs, system.param_symbols)
 
 
 def _reversed(system: ODESystem) -> ODESystem:
-    return ODESystem(
-        system.u_symbols[::-1], system.rhs[::-1], system.t_symbol, system.param_symbols
-    )
+    return ODESystem(system.u_symbols[::-1], system.rhs[::-1], system.param_symbols)
 
 
 def _shifted(system: ODESystem, a) -> ODESystem:
     """The system for v(t) = u(t + a)."""
-    into = {system.t_symbol: MultiPoly.var(system.t_symbol) + a}
+    into = {T_SYMBOL: MultiPoly.var(T_SYMBOL) + a}
     rhs = tuple(f.replace(into) for f in system.rhs)
-    return ODESystem(system.u_symbols, rhs, system.t_symbol, system.param_symbols)
+    return ODESystem(system.u_symbols, rhs, system.param_symbols)
 
 
 def _summary(system: ODESystem, order, leading=lambda c: c, exponents=lambda k: k):
@@ -209,3 +217,69 @@ def test_an_exchanged_balance_is_a_balance_of_the_exchanged_hamiltonian():
     assert fresh.K == exchanged.K
     assert fresh.structure.resonances == exchanged.structure.resonances
     assert fresh.structure.multiplicities == exchanged.structure.multiplicities
+
+
+# F's admissible monomials, as exponents over the positions: each dF/dq_i
+# has weight below k of p_i (GD: k = (2, 4, 5, 3); P_I: k = (2, 3))
+SHEAR_MONOMIALS = {
+    "gd.ham": [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0)],
+    "painleve1.ham": [(1,), (2,)],
+}
+# fixed draws, (coefficient, exponents) pairs, before the seeded ones
+SHEAR_CASES = {
+    "gd.ham": [[(Q(3, 2), (2, 0)), (Q(2), (1, 1)), (Q(1), (0, 1))], [(Q(1), (3, 0))]],
+    "painleve1.ham": [[(Q(3, 2), (2,))], [(Q(1), (2,)), (Q(-1, 3), (1,))]],
+}
+
+
+def _polynomial(terms, symbols) -> MultiPoly:
+    return sum((MultiPoly(symbols, {exps: c}) for c, exps in terms), MultiPoly.zero())
+
+
+def _sheared(hs, F: MultiPoly):
+    """H with p_i -> p_i + dF/dq_i."""
+    into = {p: MultiPoly.var(p) + F.partial(q) for q, p in zip(hs.q_symbols, hs.p_symbols)}
+    return dataclasses.replace(hs, H=hs.H.replace(into))
+
+
+def _shear_summary(hs, tmp_path):
+    """The verdict, the (exponents, leading, resonances) of every principal
+    candidate, and the exit code, `regular` and `canonical` of `hamiltonian`."""
+    result = analyze_system(hamiltonian_to_system(hs))
+    principal = [
+        (c.exponents, tuple(map(str, c.leading)), c.structure.resonances)
+        for c in result.principal_candidates()
+    ]
+    path = tmp_path / "sheared.ham"
+    path.write_text(print_hamiltonian(hs))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["hamiltonian", str(path), "--json"])
+    report = json.loads(out.getvalue())
+    regular = report["transformed_system"]["regular"], report["hamiltonian"]["canonical"]
+    return result.verdict, principal, code, regular
+
+
+@pytest.mark.parametrize("name", sorted(SHEAR_MONOMIALS))
+def test_a_weight_lowering_canonical_shear_keeps_the_balance(name, tmp_path):
+    hs = parse_input((DATA / name).read_text())
+    expected = _shear_summary(hs, tmp_path)
+    assert expected[0] == "principal" and expected[2] == 0
+    rng = random.Random(16)
+    drawn = [
+        [(Q(rng.randint(-3, 3), rng.randint(1, 3)), exps) for exps in SHEAR_MONOMIALS[name]]
+        for _ in range(6)
+    ]
+    for terms in SHEAR_CASES[name] + drawn:
+        F = _polynomial(terms, hs.q_symbols)
+        if F.is_zero:
+            continue
+        sheared = _sheared(hs, F)
+        assert sheared.H != hs.H
+        assert _shear_summary(sheared, tmp_path) == expected, F
+
+
+def test_a_weight_raising_shear_fails_the_dominant_balance():
+    hs = parse_input((DATA / "painleve1.ham").read_text())
+    F = _polynomial([(Q(1, 3), (3,))], hs.q_symbols)
+    assert analyze_system(hamiltonian_to_system(_sheared(hs, F))).verdict == "fails:dominant"

@@ -1,10 +1,19 @@
+import contextlib
+import dataclasses
+import inspect
+import io
+import json
 import random
+import re
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
+from painleve import core, model
 from painleve.algebra import MultiPoly
+from painleve.cli import PARSER, main
+from painleve.core import Balance
 from painleve.model import (
     HamiltonianSystem,
     NonPolynomial,
@@ -18,10 +27,12 @@ from painleve.model import (
     parse_system,
     serialize_report,
 )
+from painleve.regularize import NoRationalRootPivot, regularize
 
 from oracles import print_hamiltonian, print_system
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src" / "painleve"
 
 
 def test_parse_single_equation():
@@ -91,6 +102,62 @@ def test_new_variable_names_are_reserved_for_parameters_only():
     sys = parse_system("system\nvars: tau,rho2\nparams: rho\ntau' = rho2\nrho2' = rho*tau^2\n")
     assert sys.u_symbols == ("tau", "rho2")
     for name in ("tau", "rho2", "Q1", "P3"):
+        with pytest.raises(ParseError, match="reserved"):
+            parse_system(f"system\nvars: u\nparams: {name}\nu' = u^2\n")
+
+
+def test_fixed_names_are_constants_not_fields():
+    # time is always t, a balance's pole t0, and every series runs in (t-t0)
+    assert [f.name for f in dataclasses.fields(ODESystem)] == ["u_symbols", "rhs", "param_symbols"]
+    assert [f.name for f in dataclasses.fields(HamiltonianSystem)] == [
+        "q_symbols",
+        "p_symbols",
+        "H",
+        "param_symbols",
+    ]
+    assert "t0_symbol" not in {f.name for f in dataclasses.fields(Balance)}
+    assert model.SERIES_VAR == core.SERIES_VAR == "(t-t0)"
+    src = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert not any("DT_DISPLAY" in text for text in src.values())
+
+
+def test_default_bound_is_written_once():
+    literal = re.compile(r"(?<![\w.])10(?![\w.]|\*\*)")
+    assert sum(len(literal.findall(p.read_text())) for p in SRC.glob("*.py")) == 1
+    for fn in (core.enumerate_fuchsian_exponents, core.analyze_system):
+        assert inspect.signature(fn).parameters["bound"].default == core.DEFAULT_BOUND
+    for command in ("test", "regularize", "hamiltonian"):
+        assert PARSER.parse_args([command, "f"]).bound == core.DEFAULT_BOUND
+
+
+def _new_variables() -> set[str]:
+    """The new variables of `regularize` on every principal corpus balance
+    that regularizes, and of `hamiltonian` on gd.ham and painleve1.ham."""
+    names: set[str] = set()
+    for path in sorted(DATA.iterdir()):
+        try:
+            parsed = parse_input(path.read_text())
+        except ParseError:
+            continue
+        if isinstance(parsed, HamiltonianSystem):
+            parsed = hamiltonian_to_system(parsed)
+        for cand in core.analyze_system(parsed).principal_candidates():
+            try:
+                names |= set(regularize(cand.balance).change.new_names())
+            except NoRationalRootPivot:
+                continue
+    for name in ("gd.ham", "painleve1.ham"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["hamiltonian", str(DATA / name), "--json"]) == 0
+        names |= set(json.loads(out.getvalue())["change_of_variable"]["new_variables"])
+    return names
+
+
+def test_parser_reserves_every_generated_new_variable():
+    names = _new_variables()
+    assert {"tau", "rho2", "Q1", "Q2", "P1", "P2"} <= names
+    for name in sorted(names):
         with pytest.raises(ParseError, match="reserved"):
             parse_system(f"system\nvars: u\nparams: {name}\nu' = u^2\n")
 

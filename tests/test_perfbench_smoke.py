@@ -1,10 +1,15 @@
 """Each benchmark workload runs once, end to end, with no failed job.
 
-`perfbench/run.py` exits 2 when its worker crashes or times out, and a job
-whose report differs from `perfbench/expected.json` counts as failed.  This
-runs the worker of every workload in `BENCHMARK.json` for one shuffled pass
+`perfbench/run.py` exits 2 when its worker exits non-zero or times out, and
+a job whose report differs from `perfbench/expected.json` counts as failed.
+The worker exits non-zero on a crash, and also when a timed pass ends with
+no speed probe fired: the probe's 10 ms interval timer restarts at every
+job, so a pass whose jobs all finish in under 10 ms draws none and
+`speed.SpeedProbe.reference_seconds` raises.  This runs the worker of every
+workload in `BENCHMARK.json` for its minimum of two shuffled timed passes
 (`--seconds 0`), in a subprocess with the environment `run.py` gives it,
-so a change that breaks the benchmark fails here first.
+so a change that breaks the benchmark fails here first; on a fast host
+the probe failure can show here too.
 """
 
 import json

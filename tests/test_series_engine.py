@@ -121,6 +121,15 @@ def test_revert_frozen_example():
     assert agrees_with(compose(S({1: 1, 2: 1}, 5), w), S({1: 1}))
 
 
+def test_revert_of_an_exact_series():
+    # an exact monomial c x reverts to the exact x / c; any other exactly
+    # known series has an infinite inverse and is refused, not expanded
+    assert revert_series(S({1: 2})) == S({1: Q(1, 2)})
+    assert revert_series(S({1: -1})) == S({1: -1})
+    with pytest.raises(ValueError, match="infinite object"):
+        revert_series(S({1: 1, 2: 1}))
+
+
 def test_revert_requires_unit_leading():
     with pytest.raises(NotReversible):
         revert_series(S({2: 1}, 5))
