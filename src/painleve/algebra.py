@@ -584,9 +584,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -618,27 +615,15 @@ class RatMatrix:
             ]
         )
 
-    def matvec(self, vec: Sequence[Scalar]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ShapeError("matvec shape mismatch")
-        v = [_as_fraction(x) for x in vec]
-        return [sum((row[k] * v[k] for k in range(self.cols)), Q(0)) for row in self.data]
-
     def transpose(self) -> RatMatrix:
         return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def det(self) -> Fraction:
-        if not self.is_square():
-            raise ShapeError("determinant of a non-square matrix")
-        _, pivots, det, _ = rref(self.data)
-        return det if len(pivots) == self.rows else Q(0)
 
     def inverse(self) -> RatMatrix:
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
         augmented = [list(a) + list(b) for a, b in zip(self.data, RatMatrix.identity(n).data)]
-        m, pivots, _, _ = rref(augmented, n)
+        m, pivots, _ = rref(augmented, n)
         if len(pivots) < n:
             raise ShapeError("matrix is singular")
         return RatMatrix([row[n:] for row in m])
@@ -652,15 +637,14 @@ class RatMatrix:
 
 def rref(
     rows: Sequence[Sequence[Scalar]], ncols: int | None = None
-) -> tuple[list[list[Fraction]], list[int], Fraction, list[tuple[int, int]]]:
+) -> tuple[list[list[Fraction]], list[int], list[tuple[int, int]]]:
     """Gauss-Jordan elimination: the one elimination routine of the package.
 
     Pivots on the first `ncols` columns (default: all) of rational rows.
     Each pivot is the first row with a nonzero entry, scanning columns left
     to right, which fixes the free-column convention used everywhere
-    downstream.  Returns the reduced rows, the pivot columns, the signed
-    product of the pivots (the determinant when they cover a square matrix)
-    and the row swaps, as position swaps in the order they were made.
+    downstream.  Returns the reduced rows, the pivot columns and the row
+    swaps, as position swaps in the order they were made.
 
     The elimination runs fraction-free on integer rows: each row is held as
     its rational value times an exact scale, a row operation is
@@ -681,7 +665,6 @@ def rref(
         ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     swaps: list[tuple[int, int]] = []
-    det_num = det_den = 1
     r = 0
     for col in range(ncols):
         if r == len(m):
@@ -693,11 +676,8 @@ def rref(
             for lst in (m, num, den):
                 lst[r], lst[pivot] = lst[pivot], lst[r]
             swaps.append((r, pivot))
-            det_num = -det_num
         prow = m[r]
         p = prow[col]
-        det_num *= p * den[r]
-        det_den *= num[r]
         for i in range(len(m)):
             f = m[i][col]
             if f and i != r:
@@ -711,7 +691,7 @@ def rref(
     out = [[Q(x, row[col]) if x else _Q0 for x in row] for row, col in zip(m, pivots)]
     for i in range(r, len(m)):
         out.append([Q(x * den[i], num[i]) if x else _Q0 for x in m[i]])
-    return out, pivots, Q(det_num, det_den), swaps
+    return out, pivots, swaps
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -722,7 +702,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     """Exact basis of the kernel, read off the reduced rows; each vector has
     1 in its free coordinate."""
-    m, pivots, _, _ = rref(matrix.data)
+    m, pivots, _ = rref(matrix.data)
     basis = []
     for free in range(matrix.cols):
         if free in pivots:
@@ -879,7 +859,7 @@ def solve_affine(
         raise ShapeError("right side length mismatch")
     n = matrix.rows
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    m, pivots, _, _ = rref([list(row) + e for row, e in zip(matrix.data, unit)], n)
+    m, pivots, _ = rref([list(row) + e for row, e in zip(matrix.data, unit)], n)
     b = [as_poly(x) for x in rhs]
 
     def combine(row: list[Fraction]) -> MultiPoly:

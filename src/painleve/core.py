@@ -327,13 +327,12 @@ def kowalevskian(equations, dd: DominantData) -> RatMatrix:
     names = _unknowns(len(equations))
     values = dict(zip(names, dd.leading))
     rows = []
-    for i, (ki, equation) in enumerate(zip(dd.exponents, equations)):
+    for i, equation in enumerate(equations):
         row = []
         for j, name in enumerate(names):
             entry = equation.partial(name).replace(values)
-            if not entry.is_constant:  # named as the entry of d(f^D)/d(u), without k_i
-                fd = entry - (ki if i == j else 0)
-                raise NonConstantKowalevskian(f"entry ({i},{j}) is not a rational constant: {fd}")
+            if not entry.is_constant:
+                raise NonConstantKowalevskian(f"entry ({i},{j}) is not a rational constant: {entry}")
             row.append(entry.constant_value())
         rows.append(row)
     return RatMatrix(rows)
@@ -421,10 +420,10 @@ class Balance:
     coeffs: tuple[tuple[MultiPoly, ...], ...]  # [i][j] for 0 <= j < order
     parameters: tuple[tuple[str, int], ...]  # (name, resonance), resonance 0 = leading level
 
-    def series(self, i: int, trunc: int | None = None) -> TruncatedSeries:
+    def series(self, i: int) -> TruncatedSeries:
         ki = self.dominant.exponents[i]
         coeffs = {j - ki: self.coeffs[i][j] for j in range(self.order)}
-        return TruncatedSeries(SERIES_VAR, coeffs, self.order - ki if trunc is None else trunc)
+        return TruncatedSeries(SERIES_VAR, coeffs, self.order - ki)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,10 @@ def J_matrix(n: int) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def symplectic_product(v, w, J: RatMatrix) -> Fraction:
-    return sum((a * b for a, b in zip(v, J.matvec(list(w)))), Q(0))
+def symplectic_product(v, w) -> Fraction:
+    """<v, J w> = sum_i v_i w_(n+i) - v_(n+i) w_i, J of `J_matrix`."""
+    n = len(v) // 2
+    return sum((v[i] * w[n + i] - v[n + i] * w[i] for i in range(n)), Q(0))
 
 
 @dataclass(frozen=True)
@@ -68,26 +70,16 @@ def check_almost_weighted_homogeneous(
 def symplectic_pairing(
     rs: ResonanceStructure, d: int
 ) -> list[tuple[int, int]] | HamiltonianRejected:
-    """Pair resonances lambda <-> d-1-lambda with matching multiplicities and
-    verify <v, Jw> = 0 exactly whenever the eigenvalue sum differs from d-1."""
+    """Pair resonances lambda <-> d-1-lambda with matching multiplicities.
+
+    The J-orthogonality of eigenvectors whose resonances do not sum to d-1
+    is verified once, by `symplectic_normalize` on the columns of S.
+    """
     counts = dict(zip(rs.resonances, rs.multiplicities))
     for lam, m in counts.items():
         mu = d - 1 - lam
         if counts.get(mu, 0) != m:
             return HamiltonianRejected("unpaired_resonance", lam)
-    n2 = rs.K.rows
-    J = J_matrix(n2 // 2)
-    for lam in rs.resonances:
-        for mu in rs.resonances:
-            if lam + mu == d - 1:
-                continue
-            for v in rs.eigenbases[lam]:
-                for w in rs.eigenbases[mu]:
-                    prod = symplectic_product(v, w, J)
-                    if prod != 0:
-                        return HamiltonianRejected(
-                            "nonzero_pairing", {"lambda": lam, "mu": mu, "value": prod}
-                        )
     pairs = []
     for lam in rs.resonances:
         mu = d - 1 - lam
@@ -98,7 +90,6 @@ def symplectic_pairing(
 
 @dataclass(frozen=True)
 class SymplecticData:
-    column_resonances: tuple[int, ...]  # per S column, after the last n are reversed
     S: RatMatrix
     exchange_set: tuple[int, ...] = ()  # dof indices with q <-> p exchanged
     row_swaps: tuple[tuple[int, int], ...] = ()  # paired dof swaps by position, in order
@@ -123,7 +114,7 @@ def resonance_columns(balance: Balance) -> list[tuple[int, tuple[Fraction, ...]]
 
 
 def _split_merged_block(
-    vectors: list[tuple[Fraction, ...]], J: RatMatrix
+    vectors: list[tuple[Fraction, ...]]
 ) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]] | None:
     """Symplectic Gram-Schmidt inside an eigenspace paired with itself:
     returns (first-half vectors, second-half partners) or None if the form
@@ -134,17 +125,17 @@ def _split_merged_block(
         v = pool.pop(0)
         w = None
         for idx, cand in enumerate(pool):
-            if symplectic_product(v, cand, J) != 0:
+            if symplectic_product(v, cand) != 0:
                 w = pool.pop(idx)
                 break
         if w is None:
             return None
-        scale = symplectic_product(v, w, J)
+        scale = symplectic_product(v, w)
         w = [x / scale for x in w]
         reduced = []
         for x in pool:
-            a = symplectic_product(x, w, J)  # <x, Jw>
-            b = symplectic_product(x, v, J)  # <x, Jv> = -<v, Jx>
+            a = symplectic_product(x, w)  # <x, Jw>
+            b = symplectic_product(x, v)  # <x, Jv> = -<v, Jx>
             x2 = [xi - a * vi + b * wi for xi, vi, wi in zip(x, v, w)]
             reduced.append(x2)
         pool = reduced
@@ -174,7 +165,7 @@ def symplectic_normalize(
     if (d - 1) % 2 == 0 and any(lam == d - 1 - lam for lam, _ in columns):
         self_paired = (d - 1) // 2
         merged = [vec for lam, vec in columns if lam == self_paired]
-        split = _split_merged_block(merged, J)
+        split = _split_merged_block(merged)
         if split is None:
             return HamiltonianRejected("degenerate_merged_block", self_paired)
         firsts, seconds = split
@@ -189,7 +180,7 @@ def symplectic_normalize(
     col_resonances = tuple(lam for lam, _ in first) + tuple(lam for lam, _ in second)
     S0 = RatMatrix.from_columns([list(v) for _, v in first] + [list(v) for _, v in second])
     G = S0.transpose() * J * S0
-    # structural zeros double as the orthogonality verification
+    # the structural zeros of G are the one orthogonality verification
     for a in range(n2):
         for b in range(n2):
             if col_resonances[a] + col_resonances[b] != d - 1 and G.entry(a, b) != 0:
@@ -212,7 +203,7 @@ def symplectic_normalize(
     )
     if S.transpose() * J * S != J:
         return HamiltonianRejected("not_symplectic", S)
-    return SymplecticData(column_resonances=col_resonances, S=S)
+    return SymplecticData(S=S)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +255,7 @@ def canonical_exchanges(sd: SymplecticData) -> SymplecticData:
     # paired row swaps so that A has an LU decomposition without pivoting:
     # the elimination's own swaps, applied by position in the same order
     # (an exchange negates a picked row, which moves no pivot)
-    _, pivots, _, swaps = rref([first_cols[p] for p in picks])
+    _, pivots, swaps = rref([first_cols[p] for p in picks])
     if len(pivots) < n:
         raise AssertionError("A is singular after exchanges")
     exchange_set = tuple(i for i in range(n) if picks[i] == n + i)

@@ -187,7 +187,6 @@ def indicial_normalization(
 @dataclass(frozen=True)
 class Stage:
     resonance: int
-    variables: tuple[int, ...]  # original indices absorbed at this stage
     rho_names: tuple[str, ...]
     pivot_block: RatMatrix  # A^(l), invertible
     param_series: dict[str, TruncatedSeries]  # absorbed parameters as tau-series
@@ -339,7 +338,6 @@ def absorb_resonances(
         stages.append(
             Stage(
                 resonance=lam,
-                variables=tuple(block_vars),
                 rho_names=tuple(names_here),
                 pivot_block=A,
                 param_series=X,

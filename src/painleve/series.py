@@ -69,8 +69,8 @@ class TruncatedSeries:
         return cls(var, {0: as_poly(value)}, trunc)
 
     @classmethod
-    def monomial(cls, var: str, order: int, value: PolyLike = 1, trunc: int = EXACT) -> TruncatedSeries:
-        return cls(var, {order: as_poly(value)}, trunc)
+    def monomial(cls, var: str, order: int, value: PolyLike = 1) -> TruncatedSeries:
+        return cls(var, {order: as_poly(value)}, EXACT)
 
     @property
     def min_exp(self) -> int | None:

@@ -21,7 +21,8 @@ over Fraction entries carrying a polynomial right-hand column (which the
 reference balance recursion solves with), Faddeev-LeVerrier over Fraction
 matrices, the rational-root test by Fraction synthetic division, and the
 printing of a polynomial from Fraction coefficients.  `char_poly` wraps the
-package's coefficients as a polynomial for the tests that compare it.
+package's coefficients as a polynomial for the tests that compare it;
+`column` and `matvec` read a `RatMatrix` for the tests alone.
 """
 
 from __future__ import annotations
@@ -750,7 +751,6 @@ def absorb_resonances_by_growing_precision(
         stages.append(
             Stage(
                 resonance=lam,
-                variables=tuple(block_vars),
                 rho_names=tuple(names_here),
                 pivot_block=A,
                 param_series=X,
@@ -908,7 +908,6 @@ def rref_by_fractions(rows, ncols: int | None = None):
         ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     swaps: list[tuple[int, int]] = []
-    det = Q(1)
     r = 0
     for col in range(ncols):
         if r == len(m):
@@ -919,8 +918,6 @@ def rref_by_fractions(rows, ncols: int | None = None):
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             swaps.append((r, pivot))
-            det = -det
-        det *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
@@ -929,14 +926,25 @@ def rref_by_fractions(rows, ncols: int | None = None):
                 m[i] = [x - y * f for x, y in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
-    return m, pivots, det, swaps
+    return m, pivots, swaps
+
+
+def column(matrix: RatMatrix, j: int) -> tuple[Q, ...]:
+    return tuple(row[j] for row in matrix.data)
+
+
+def matvec(matrix: RatMatrix, vec) -> list[Q]:
+    """M v for a vector of rationals."""
+    if len(vec) != matrix.cols:
+        raise ShapeError("matvec shape mismatch")
+    return [sum((a * Q(b) for a, b in zip(row, vec)), Q(0)) for row in matrix.data]
 
 
 def solve_affine_by_elimination(matrix: RatMatrix, rhs) -> tuple[MultiPoly, ...] | Inconsistent:
     """`solve_affine` by eliminating [M | b] with the polynomial column b
     carried through every row operation."""
     n = matrix.rows
-    m, pivots, _, _ = rref_by_fractions(
+    m, pivots, _ = rref_by_fractions(
         [list(row) + [as_poly(b)] for row, b in zip(matrix.data, rhs)], n
     )
     for row in m[len(pivots) :]:

@@ -59,6 +59,18 @@ CORPUS_REPORTS = [
     ("regularize", "painleve1.ham", True, 0, "df90937d79060dd00296605e64c94c862ed595b913ddf02b796b10bc667c7518", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hamiltonian", "painleve1.ham", False, 0, "afc5229d7248656bbb6172672f5fbadb7d5aa6f9df9cf8dd0030c08252dbfcec", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("hamiltonian", "painleve1.ham", True, 0, "0c1b3a75913b7f04b29c4fa265578ab37272479fef61538d75bd51b1c53948c5", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test", "painleve2.ham", False, 0, "e8b89890a408ac8a487734239846f83957ce59f323a1c93cb26fdc4429e2c300", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test", "painleve2.ham", True, 0, "aa636863ed652890cc7f16b1a531884e281719eae9d867cd6171d2f3faef88c4", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", False, 0, "e6fbbee7585670e294a4231264b9cff877ef0c92311c1b064e7e4c042f95aef9", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", True, 0, "d37b3358815084cd00bdaefcb3034e07dd4be407048347d49774653f7a0a303a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", False, 0, "fd897c994605ad5762b77cdd4d14e811cdb456f6b14d915d1bc46bf54cb2b415", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", True, 0, "50afedd9949237c03bc619f35f356b1f43be7bad1420f5923fc28d66a6357f57", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test", "painleve4.ham", False, 0, "446c43f9d9f882054d660fad422aa0a068abec7b17a7f2bb1d9fad82f3907721", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test", "painleve4.ham", True, 0, "ccbc9b9bf3613305c29793382c2890747bd75582041d0c964cc192ef2e545b24", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", False, 0, "0b5b0f7959473f209838c626ce3ef3fd62dbd3e750a618a0568c1cf78044751a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", True, 0, "6739eae8580405a6702323851ee255d707a21679b154333469d93ab7c99c93a9", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", False, 0, "bffe7f1fdfeedf7c23f127527d2f76d8c295aac24355f3b766fbdd2de8837c97", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", True, 0, "d1455a3cf4a7a9fbacf55e517e7b087ab34fddbf90dce6edc30772940312fea3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("test", "pole2.sys", False, 0, "d66a364b71cb547cf38c4533ddee4b661239b1848308eaddf5d43d8e9aec32d2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("test", "pole2.sys", True, 0, "6a051725be1884cdfe5841bd926c217c3de3b71b4b992d500a9f12d7dcf9056d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("regularize", "pole2.sys", False, 0, "2e1b1889ee0ea093b443676eb8ab602fedd8178e2550ecba768df562bd8632d9", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -1,5 +1,5 @@
 """sympy oracles for the exact kernels: the one elimination (`rref`) behind
-det, inverse, rank, nullspace and solve_affine, the characteristic
+inverse, rank, nullspace and solve_affine, the characteristic
 polynomial, the one rational-root search, and the Kowalevskian matrix
 rebuilt from each right side's dominant part; and the one product loop,
 `sum_of_products`, against a fold of the validating ring references and,
@@ -133,7 +133,6 @@ def test_elimination_matches_sympy():
 def _check_elimination(M):
     n = M.rows
     ref = _to_sympy(M.data)
-    assert M.det() == _from_sympy(ref.det())
     assert rank([list(r) for r in M.data]) == ref.rank()
     if ref.det() != 0:
         assert M.inverse() == RatMatrix([[_from_sympy(x) for x in row] for row in ref.inv().tolist()])
@@ -167,7 +166,7 @@ def _check_solve_affine(M, rng):
     ref = _to_sympy(M.data)
     # a consistent right side half of the time, an arbitrary one otherwise
     if rng.random() < 0.5:
-        b = M.matvec([_rational(rng) for _ in range(M.cols)])
+        b = oracles.matvec(M, [_rational(rng) for _ in range(M.cols)])
     else:
         b = [_rational(rng) for _ in range(M.rows)]
     out = solve_affine(M, b)
@@ -418,7 +417,6 @@ def _check_rref(rows, ncols=None):
     ours = rref(rows, ncols)
     assert ours == oracles.rref_by_fractions(rows, ncols)
     assert all(type(x) is Q for row in ours[0] for x in row)
-    assert type(ours[2]) is Q
     return ours
 
 
@@ -442,13 +440,13 @@ def test_rref_matches_fraction_elimination():
 
 
 def test_rref_of_zero_empty_and_degenerate_rows():
-    assert _check_rref([]) == ([], [], Q(1), [])
+    assert _check_rref([]) == ([], [], [])
     _check_rref([[], []])
     _check_rref([[Q(0)] * 3] * 4)
     _check_rref([[Q(0), Q(0)], [Q(0), Q(3, 2)], [Q(0), Q(0)]])
     _check_rref([[Q(5, 3)]], 0)
     # rows below the rank keep their value, not only their span
-    m, pivots, _, _ = _check_rref([[Q(2), Q(4), Q(1, 3)], [Q(1), Q(2), Q(5, 7)], [Q(3), Q(6), Q(1)]], 2)
+    m, pivots, _ = _check_rref([[Q(2), Q(4), Q(1, 3)], [Q(1), Q(2), Q(5, 7)], [Q(3), Q(6), Q(1)]], 2)
     assert pivots == [0] and m[1] == [Q(0), Q(0), Q(5, 7) - Q(1, 6)]
 
 

@@ -13,7 +13,7 @@ from oracles import (
     resonance_matrix,
     transform_balance_by_composition,
 )
-from painleve.algebra import MultiPoly
+from painleve.algebra import MultiPoly, rank
 from painleve.cli import main
 from painleve.core import SERIES_VAR, T0_SYMBOL, analyze_system
 from painleve.model import (
@@ -166,7 +166,7 @@ def test_gd_full(gd_candidate):
     assert reg.change.beta == 1
     assert [s.resonance for s in reg.stages] == [2, 5, 8]
     for stage in reg.stages:
-        assert stage.pivot_block.det() != 0
+        assert rank(stage.pivot_block.data) == stage.pivot_block.rows
     assert reg.regularity is None
     # triangularity: head coefficients use only earlier rho symbols
     seen = set()
@@ -255,9 +255,9 @@ def test_multiplicity_two_resonance_block():
     reg = regularize(balance)
     stages = reg.stages
     assert len(stages) == 1
-    assert stages[0].resonance == 2 and len(stages[0].variables) == 2
+    assert stages[0].resonance == 2 and len(stages[0].rho_names) == 2
     assert stages[0].pivot_block.rows == 2
-    assert stages[0].pivot_block.det() != 0
+    assert rank(stages[0].pivot_block.data) == 2
     assert reg.regularity is None
     # exact expectations: tau' = -1, rho' = 0 for both absorbed variables
     assert reg.transformed.g[0].coeffs == {0: MultiPoly.const(-1)}
@@ -306,7 +306,7 @@ def test_multiplicity_two_block_with_coupling():
     reg = regularize(cand.balance)
     assert reg.regularity is None
     assert len(reg.stages) == 1
-    assert reg.stages[0].pivot_block.det() != 0
+    assert rank(reg.stages[0].pivot_block.data) == reg.stages[0].pivot_block.rows
     # the new system is linear: rho2' = rho2 + rho3, rho3' = rho3
     rho2, rho3 = MultiPoly.var("rho2"), MultiPoly.var("rho3")
     assert reg.transformed.g[1].coeffs == {0: rho2 + rho3}
@@ -337,7 +337,7 @@ def test_normalization_resonance_matrix_invertible(gd_candidate):
     nb = indicial_normalization(gd_candidate.balance)
     R1 = resonance_matrix(nb)
     assert R1.rows == R1.cols == 3
-    assert R1.det() != 0
+    assert rank(R1.data) == 3
 
 
 def test_absorption_respects_prescribed_order(gd_candidate):

@@ -5,8 +5,10 @@ must be named somewhere in src/ outside its own definition (as a name, an
 attribute or an import), be exported in `painleve.__all__`, or be named in
 perfbench/spans.py.  A helper that only tests reach belongs in
 tests/oracles.py, and each definition there must in turn be named by a
-test, a fixture or another oracle.  The check reads names only, so a
-member whose name is also used for something else passes it.
+test, a fixture or another oracle.  That check reads names only, so a
+member whose name is also used for something else passes it; a method must
+therefore also be read as an attribute (`x.name`, loaded, not stored) in
+src/ outside its own body, unless `__all__` or perfbench/spans.py names it.
 
 An underscore name stays private to the module that binds it: no other
 module imports it or reads an attribute by that name.  So the packed key
@@ -88,10 +90,39 @@ def unused_definitions(directory: Path, checked=None, reached=frozenset()) -> li
     return flagged
 
 
+def _attribute_loads(tree: ast.AST) -> Counter:
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_methods(directory: Path, reached=frozenset()) -> list[str]:
+    """Methods of the classes in `directory` whose name no module there loads
+    as an attribute outside the method's own body, and not in `reached`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
+    loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    flagged = []
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            if "." in qualified and name not in reached:
+                if loads[name] == _attribute_loads(node)[name]:
+                    flagged.append(f"{module}.{qualified}")
+    return flagged
+
+
 def test_src_defines_nothing_only_tests_reach():
     # an allowed definition that gains a caller leaves ALLOWED too
     reached = set(painleve.__all__) | _spans_names()
     assert sorted(unused_definitions(SRC, reached=reached)) == sorted(ALLOWED)
+
+
+def test_src_methods_are_read_as_attributes():
+    # a method whose name only collides with a local variable or a stored
+    # field (`det`, `column`) is still unread
+    reached = set(painleve.__all__) | _spans_names()
+    assert unread_methods(SRC, reached=reached) == []
 
 
 def test_oracles_define_nothing_no_test_reaches():
