@@ -571,13 +571,6 @@ class RatMatrix:
     def identity(cls, n: int) -> RatMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> RatMatrix:
-        if not columns:
-            return cls([])
-        n = len(columns[0])
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
@@ -614,9 +607,6 @@ class RatMatrix:
                 for i in range(self.rows)
             ]
         )
-
-    def transpose(self) -> RatMatrix:
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def inverse(self) -> RatMatrix:
         if not self.is_square():

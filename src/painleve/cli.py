@@ -188,14 +188,11 @@ def _detail_json(detail) -> object:
 def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
     """The change of variable, the transformed system and its Taylor balance."""
     cov = reg.change
+    phi = cov.substitution()
+    # the pivot row first, each row in ascending order of tau
     rows = {
-        sys.u_symbols[cov.pivot]: [[-cov.k[cov.pivot], "1"]],
+        sys.u_symbols[i]: [[o, str(phi[i].coeffs[o])] for o in phi[i].orders()] for i in cov.order
     }
-    for row in cov.rows:
-        rho = MultiPoly.var(row.rho_name) * row.rho_factor
-        rows[sys.u_symbols[row.index]] = [[o, str(p)] for o, p in row.head] + [
-            [row.exponent(cov.k), str(rho)]
-        ]
     ts = reg.transformed
     tb = reg.transformed_balance
     return {

@@ -30,19 +30,12 @@ from .regularize import (
 from .series import EXACT, TruncatedSeries, substitute_poly
 
 
-def J_matrix(n: int) -> RatMatrix:
-    rows = []
-    for i in range(n):
-        rows.append([Q(0)] * n + [Q(1) if j == i else Q(0) for j in range(n)])
-    for i in range(n):
-        rows.append([-Q(1) if j == i else Q(0) for j in range(n)] + [Q(0)] * n)
-    return RatMatrix(rows)
-
-
-def symplectic_product(v, w) -> Fraction:
-    """<v, J w> = sum_i v_i w_(n+i) - v_(n+i) w_i, J of `J_matrix`."""
+def symplectic_product(v, w):
+    """omega(v, w) = sum_i v_i w_(n+i) - v_(n+i) w_i: the one symplectic form
+    of the package, over Fractions or the series of a Jacobian column."""
     n = len(v) // 2
-    return sum((v[i] * w[n + i] - v[n + i] * w[i] for i in range(n)), Q(0))
+    terms = [v[i] * w[n + i] - v[n + i] * w[i] for i in range(n)]
+    return sum(terms[1:], terms[0])  # no Fraction start: a series cannot add one
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,8 @@ def _split_merged_block(
         w = [x / scale for x in w]
         reduced = []
         for x in pool:
-            a = symplectic_product(x, w)  # <x, Jw>
-            b = symplectic_product(x, v)  # <x, Jv> = -<v, Jx>
+            a = symplectic_product(x, w)
+            b = symplectic_product(x, v)  # = -omega(v, x)
             x2 = [xi - a * vi + b * wi for xi, vi, wi in zip(x, v, w)]
             reduced.append(x2)
         pool = reduced
@@ -147,21 +140,20 @@ def _split_merged_block(
 def symplectic_normalize(
     columns: list[tuple[int, tuple[Fraction, ...]]], d: int
 ) -> SymplecticData | HamiltonianRejected:
-    """Reverse the last n columns and rescale them so that S^T J S = J.
+    """Reverse the last n columns and rescale them so that
+    omega(S_a, S_b) = J_ab, J the standard form (ones at (i, n+i)).
 
-    The Gram matrix of the reversed columns is block anti-diagonal by the
-    pairing orthogonality, so the rescaling is the exact inverse of the
-    top-right Gram block applied to the second half (a per-column division
-    in the simple-eigenvalue case).  A merged self-paired block is split by
-    symplectic Gram-Schmidt first.
+    The Gram matrix G_ab = omega(S0_a, S0_b) of the reversed columns is block
+    anti-diagonal by the pairing orthogonality, so the rescaling is the exact
+    inverse of the top-right Gram block applied to the second half (a
+    per-column division in the simple-eigenvalue case).  A merged
+    self-paired block is split by symplectic Gram-Schmidt first.
     """
     n2 = len(columns[0][1])
     n = n2 // 2
     if len(columns) != n2:
         return HamiltonianRejected("wrong_column_count", len(columns))
-    J = J_matrix(n)
 
-    self_paired = None
     if (d - 1) % 2 == 0 and any(lam == d - 1 - lam for lam, _ in columns):
         self_paired = (d - 1) // 2
         merged = [vec for lam, vec in columns if lam == self_paired]
@@ -175,34 +167,27 @@ def symplectic_normalize(
         rebuilt += [item for item in columns if item[0] > self_paired]
         columns = rebuilt
 
-    first = columns[:n]
-    second = list(reversed(columns[n:]))
-    col_resonances = tuple(lam for lam, _ in first) + tuple(lam for lam, _ in second)
-    S0 = RatMatrix.from_columns([list(v) for _, v in first] + [list(v) for _, v in second])
-    G = S0.transpose() * J * S0
+    ordered = columns[:n] + columns[n:][::-1]
+    vectors = [v for _, v in ordered]
+    G = [[symplectic_product(v, w) for w in vectors] for v in vectors]
     # the structural zeros of G are the one orthogonality verification
-    for a in range(n2):
-        for b in range(n2):
-            if col_resonances[a] + col_resonances[b] != d - 1 and G.entry(a, b) != 0:
-                return HamiltonianRejected(
-                    "nonzero_pairing",
-                    {"cols": (a, b), "value": G.entry(a, b)},
-                )
-    phi = RatMatrix([[G.entry(i, n + j) for j in range(n)] for i in range(n)])
+    for a, (lam, _) in enumerate(ordered):
+        for b, (mu, _) in enumerate(ordered):
+            if lam + mu != d - 1 and G[a][b] != 0:
+                return HamiltonianRejected("nonzero_pairing", {"cols": (a, b), "value": G[a][b]})
+    phi = RatMatrix([row[n:] for row in G[:n]])
     try:
         phi_inv = phi.inverse()
     except ShapeError:  # phi is square, so singular
         return HamiltonianRejected("singular_gram_block", phi)
-    W = RatMatrix([[S0.entry(i, n + j) for j in range(n)] for i in range(n2)])
-    W2 = W * phi_inv
-    S = RatMatrix(
-        [
-            [S0.entry(i, j) for j in range(n)] + [W2.entry(i, j) for j in range(n)]
-            for i in range(n2)
-        ]
-    )
-    if S.transpose() * J * S != J:
-        return HamiltonianRejected("not_symplectic", S)
+    # W phi^-1, W the second-half columns side by side
+    W2 = RatMatrix(list(zip(*vectors[n:]))) * phi_inv
+    S = RatMatrix([left + right for left, right in zip(zip(*vectors[:n]), W2.data)])
+    S_columns = list(zip(*S.data))
+    for a in range(n2):
+        for b in range(n2):
+            if symplectic_product(S_columns[a], S_columns[b]) != (b == a + n) - (a == b + n):
+                return HamiltonianRejected("not_symplectic", S)
     return SymplecticData(S=S)
 
 
@@ -347,34 +332,24 @@ class CanonicalWitness:
 def verify_canonical(
     cov: ChangeOfVariable, n_dof: int
 ) -> CanonicalWitness | None:
-    """Expand sum dq_i ^ dp_i under the substitution and compare with
-    sum dQ_i ^ dP_i, coefficient by coefficient, exactly: the first
-    coefficient that differs is returned as a witness, None if none does."""
+    """Expand sum dq_i ^ dp_i under the substitution, as omega of the
+    Jacobian columns, and compare with sum dQ_i ^ dP_i, coefficient by
+    coefficient, exactly: the first coefficient that differs is returned as
+    a witness, None if none does."""
     names = cov.new_names()
-    n2 = 2 * n_dof
     partials = cov.jacobian()
+    columns = [[partials[i][a] for i in range(2 * n_dof)] for a in range(len(names))]
     pos = {name: a for a, name in enumerate(names)}
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            total = TruncatedSeries.zero(cov.tau_name, trunc=EXACT)
-            for i in range(n_dof):
-                qi, pi = i, n_dof + i
-                total = total + partials[qi][a] * partials[pi][b]
-                total = total - partials[qi][b] * partials[pi][a]
-            expected = Q(0)
-            for i in range(1, n_dof + 1):
-                qa, pa = pos[f"{Q_PREFIX}{i}"], pos[f"{P_PREFIX}{i}"]
-                if (a, b) == (min(qa, pa), max(qa, pa)):
-                    expected = Q(1) if qa < pa else Q(-1)
-            residual = total - TruncatedSeries.constant(cov.tau_name, expected, trunc=EXACT)
-            if not residual.is_zero:
-                o = residual.min_exp
-                return CanonicalWitness(
-                    var_a=names[a],
-                    var_b=names[b],
-                    order=o,
-                    coefficient=residual.coeffs[o],
-                )
+    standard = {(pos[f"{Q_PREFIX}{i}"], pos[f"{P_PREFIX}{i}"]) for i in range(1, n_dof + 1)}
+    for a, b in itertools.combinations(range(len(names)), 2):
+        expected = Q(((a, b) in standard) - ((b, a) in standard))
+        omega = symplectic_product(columns[a], columns[b])
+        residual = omega - TruncatedSeries.constant(cov.tau_name, expected)
+        if not residual.is_zero:
+            o = residual.min_exp
+            return CanonicalWitness(
+                var_a=names[a], var_b=names[b], order=o, coefficient=residual.coeffs[o]
+            )
     return None
 
 

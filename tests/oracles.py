@@ -22,7 +22,9 @@ reference balance recursion solves with), Faddeev-LeVerrier over Fraction
 matrices, the rational-root test by Fraction synthetic division, and the
 printing of a polynomial from Fraction coefficients.  `char_poly` wraps the
 package's coefficients as a polynomial for the tests that compare it;
-`column` and `matvec` read a `RatMatrix` for the tests alone.
+`column` and `matvec` read a `RatMatrix` for the tests alone, and the
+matrix J of the standard symplectic form, with the transpose, gives the
+S^T J S = J checks a form that does not share the package's code.
 """
 
 from __future__ import annotations
@@ -1105,3 +1107,27 @@ def matrix_scale(m: RatMatrix, factor) -> RatMatrix:
 
 def matrix_sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return matrix_add(a, matrix_scale(b, -1))
+
+
+def from_columns(columns) -> RatMatrix:
+    """The matrix whose columns are the given vectors."""
+    return RatMatrix([list(row) for row in zip(*columns)])
+
+
+def transpose(m: RatMatrix) -> RatMatrix:
+    return from_columns(m.data)
+
+
+def J_matrix(n: int) -> RatMatrix:
+    """The standard symplectic matrix [[0, I], [-I, 0]] of size 2n, from its
+    blocks: the matrix form of `hamiltonian.symplectic_product`."""
+    identity = RatMatrix.identity(n).data
+    return RatMatrix(
+        [[0] * n + list(row) for row in identity] + [[-x for x in row] + [0] * n for row in identity]
+    )
+
+
+def is_symplectic(S: RatMatrix) -> bool:
+    """S^T J S = J, by matrix products."""
+    J = J_matrix(S.rows // 2)
+    return transpose(S) * J * S == J

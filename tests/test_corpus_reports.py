@@ -1,19 +1,29 @@
 """Every corpus report, byte for byte.
 
-The table pins the exit code and the SHA-256 of stdout and of stderr of
+The tables pin the exit code and the SHA-256 of stdout and of stderr of
 `test`, `regularize` and `hamiltonian` on each file of tests/data, with and
-without `--json`.  Refactors of the engine must leave every row unchanged;
-a row changes only with a documented change of output.
+without `--json`, and of `regularize` and `hamiltonian` at every principal
+balance of each `.ham` file.  Refactors of the engine must leave every row
+unchanged; a row changes only with a documented change of output.  The
+`.ham` rows are also run under the oldest Python that pyproject.toml
+admits, when that interpreter is on PATH.
 """
 
 import hashlib
+import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from painleve.cli import main
+from painleve.core import analyze_system
+from painleve.model import hamiltonian_to_system, parse_hamiltonian
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 # (command, file, --json, exit code, sha256(stdout), sha256(stderr))
 CORPUS_REPORTS = [
@@ -86,23 +96,119 @@ CORPUS_REPORTS = [
 ]
 
 
+# (command, file, --balance-index, --json, exit code, sha256(stdout),
+# sha256(stderr)): the principal balances after the first of each .ham file
+# (index 0 is the default, in CORPUS_REPORTS).  P_IV index 3 is built in
+# exchanged coordinates (exchange_set [0]).
+BALANCE_INDEX_REPORTS = [
+    ("regularize", "painleve2.ham", 1, False, 0, "99c0eb9373b3edbb83f3417bbc64513c6eb269387ada76c32b9cfb92ecfb2ca3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", 1, True, 0, "78a25086bd33bba7c50f3bc014e859ab9fd3232f3b68ea389ebd81e6a440bc81", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", 2, False, 0, "9977f976464919bf8f85dde7157a301fda2f0f600a48b258c772c6da5b8ce585", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", 2, True, 0, "999b1572c64b4cf317c4159b90f27c06f17778d7efc3898d2f9abd4e4b22d658", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", 3, False, 0, "f9a86672adfec2f05214881870bdf97e76f62abdd6acdd3f7da469520e237591", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve2.ham", 3, True, 0, "f16b478d9e681b1455c027f970d45949ebd34255412f64e50d3d1e51f241adea", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 1, False, 0, "4efe93dc56a22c714f40f054e81bb6ee616ea71c8520640f04bbf335f70641dc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 1, True, 0, "4ded826f3cd04f1c12d08a48d7b8d478cc5d7d0d74095176ba07fa49a817c1de", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 2, False, 0, "75a3426860ea8d6b512c0fa93434b84be291067d7fb2520bd2b8d2f7381b73dc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 2, True, 0, "a34714205410ad9eaba0c3ab7ce82e17eb76c81e4cff425741902def89a811fe", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 3, False, 0, "38fe1b966f934805ecf64338f148d13cd7654a9684c045cb467fc97fab5c06ce", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve2.ham", 3, True, 0, "f62ea03c7c9be7842e95c9bd4ad4fd13bcae85e9d5021a9402e77cf9d4cf764a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 1, False, 0, "6c667ca4470736a63204fd54e2842c10c4cb8c97a867ce01f6963ddb2b4382ad", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 1, True, 0, "93166a5cfb35543f684276cec070cb607ade8ebc561bf6c75761b1af6889cebc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 2, False, 0, "a90b1eae675f8e555fae0485d1331c75ee1b0cefe758f7a1e511657732a111b3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 2, True, 0, "e5ebe3f7d6a3febc73315c0c44b875962e8bf5e3cf8d34f9521784d0385d7966", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 3, False, 0, "eb00a9fd461d0bce7ea447eacb20df489163e908860f6163121c98e74b1b7ddb", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 3, True, 0, "5dbe9668e29eef28d4ea5235354b196c274f096e715993e84cb3343931cb5bc0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 4, False, 0, "c82bde2fce9a21fd181063c8c8bb8864f38b6c333b4a3e4940e2bb8450272dc1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("regularize", "painleve4.ham", 4, True, 0, "c66d994d99328ad4ac78cedb9a406b433777269dd8fd2cd92e1d87ee67f92de7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 1, False, 0, "ee504c0466c0c5554eaac6cef36cf5ad88d5042f861415b06740feda19748ff1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 1, True, 0, "490aade58f2635cd2e357c72df02e3d3c5aa703ce76b9cbe238c6ee717348331", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 2, False, 0, "2b480bbf1b4a9cf2e17de71283311137aff79a9e9d8dba431146f87e8d4bb53f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 2, True, 0, "04c5ac0e5041f79478a146e25cf16b7590e6af265fa2b26bdef272bfd0798baf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 3, False, 0, "3d9154ea2b3a82443824252cb9f3b68d1846efe8d737bc4568cb3b6d497b100a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 3, True, 0, "5ee3293c336571148ba52bea01d65fc930a23962d016daeb26cc0a744cc7e0c3", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 4, False, 0, "59710f4e11401c20c7376468f23b9cebe8153eff9a0439453fbd5e6d754fccae", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hamiltonian", "painleve4.ham", 4, True, 0, "75b75a653286ab4cf0094c29e2ea592a202619751831835552562c02128b5c7c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+PINNED = [(c, n, 0, j, *pins) for c, n, j, *pins in CORPUS_REPORTS] + BALANCE_INDEX_REPORTS
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _argv(command: str, name: str, index: int, as_json: bool) -> list[str]:
+    return (
+        [command, str(DATA / name)]
+        + ([f"--balance-index={index}"] if index else [])
+        + (["--json"] if as_json else [])
+    )
+
+
 def test_table_covers_the_corpus():
     names = sorted(p.name for p in DATA.iterdir())
-    assert sorted({row[1] for row in CORPUS_REPORTS}) == names
-    assert len(CORPUS_REPORTS) == len(names) * 3 * 2
+    keys = [tuple(row[:4]) for row in PINNED]
+    assert len(set(keys)) == len(keys)
+    # every command, text and --json, on every file at its default balance,
+    # and regularize and hamiltonian at every principal balance of a .ham file
+    commands = ("test", "regularize", "hamiltonian")
+    expected = {(c, n, 0, j) for c in commands for n in names for j in (False, True)}
+    for name in names:
+        if name.endswith(".ham"):
+            system = hamiltonian_to_system(parse_hamiltonian((DATA / name).read_text()))
+            count = len(analyze_system(system).principal_candidates())
+            expected |= {
+                (c, name, i, j)
+                for c in commands[1:]
+                for i in range(count)
+                for j in (False, True)
+            }
+    assert set(keys) == expected
 
 
 @pytest.mark.parametrize(
-    "command,name,as_json,code,out_digest,err_digest",
-    CORPUS_REPORTS,
-    ids=[f"{c} {n}{' --json' if j else ''}" for c, n, j, *_ in CORPUS_REPORTS],
+    "command,name,index,as_json,code,out_digest,err_digest",
+    PINNED,
+    ids=[" ".join([c, n] + _argv(c, n, i, j)[2:]) for c, n, i, j, *_ in PINNED],
 )
-def test_corpus_report_pinned(capsys, command, name, as_json, code, out_digest, err_digest):
-    argv = [command, str(DATA / name)] + (["--json"] if as_json else [])
-    got = main(argv)
+def test_corpus_report_pinned(capsys, command, name, index, as_json, code, out_digest, err_digest):
+    got = main(_argv(command, name, index, as_json))
     captured = capsys.readouterr()
     assert (got, _sha(captured.out), _sha(captured.err)) == (code, out_digest, err_digest)
+
+
+# `requires-python` in pyproject.toml
+OLDEST_PYTHON = "python3.10"
+
+# run with the standard library only: each argv read from stdin, one
+# [exit code, sha256(stdout), sha256(stderr)] per argv on stdout
+_DIGEST_ROWS = """
+import contextlib, hashlib, io, json, sys
+from painleve.cli import main
+digests = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digests.append([code] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)])
+print(json.dumps(digests))
+"""
+
+
+def test_oldest_python_prints_the_pinned_ham_reports():
+    exe = shutil.which(OLDEST_PYTHON)
+    version = "import sys; print(sys.version_info[:2] == (3, 10))"
+    probe = exe and subprocess.run([exe, "-S", "-c", version], capture_output=True, text=True)
+    if not probe or probe.stdout.strip() != "True":
+        pytest.skip(f"no working {OLDEST_PYTHON} on PATH")
+    rows = [row for row in PINNED if row[1].endswith(".ham")]
+    done = subprocess.run(
+        [exe, "-S", "-c", _DIGEST_ROWS],
+        input=json.dumps([_argv(*row[:4]) for row in rows]),
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == [list(row[4:]) for row in rows]

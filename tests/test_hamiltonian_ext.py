@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import random
+import re
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 import oracles
 from painleve.algebra import MultiPoly, RatMatrix, poly_det, rank
+from painleve.cli import main
 from painleve.core import (
     analyze_candidate,
     analyze_system,
@@ -18,7 +21,6 @@ from painleve.core import (
 from painleve.hamiltonian import (
     CanonicalWitness,
     HamiltonianRejected,
-    J_matrix,
     SymplecticData,
     apply_exchanges,
     build_canonical_change,
@@ -64,8 +66,8 @@ def one_dof():
 
 
 def test_structure_matrices():
-    J = J_matrix(2)
-    assert J.transpose() == oracles.matrix_scale(J, -1)
+    J = oracles.J_matrix(2)
+    assert oracles.transpose(J) == oracles.matrix_scale(J, -1)
     assert J * J == oracles.matrix_scale(RatMatrix.identity(4), -1)
 
 
@@ -108,7 +110,7 @@ def test_pairing_orthogonality_gd_reference_columns():
 def test_symplectic_product_is_the_form_of_J():
     rng = random.Random(5)
     for n in (1, 2, 3):
-        J = J_matrix(n)
+        J = oracles.J_matrix(n)
         for _ in range(10):
             v = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * n)]
             w = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * n)]
@@ -136,8 +138,7 @@ def test_pairing_rejects_unpaired_spectrum():
 def test_symplectic_normalize_default_columns(gd_candidate):
     columns = resonance_columns(gd_candidate.balance)
     sd = symplectic_normalize(columns, 8)
-    J = J_matrix(2)
-    assert sd.S.transpose() * J * sd.S == J
+    assert oracles.is_symplectic(sd.S)
     # S keeps the first half and rescales the reversed second half
     by_resonance = dict(columns)
     for j, lam in enumerate((-1, 2, 8, 5)):
@@ -163,18 +164,77 @@ def test_symplectic_normalize_fixes_signs():
     # identity-like resonance basis with J-incompatible signs: one rescale
     columns = [(-1, (Q(0), Q(1))), (2, (Q(1), Q(0)))]
     sd = symplectic_normalize(columns, 2)
-    J = J_matrix(1)
-    assert sd.S.transpose() * J * sd.S == J
+    assert oracles.is_symplectic(sd.S)
     assert sd.S == RatMatrix([[0, -1], [1, 0]])
 
 
+def _vector(*entries) -> tuple:
+    return tuple(Q(x) for x in entries)
+
+
 def test_symplectic_normalize_merged_block():
-    # synthetic self-paired block at lambda = (d-1)/2 = 2 with d = 5
+    # synthetic self-paired block at lambda = (d-1)/2 = 2 with d = 5; no
+    # corpus input reaches the merged-block split, so S is pinned entrywise
     e = lambda i: tuple(Q(1) if j == i else Q(0) for j in range(4))
     columns = [(-1, e(0)), (2, e(1)), (2, e(3)), (5, e(2))]
     sd = symplectic_normalize(columns, 5)
-    J = J_matrix(2)
-    assert sd.S.transpose() * J * sd.S == J
+    assert oracles.is_symplectic(sd.S)
+    assert sd.S == RatMatrix.identity(4)
+    # a 4-dimensional block in (q2, q3, p2, p3): the Gram-Schmidt split
+    # pairs the first vector with the second and reduces the other two
+    columns = [
+        (-1, _vector(1, 0, 0, 1, 0, 0)),
+        (2, _vector(0, 1, 0, 0, 0, 1)),
+        (2, _vector(0, 0, 1, 0, 2, 0)),
+        (2, _vector(0, 1, 0, 0, -1, 0)),
+        (2, _vector(0, 0, 1, 0, 0, 1)),
+        (5, _vector(0, 0, 0, 2, 0, 0)),
+    ]
+    sd = symplectic_normalize(columns, 5)
+    assert oracles.is_symplectic(sd.S)
+    assert sd.S == RatMatrix(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, -1, 0, 0, Q(1, 3)],
+            [0, 0, 1, 0, 1, Q(2, 3)],
+            [1, 0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 2, Q(2, 3)],
+            [0, 1, -2, 0, 0, Q(2, 3)],
+        ]
+    )
+
+
+def test_symplectic_normalize_double_resonances_with_a_full_gram_block():
+    # 3 dof, resonances -1, 2, 2, 5, 5, 8 (d = 8): the Gram block phi pairs
+    # the 2-eigenvectors with both 5-eigenvectors, so the rescaling is a
+    # full 2 x 2 inverse, not a per-column division
+    columns = [
+        (-1, _vector(1, 0, 0, 3, 0, 0)),
+        (2, _vector(0, 1, 1, 0, 0, 0)),
+        (2, _vector(0, 1, -2, 0, 0, 0)),
+        (5, _vector(0, 0, 0, 0, 2, Q(1, 2))),
+        (5, _vector(0, 0, 0, 0, 1, -1)),
+        (8, _vector(0, 0, 0, 2, 0, 0)),
+    ]
+    second_half = [vec for _, vec in reversed(columns[3:])]
+    gram = [[symplectic_product(v, w) for w in second_half] for _, v in columns[:3]]
+    assert [row[1:] for row in gram[1:]] == [[0, Q(5, 2)], [3, 1]]
+    sd = symplectic_normalize(columns, 8)
+    assert oracles.is_symplectic(sd.S)
+    assert sd.S == RatMatrix(
+        [
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0],
+            [0, 1, -2, 0, 0, 0],
+            [3, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, Q(2, 3), Q(1, 3)],
+            [0, 0, 0, 0, Q(1, 3), Q(-1, 3)],
+        ]
+    )
+    # the first half is the 2-eigenvectors unchanged, the second half spans
+    # the 5-eigenspace
+    assert [oracles.column(sd.S, j) for j in range(3)] == [vec for _, vec in columns[:3]]
+    assert rank([oracles.column(sd.S, 4), oracles.column(sd.S, 5), *second_half[1:]]) == 2
 
 
 def test_symplectic_normalize_rejects_nonzero_pairing():
@@ -195,8 +255,7 @@ def test_canonical_exchanges_forced_swap():
     sd = symplectic_normalize([(-1, (Q(0), Q(1))), (2, (Q(1), Q(0)))], 2)
     out = canonical_exchanges(sd)
     assert out.exchange_set == (0,)
-    J = J_matrix(1)
-    assert out.S.transpose() * J * out.S == J
+    assert oracles.is_symplectic(out.S)
     assert out.S.entry(0, 0) != 0
 
 
@@ -213,7 +272,7 @@ def test_canonical_exchanges_gd(gd_candidate):
 def _block_diag_symplectic(A: RatMatrix) -> SymplecticData:
     """S = diag(A, A^-T), symplectic for any invertible A."""
     n = A.rows
-    B = A.inverse().transpose()
+    B = oracles.transpose(A.inverse())
     rows = [list(A.row(i)) + [Q(0)] * n for i in range(n)]
     rows += [[Q(0)] * n + list(B.row(i)) for i in range(n)]
     return SymplecticData(S=RatMatrix(rows))
@@ -233,7 +292,7 @@ def test_canonical_exchanges_chained_swaps():
     assert out.exchange_set == ()
     assert out.row_swaps == ((0, 2), (1, 2))
     assert all(not m.is_zero for m in _leading_minors(out.S, 3))
-    assert out.S.transpose() * J_matrix(3) * out.S == J_matrix(3)
+    assert oracles.is_symplectic(out.S)
 
 
 def test_canonical_exchanges_random_blocks_are_lu_decomposable():
@@ -249,7 +308,7 @@ def test_canonical_exchanges_random_blocks_are_lu_decomposable():
             out = canonical_exchanges(_block_diag_symplectic(A))
             chained += len(out.row_swaps) >= 2
             assert all(not m.is_zero for m in _leading_minors(out.S, n))
-            assert out.S.transpose() * J_matrix(n) * out.S == J_matrix(n)
+            assert oracles.is_symplectic(out.S)
     assert chained >= 20
 
 
@@ -492,8 +551,7 @@ def test_henon_heiles_symplectic_structure():
     pairing = symplectic_pairing(cand.balance.structure, d)
     assert pairing == [(-1, 6), (1, 4)]
     sd = symplectic_normalize(resonance_columns(cand.balance), d)
-    J = J_matrix(2)
-    assert sd.S.transpose() * J * sd.S == J
+    assert oracles.is_symplectic(sd.S)
     # the indicial root here is imaginary (leading coefficient -1 at an even
     # exponent), which is outside the rational-arithmetic scope
     from painleve.regularize import NoRationalRootPivot, regularize
@@ -516,3 +574,42 @@ def test_new_hamiltonian_autonomous_singular_part_is_fault():
     H = MultiPoly.var("q")  # pulls back to Q1^-2: singular
     with pytest.raises(AssertionError):
         new_hamiltonian(H, cov, ("q", "p"), True)
+
+
+# every corpus `hamiltonian` run that reaches the canonical construction
+CANONICAL_RUNS = (
+    [("gd.ham", 0), ("painleve1.ham", 0)]
+    + [("painleve2.ham", i) for i in range(4)]
+    + [("painleve4.ham", i) for i in range(5)]
+)
+
+
+@pytest.mark.parametrize("name,index", CANONICAL_RUNS)
+def test_reported_change_of_variable_is_canonical_by_sympy(capsys, name, index):
+    # rebuild phi from the --json rows alone and check Dphi^T J Dphi = J with
+    # sympy, in the order (Q1..Qn, P1..Pn) and (q1..qn, p1..pn): a check of
+    # the 2-form that shares no code with `verify_canonical`
+    sympy = pytest.importorskip("sympy")
+    argv = ["hamiltonian", str(DATA / name), f"--balance-index={index}", "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    cov = report["change_of_variable"]
+    assert report["hamiltonian"]["canonical"] is True
+
+    def expr(text: str):
+        names = {nm: sympy.Symbol(nm) for nm in re.findall(r"[A-Za-z_]\w*", text)}
+        return sympy.sympify(text.replace("^", "**"), locals=names)
+
+    hs = parse_hamiltonian((DATA / name).read_text())
+    n = hs.n_dof
+    new = [f"Q{i}" for i in range(1, n + 1)] + [f"P{i}" for i in range(1, n + 1)]
+    assert sorted(cov["new_variables"]) == sorted(new)
+    tau = sympy.Symbol(cov["tau"])
+    phi = {
+        u: sum(expr(c) * tau**o for o, c in terms) for u, terms in cov["rows"].items()
+    }
+    old = hs.q_symbols + hs.p_symbols
+    D = sympy.Matrix([[sympy.diff(phi[u], sympy.Symbol(x)) for x in new] for u in old])
+    zero, one = sympy.zeros(n), sympy.eye(n)
+    J = sympy.Matrix(sympy.BlockMatrix([[zero, one], [-one, zero]]))
+    assert (D.T * J * D - J).applyfunc(sympy.expand) == sympy.zeros(2 * n)
