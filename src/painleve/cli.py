@@ -188,7 +188,7 @@ def _detail_json(detail) -> object:
 def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
     """The change of variable, the transformed system and its Taylor balance."""
     cov = reg.change
-    phi = cov.substitution()
+    phi = cov.phi
     # the pivot row first, each row in ascending order of tau
     rows = {
         sys.u_symbols[i]: [[o, str(phi[i].coeffs[o])] for o in phi[i].orders()] for i in cov.order
@@ -199,8 +199,8 @@ def regularization_report(reg: Regularization, sys: ODESystem) -> dict:
         "change_of_variable": {
             "pivot_order": [sys.u_symbols[i] for i in cov.order],
             "root_beta": str(cov.beta),
-            "tau": cov.tau_name,
-            "new_variables": list(cov.new_names()),
+            "tau": cov.names[0],
+            "new_variables": list(cov.names),
             "rows": rows,
         },
         "transformed_system": {

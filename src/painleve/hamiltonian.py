@@ -336,15 +336,15 @@ def verify_canonical(
     Jacobian columns, and compare with sum dQ_i ^ dP_i, coefficient by
     coefficient, exactly: the first coefficient that differs is returned as
     a witness, None if none does."""
-    names = cov.new_names()
-    partials = cov.jacobian()
+    names = cov.names
+    partials = cov.jacobian
     columns = [[partials[i][a] for i in range(2 * n_dof)] for a in range(len(names))]
     pos = {name: a for a, name in enumerate(names)}
     standard = {(pos[f"{Q_PREFIX}{i}"], pos[f"{P_PREFIX}{i}"]) for i in range(1, n_dof + 1)}
     for a, b in itertools.combinations(range(len(names)), 2):
         expected = Q(((a, b) in standard) - ((b, a) in standard))
         omega = symplectic_product(columns[a], columns[b])
-        residual = omega - TruncatedSeries.constant(cov.tau_name, expected)
+        residual = omega - TruncatedSeries.constant(names[0], expected)
         if not residual.is_zero:
             o = residual.min_exp
             return CanonicalWitness(
@@ -366,8 +366,7 @@ def new_hamiltonian(
     Autonomous systems must come out with an identically zero singular part;
     anything else is an implementation fault and raises.
     """
-    subs = cov.substitution()
-    bindings = {u_symbols[i]: s for i, s in subs.items()}
+    bindings = {u_symbols[i]: s for i, s in cov.phi.items()}
     expanded = substitute_poly(H, bindings, order=EXACT)
     regular = regular_part(expanded)
     dropped = [(o, expanded.coeffs[o]) for o in expanded.orders() if o < 0]

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .algebra import MultiPoly, Q, RatMatrix, ShapeError, as_poly, rref, sum_of_products
+from .algebra import MultiPoly, Q, RatMatrix, ShapeError, rref, sum_of_products
 from .core import Balance
 from .model import RHO_PREFIX, SERIES_VAR, T0_SYMBOL, T_SYMBOL, TAU, ODESystem
 from .series import (
@@ -193,20 +194,6 @@ class Stage:
     a_lam: tuple[MultiPoly, ...]  # a_(v, lambda) per block variable: its rho at tau = 0
 
 
-@dataclass(frozen=True)
-class VariableRow:
-    """One row of the triangular substitution for a non-pivot variable."""
-
-    index: int  # original variable index
-    rho_name: str
-    rho_factor: Fraction
-    resonance: int
-    head: tuple[tuple[int, MultiPoly], ...]  # (tau exponent, coefficient)
-
-    def exponent(self, k: tuple[int, ...]) -> int:
-        return self.resonance - k[self.index]
-
-
 def _greedy_rows(columns_matrix: list[list[Fraction]], m: int) -> list[int]:
     """Indices of the first m rows each independent of the rows before it:
     the Gauss-Jordan pivot columns of the transposed block."""
@@ -221,9 +208,10 @@ def absorb_resonances(
     var_order: tuple[int, ...] | None = None,
     rho_names: tuple[str, ...] | None = None,
     last_factor: Fraction | None = None,
-) -> tuple[tuple[Stage, ...], tuple[VariableRow, ...], tuple[int, ...]]:
-    """Absorb each resonance block in increasing order: the stages, the
-    substitution rows in construction order, and that order (the pivot
+) -> tuple[tuple[Stage, ...], dict[int, TruncatedSeries], tuple[int, ...]]:
+    """Absorb each resonance block in increasing order: the stages, the rows
+    of phi for the absorbed variables (original index -> head + rho *
+    tau^(lambda - k), in construction order), and that order (the pivot
     first, then the absorbed variables in turn).
 
     `var_order` prescribes which variables are absorbed in which sequence
@@ -259,7 +247,7 @@ def absorb_resonances(
 
     rho_iter = iter(rho_names)
     stages: list[Stage] = []
-    rows: list[VariableRow] = []
+    rows: dict[int, TruncatedSeries] = {}
     construction_order: list[int] = [nb.pivot]
 
     for lam in sorted({r for _, r in params}):
@@ -279,12 +267,12 @@ def absorb_resonances(
                 f"prescribed rows {block_vars} give a singular block at resonance {lam}"
             ) from None
 
-        # record the substitution rows for the block variables
+        # record the rows of phi for the block variables
         names_here = []
         for v in block_vars:
             rho = next(rho_iter)
             names_here.append(rho)
-            head = []
+            terms = {}
             for o in series[v].orders():
                 if o >= lam - k[v]:
                     break
@@ -294,16 +282,10 @@ def absorb_resonances(
                     raise AssertionError(
                         f"head coefficient depends on unabsorbed parameter {bad}"
                     )
-                head.append((o, coeff))
-            rows.append(
-                VariableRow(
-                    index=v,
-                    rho_name=rho,
-                    rho_factor=Q(1),
-                    resonance=lam,
-                    head=tuple(head),
-                )
-            )
+                terms[o] = coeff
+            last = last_factor is not None and len(rows) == len(rho_names) - 1
+            terms[lam - k[v]] = MultiPoly.var(rho) * last_factor if last else MultiPoly.var(rho)
+            rows[v] = TruncatedSeries(tau, terms, EXACT)
             construction_order.append(v)
 
         # invert: express the block parameters as tau-series in the rho's
@@ -345,9 +327,7 @@ def absorb_resonances(
             )
         )
 
-    if last_factor is not None and rows:
-        rows[-1] = replace(rows[-1], rho_factor=last_factor)
-    return tuple(stages), tuple(rows), tuple(construction_order)
+    return tuple(stages), rows, tuple(construction_order)
 
 
 # ----------------------------------------------------------------------
@@ -356,37 +336,20 @@ def absorb_resonances(
 
 @dataclass(frozen=True)
 class ChangeOfVariable:
-    tau_name: str
-    pivot: int
-    k: tuple[int, ...]  # exponents, original variable order
-    beta: Fraction
-    order: tuple[int, ...]  # construction order, pivot first
-    rows: tuple[VariableRow, ...]
+    """The triangular change of variable u = phi(tau, rho..., t)."""
 
-    def new_names(self) -> tuple[str, ...]:
-        return (self.tau_name,) + tuple(r.rho_name for r in self.rows)
+    names: tuple[str, ...]  # tau, then the rho's, in construction order
+    order: tuple[int, ...]  # construction order of the original indices, pivot first
+    beta: Fraction  # tau'(t0)
+    phi: dict[int, TruncatedSeries]  # original index -> finite Laurent polynomial in tau
 
-    def substitution(self) -> dict[int, TruncatedSeries]:
-        """Original variable index -> finite Laurent polynomial in tau."""
-        subs = {
-            self.pivot: TruncatedSeries.monomial(self.tau_name, -self.k[self.pivot])
-        }
-        for row in self.rows:
-            terms = {o: p for o, p in row.head}
-            terms[row.exponent(self.k)] = (
-                MultiPoly.var(row.rho_name) * row.rho_factor
-            )
-            subs[row.index] = TruncatedSeries(self.tau_name, terms, EXACT)
-        return subs
-
+    @cached_property
     def jacobian(self) -> dict[int, list[TruncatedSeries]]:
-        """Original variable index -> d phi / d(tau, rho...), in the order of
-        `new_names`."""
-        rhos = self.new_names()[1:]
+        """Original variable index -> d phi / d(tau, rho...), in the order of `names`."""
         return {
-            i: [phi.var_derivative()]
-            + [phi.map_coeffs(lambda p, nm=nm: p.partial(nm)) for nm in rhos]
-            for i, phi in self.substitution().items()
+            i: [row.var_derivative()]
+            + [row.map_coeffs(lambda p, nm=nm: p.partial(nm)) for nm in self.names[1:]]
+            for i, row in self.phi.items()
         }
 
 
@@ -406,16 +369,26 @@ class SingularWitness:
 
 
 def build_triangular_change(
-    nb: NormalizedBalance, rows: tuple[VariableRow, ...], order: tuple[int, ...]
+    nb: NormalizedBalance,
+    stages: tuple[Stage, ...],
+    rows: dict[int, TruncatedSeries],
+    order: tuple[int, ...],
 ) -> ChangeOfVariable:
+    """phi: the pivot row tau^(-k), then the absorbed rows."""
+    pivot_row = TruncatedSeries.monomial(nb.tau_name, -nb.balance.dominant.exponents[nb.pivot])
     return ChangeOfVariable(
-        tau_name=nb.tau_name,
-        pivot=nb.pivot,
-        k=nb.balance.dominant.exponents,
-        beta=nb.beta,
+        names=(nb.tau_name,) + tuple(nm for stage in stages for nm in stage.rho_names),
         order=order,
-        rows=rows,
+        beta=nb.beta,
+        phi={nb.pivot: pivot_row, **rows},
     )
+
+
+def _diagonal(entry: TruncatedSeries) -> tuple[int, Fraction]:
+    """(e, c) of a Jacobian diagonal entry, which must be one rational monomial c tau^e."""
+    if len(entry.coeffs) != 1 or not entry.coeffs[entry.min_exp].is_constant:
+        raise AssertionError(f"Jacobian diagonal {entry} is not one rational monomial")
+    return entry.min_exp, entry.coeffs[entry.min_exp].constant_value()
 
 
 def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem:
@@ -425,37 +398,23 @@ def transform_system(sys: ODESystem, cov: ChangeOfVariable) -> TransformedSystem
     diagonal, so the solve is exact forward substitution and every g_i is a
     finite Laurent polynomial in tau.
     """
-    subs = cov.substitution()
-    bindings = {sys.u_symbols[i]: s for i, s in subs.items()}
-    order = cov.order
-    n = len(order)
-    jacobian = cov.jacobian()
-
+    bindings = {sys.u_symbols[i]: s for i, s in cov.phi.items()}
     g: list[TruncatedSeries] = []
     min_exps: list[int] = []
-    for m in range(n):
-        i = order[m]
-        J = jacobian[i]
+    for m, i in enumerate(cov.order):
+        J = cov.jacobian[i]
         rhs = substitute_poly(sys.rhs[i], bindings, order=EXACT)
-        phi_t = subs[i].map_coeffs(lambda p: p.partial(T_SYMBOL))
-        rhs = rhs - phi_t
+        rhs = rhs - cov.phi[i].map_coeffs(lambda p: p.partial(T_SYMBOL))
         for c in range(m):
             if not J[c].is_zero:
                 rhs = rhs - J[c] * g[c]
-        if m == 0:
-            kp = cov.k[cov.pivot]
-            gm = rhs.shift(kp + 1).scale(Q(-1, kp))
-        else:
-            row = cov.rows[m - 1]
-            expo = row.exponent(cov.k)
-            if J[m].orders() != [expo] or J[m].coeffs[expo] != as_poly(row.rho_factor):
-                raise AssertionError("Jacobian diagonal is not the expected monomial")
-            gm = rhs.shift(-expo).scale(1 / row.rho_factor)
-        if not all(J[c].is_zero for c in range(m + 1, n)):
+        expo, factor = _diagonal(J[m])
+        if not all(entry.is_zero for entry in J[m + 1 :]):
             raise AssertionError("Jacobian is not lower triangular")
+        gm = rhs.shift(-expo).scale(1 / factor)
         g.append(gm)
         min_exps.append(gm.min_exp if gm.min_exp is not None else 0)
-    return TransformedSystem(names=cov.new_names(), g=tuple(g), min_exponents=tuple(min_exps))
+    return TransformedSystem(names=cov.names, g=tuple(g), min_exponents=tuple(min_exps))
 
 
 def verify_regularity(ts: TransformedSystem) -> SingularWitness | None:
@@ -501,14 +460,15 @@ def transform_balance(
     T_i - 1 - T_k, T the truncations) is refused as a fault.
     """
     M, t0 = balance.order, MultiPoly.var(T0_SYMBOL)
-    factors = {row.rho_name: row.rho_factor for row in cov.rows}
+    tau, rhos = ts.names[0], ts.names[1:]
     initial: dict[str, MultiPoly] = {}
+    truncs = {tau: M + 1}
     for stage in stages:
         at_t0 = {**initial, T_SYMBOL: t0}
         for rho, a in zip(stage.rho_names, stage.a_lam):
-            initial[rho] = a.replace(at_t0) * (1 / factors[rho])
-    tau, rhos = ts.names[0], ts.names[1:]
-    truncs = dict(zip(ts.names, [M + 1] + [M - row.resonance for row in cov.rows]))
+            m = cov.names.index(rho)  # the row's factor is its Jacobian diagonal's
+            initial[rho] = a.replace(at_t0) * (1 / _diagonal(cov.jacobian[cov.order[m]][m])[1])
+            truncs[rho] = M - stage.resonance
     lists = {tau: [], T_SYMBOL: [t0, MultiPoly.const(1)], **{nm: [initial[nm]] for nm in rhos}}
     sub = RelaxedSubstitution(lists, {**dict.fromkeys(lists, 0), tau: 1})
     equations = [(nm, sub.terms(regular_part(g))) for nm, g in zip(ts.names, ts.g)]
@@ -554,7 +514,7 @@ def regularize(
     stages, rows, order = absorb_resonances(
         nb, var_order=var_order, rho_names=rho_names, last_factor=last_factor
     )
-    cov = build_triangular_change(nb, rows, order)
+    cov = build_triangular_change(nb, stages, rows, order)
     ts = transform_system(balance.system, cov)
     verdict = verify_regularity(ts)
     tb = transform_balance(balance, stages, cov, ts) if verdict is None else None

@@ -30,7 +30,6 @@ S^T J S = J checks a form that does not share the package's code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction as Q
 from math import lcm
 from operator import add, mul
@@ -68,7 +67,6 @@ from painleve.regularize import (
     PivotSelectionError,
     Stage,
     TransformedBalance,
-    VariableRow,
     _greedy_rows,
     _resonance_entry,
 )
@@ -640,7 +638,7 @@ def absorb_resonances_by_growing_precision(
     var_order: tuple[int, ...] | None = None,
     rho_names: tuple[str, ...] | None = None,
     last_factor: Q | None = None,
-) -> tuple[tuple[Stage, ...], tuple[VariableRow, ...], tuple[int, ...]]:
+) -> tuple[tuple[Stage, ...], dict[int, TruncatedSeries], tuple[int, ...]]:
     """`regularize.absorb_resonances` as the engine first ran it, with
     `substitute_coeffs_by_power_table` for every substitution.
 
@@ -671,7 +669,7 @@ def absorb_resonances_by_growing_precision(
 
     rho_iter = iter(rho_names)
     stages: list[Stage] = []
-    rows: list[VariableRow] = []
+    rows: dict[int, TruncatedSeries] = {}
     construction_order: list[int] = [nb.pivot]
 
     for lam in sorted({r for _, r in params}):
@@ -698,7 +696,7 @@ def absorb_resonances_by_growing_precision(
         for v in block_vars:
             rho = next(rho_iter)
             names_here.append(rho)
-            head = []
+            head = {}
             for o in series[v].orders():
                 if o >= lam - k[v]:
                     break
@@ -708,15 +706,9 @@ def absorb_resonances_by_growing_precision(
                     raise AssertionError(
                         f"head coefficient depends on unabsorbed parameter {bad}"
                     )
-                head.append((o, coeff))
-            rows.append(
-                VariableRow(
-                    index=v,
-                    rho_name=rho,
-                    rho_factor=Q(1),
-                    resonance=lam,
-                    head=tuple(head),
-                )
+                head[o] = coeff
+            rows[v] = TruncatedSeries(tau, head, EXACT) + TruncatedSeries.monomial(
+                tau, lam - k[v], MultiPoly.var(rho)
             )
             construction_order.append(v)
 
@@ -761,8 +753,23 @@ def absorb_resonances_by_growing_precision(
         )
 
     if last_factor is not None and rows:
-        rows[-1] = replace(rows[-1], rho_factor=last_factor)
-    return tuple(stages), tuple(rows), tuple(construction_order)
+        v, rho = construction_order[-1], stages[-1].rho_names[-1]
+        rows[v] = rows[v] + TruncatedSeries.monomial(
+            tau, stages[-1].resonance - k[v], MultiPoly.var(rho) * (last_factor - 1)
+        )
+    return tuple(stages), rows, tuple(construction_order)
+
+
+def phi_row(cov: ChangeOfVariable, i: int) -> tuple[tuple[tuple[int, MultiPoly], ...], int, Q]:
+    """(head, exponent, factor) of the row phi_i = head + factor * rho *
+    tau^exponent of an absorbed variable, rho the row's own new variable:
+    the head is every term free of rho, ascending in tau."""
+    rho = cov.names[cov.order.index(i)]
+    row = cov.phi[i]
+    (expo,) = [o for o in row.orders() if rho in row.coeffs[o].symbols()]
+    factor = row.coeffs[expo].partial(rho).constant_value()
+    assert row.coeffs[expo] == MultiPoly.var(rho) * factor
+    return tuple((o, row.coeffs[o]) for o in row.orders() if o != expo), expo, factor
 
 
 def series_linear_combo(
@@ -831,10 +838,11 @@ def transform_balance_by_composition(nb: NormalizedBalance, cov: ChangeOfVariabl
             tau_pows[e] = tau_s**e
         return tau_pows[e]
 
-    for row in cov.rows:
-        u_series = balance.series(row.index)
+    for i, rho_name in zip(cov.order[1:], cov.names[1:]):
+        head, expo, factor = phi_row(cov, i)
+        u_series = balance.series(i)
         head_total = TruncatedSeries.zero(SERIES_VAR, trunc=EXACT)
-        for o, poly in row.head:
+        for o, poly in head:
             if poly.is_zero:
                 continue
             bound = {nm: rho_series[nm] for nm in poly.symbols() if nm in rho_series}
@@ -846,16 +854,15 @@ def transform_balance_by_composition(nb: NormalizedBalance, cov: ChangeOfVariabl
                 else TruncatedSeries.constant(SERIES_VAR, poly, trunc=EXACT)
             )
             head_total = head_total + coeff_series * tau_power(o)
-        expo = row.exponent(cov.k)
         remainder = (u_series - head_total) * tau_power(-expo)
-        rho = remainder.scale(1 / row.rho_factor)
+        rho = remainder.scale(1 / factor)
         if rho.min_exp is not None and rho.min_exp < 0:
             raise AssertionError(
-                f"transformed balance for {row.rho_name} has a negative order "
+                f"transformed balance for {rho_name} has a negative order "
                 f"{rho.min_exp}: {rho.coeffs[rho.min_exp]}"
             )
-        rho_series[row.rho_name] = rho
-        initial[row.rho_name] = rho.coeff(0) if rho.trunc > 0 else MultiPoly.zero()
+        rho_series[rho_name] = rho
+        initial[rho_name] = rho.coeff(0) if rho.trunc > 0 else MultiPoly.zero()
     return TransformedBalance(tau=tau_s, rho=rho_series, initial_values=initial)
 
 

@@ -40,7 +40,6 @@ from painleve.hamiltonian import (
 from painleve.model import parse_hamiltonian, parse_system, hamiltonian_to_system
 from painleve.regularize import (
     SingularWitness,
-    VariableRow,
     regularize,
     transform_system,
     verify_regularity,
@@ -212,7 +211,7 @@ def test_criterion_7_desk_examples():
     assert cand.balance.coeffs[0][0] == MultiPoly.const(-1)
     assert all(cand.balance.coeffs[0][j].is_zero for j in range(1, cand.balance.order))
     reg = regularize(cand.balance)
-    assert reg.change.substitution()[0].coeffs == {-1: MultiPoly.const(1)}
+    assert reg.change.phi[0].coeffs == {-1: MultiPoly.const(1)}
     assert reg.transformed.g[0].coeffs == {0: MultiPoly.const(-1)}
 
     # u1' = u2, u2' = 6 u1^2
@@ -330,15 +329,8 @@ def test_criterion_9_negative_controls(gd_candidate):
     pole2 = parse_system("system\nvars: u1,u2\nu1' = u2\nu2' = 6*u1^2\n")
     cand = analyze_system(pole2, bound=6, order=12).principal_candidates()[0]
     reg = regularize(cand.balance)
-    good = reg.change.rows[0]
-    bad = VariableRow(
-        index=good.index,
-        rho_name=good.rho_name,
-        rho_factor=good.rho_factor,
-        resonance=good.resonance,
-        head=good.head + ((-2, MultiPoly.const(3)),),
-    )
-    corrupted = dataclasses.replace(reg.change, rows=(bad,))
+    bad = reg.change.phi[1] + TruncatedSeries.monomial("tau", -2, 3)
+    corrupted = dataclasses.replace(reg.change, phi={**reg.change.phi, 1: bad})
     witness = verify_regularity(transform_system(pole2, corrupted))
     assert isinstance(witness, SingularWitness)
     assert not witness.coefficient.is_zero

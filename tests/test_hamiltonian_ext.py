@@ -36,7 +36,8 @@ from painleve.hamiltonian import (
     verify_canonical,
 )
 from painleve.model import HamiltonianSystem, hamiltonian_to_system, parse_hamiltonian
-from painleve.regularize import ChangeOfVariable, VariableRow, regularize
+from painleve.regularize import ChangeOfVariable, regularize
+from painleve.series import TruncatedSeries
 
 DATA = Path(__file__).parent / "data"
 
@@ -405,11 +406,12 @@ def test_build_canonical_change_gd(gd_hamiltonian, gd_candidate):
     cov = reg.change
     names = [balance.system.u_symbols[i] for i in cov.order]
     assert names == ["q1", "q2", "p2", "p1"]
-    rows = {balance.system.u_symbols[r.index]: r for r in cov.rows}
-    assert rows["q2"].exponent(cov.k) == 2 - 4
-    assert rows["p2"].exponent(cov.k) == 5 - 3
-    assert rows["p1"].exponent(cov.k) == 8 - 5
-    assert rows["p1"].rho_factor == Q(-1, 2)
+    rows = {balance.system.u_symbols[i]: oracles.phi_row(cov, i) for i in cov.order[1:]}
+    assert rows["q2"][1] == 2 - 4
+    assert rows["p2"][1] == 5 - 3
+    assert rows["p1"][1] == 8 - 5
+    assert rows["p1"][2] == Q(-1, 2)
+    assert rows["q2"][2] == rows["p2"][2] == 1
     assert reg.regularity is None
 
 
@@ -443,17 +445,12 @@ def test_plain_triangular_change_is_not_canonical(gd_hamiltonian, gd_candidate):
     )
     _, _, reg = build_canonical_change(gd_hamiltonian, gd_candidate.balance, sd)
     cov = reg.change
-    last = cov.rows[-1]
-    plain_last = VariableRow(
-        index=last.index,
-        rho_name=last.rho_name,
-        rho_factor=Q(1),
-        resonance=last.resonance,
-        head=last.head,
+    last = cov.order[-1]
+    head, expo, _ = oracles.phi_row(cov, last)
+    plain_last = TruncatedSeries(
+        cov.names[0], {**dict(head), expo: MultiPoly.var(cov.names[-1])}, cov.phi[last].trunc
     )
-    import dataclasses
-
-    plain = dataclasses.replace(cov, rows=cov.rows[:-1] + (plain_last,))
+    plain = dataclasses.replace(cov, phi={**cov.phi, last: plain_last})
     out = verify_canonical(plain, 2)
     assert isinstance(out, CanonicalWitness)
 
@@ -470,9 +467,9 @@ def test_one_dof_canonical(one_dof):
     ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
     cov = reg.change
     # the momentum variable carries the -1/k factor at tau^(mu0 - l1) = tau^3
-    row = cov.rows[0]
-    assert row.rho_factor == Q(-1, 2)
-    assert row.exponent(cov.k) == 6 - 3
+    _, expo, factor = oracles.phi_row(cov, cov.order[1])
+    assert factor == Q(-1, 2)
+    assert expo == 6 - 3
     assert verify_canonical(cov, 1) is None
     regular, dropped = new_hamiltonian(ehs.H, cov, balance.system.u_symbols, True)
     assert dropped == ()
@@ -493,14 +490,13 @@ def test_new_hamiltonian_gd(gd_hamiltonian, gd_candidate):
 def test_new_hamiltonian_substitution_mechanics():
     # synthetic monomial change of variable: H = q p pulls back to P1
     cov = ChangeOfVariable(
-        tau_name="Q1",
-        pivot=0,
-        k=(1, 0),
-        beta=Q(1),
+        names=("Q1", "P1"),
         order=(0, 1),
-        rows=(
-            VariableRow(index=1, rho_name="P1", rho_factor=Q(1), resonance=1, head=()),
-        ),
+        beta=Q(1),
+        phi={
+            0: TruncatedSeries.monomial("Q1", -1),
+            1: TruncatedSeries.monomial("Q1", 1, MultiPoly.var("P1")),
+        },
     )
     H = MultiPoly.var("q") * MultiPoly.var("p")
     regular, _ = new_hamiltonian(H, cov, ("q", "p"), True)
@@ -562,14 +558,13 @@ def test_henon_heiles_symplectic_structure():
 
 def test_new_hamiltonian_autonomous_singular_part_is_fault():
     cov = ChangeOfVariable(
-        tau_name="Q1",
-        pivot=0,
-        k=(2, 0),
-        beta=Q(1),
+        names=("Q1", "P1"),
         order=(0, 1),
-        rows=(
-            VariableRow(index=1, rho_name="P1", rho_factor=Q(1), resonance=1, head=()),
-        ),
+        beta=Q(1),
+        phi={
+            0: TruncatedSeries.monomial("Q1", -2),
+            1: TruncatedSeries.monomial("Q1", 1, MultiPoly.var("P1")),
+        },
     )
     H = MultiPoly.var("q")  # pulls back to Q1^-2: singular
     with pytest.raises(AssertionError):

@@ -23,6 +23,8 @@ must get related results.
   leading data and resonances of every principal balance, and whether
   `hamiltonian` finds the new system regular and the change canonical.
   A weight-raising F breaks the Fuchsian rows of the dominant balance.
+  Where a balance has k_p = 0 (P_II, P_IV), the shift p -> p + a keeps the
+  same at every `--balance-index` and moves that balance's c_p by -a.
 
 Only the analysis is compared.  A rescaled system need not regularize: the
 pivot needs a rational k-th root of 1/c, which a rescaling can take away.
@@ -277,6 +279,46 @@ def test_a_weight_lowering_canonical_shear_keeps_the_balance(name, tmp_path):
         sheared = _sheared(hs, F)
         assert sheared.H != hs.H
         assert _shear_summary(sheared, tmp_path) == expected, F
+
+
+# P_II and P_IV in Okamoto's form have a principal balance with k_p = 0, so
+# no nonzero dF/dq has weight below k_p; F = a q, the exact shift p -> p + a,
+# is the one shear, and it moves the order-zero momentum coefficient by -a
+MOMENTUM_SHIFTS = (Q(1), Q(-2, 3), Q(5, 2))
+
+
+def _balance_summaries(hs, tmp_path):
+    """Per principal candidate, in `--balance-index` order: its exponents and
+    leading data in the input coordinates, and the exit code, exponents,
+    resonances, `regular` and `canonical` of `hamiltonian --json` at its
+    index (whose balance may be exchanged)."""
+    path = tmp_path / "shifted.ham"
+    path.write_text(print_hamiltonian(hs))
+    summaries = []
+    for index, cand in enumerate(analyze_system(hamiltonian_to_system(hs)).principal_candidates()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["hamiltonian", str(path), f"--balance-index={index}", "--json"])
+        report = json.loads(out.getvalue())
+        checks = report["transformed_system"]["regular"], report["hamiltonian"]["canonical"]
+        run = code, report["exponents"], report["resonances"], checks
+        summaries.append((cand.exponents, tuple(map(str, cand.leading)), run))
+    return summaries
+
+
+@pytest.mark.parametrize("name", ["painleve2.ham", "painleve4.ham"])
+def test_a_momentum_shift_moves_only_the_order_zero_momentum(name, tmp_path):
+    hs = parse_input((DATA / name).read_text())
+    expected = _balance_summaries(hs, tmp_path)
+    assert len(expected) == {"painleve2.ham": 4, "painleve4.ham": 5}[name]
+    assert any(k[1] == 0 for k, _, _ in expected)
+    for a in MOMENTUM_SHIFTS:
+        shifted = _sheared(hs, _polynomial([(a, (1,))], hs.q_symbols))
+        got = _balance_summaries(shifted, tmp_path)
+        assert [(k, run) for k, _, run in got] == [(k, run) for k, _, run in expected], a
+        for (k, leading, _), (_, moved, _) in zip(expected, got):
+            c_q, c_p = leading
+            assert moved == ((c_q, str(Q(c_p) - a)) if k[1] == 0 else leading), (a, k)
 
 
 def test_a_weight_raising_shear_fails_the_dominant_balance():

@@ -143,7 +143,7 @@ def _new_variables() -> set[str]:
             parsed = hamiltonian_to_system(parsed)
         for cand in core.analyze_system(parsed).principal_candidates():
             try:
-                names |= set(regularize(cand.balance).change.new_names())
+                names |= set(regularize(cand.balance).change.names)
             except NoRationalRootPivot:
                 continue
     for name in ("gd.ham", "painleve1.ham"):

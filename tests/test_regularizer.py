@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     absorb_resonances_by_growing_precision,
     agrees_with,
+    phi_row,
     residual_orders,
     resonance_matrix,
     transform_balance_by_composition,
@@ -28,7 +29,6 @@ from painleve.regularize import (
     NoRationalRootPivot,
     PivotSelectionError,
     SingularWitness,
-    VariableRow,
     absorb_resonances,
     build_triangular_change,
     indicial_normalization,
@@ -60,10 +60,10 @@ def _roundtrip(balance, reg):
     """Substituting the transformed balance into the change of variable must
     reproduce the original Laurent balance order by order, and the Taylor
     solution must equal the composition route exactly."""
-    nb = indicial_normalization(balance, pivot=reg.change.pivot, tau_name=reg.change.tau_name)
+    nb = indicial_normalization(balance, pivot=reg.change.order[0], tau_name=reg.change.names[0])
     assert reg.transformed_balance == transform_balance_by_composition(nb, reg.change)
     sysm = balance.system
-    subs = reg.change.substitution()
+    subs = reg.change.phi
     tb = reg.transformed_balance
     t_series = TruncatedSeries(SERIES_VAR, {0: MultiPoly.var(T0_SYMBOL), 1: 1}, EXACT)
     for i, name in enumerate(sysm.u_symbols):
@@ -119,12 +119,13 @@ def test_riccati_full(riccati_candidate):
     reg = regularize(balance)
     assert reg.change.beta == -1
     assert agrees_with(
-        indicial_normalization(balance, pivot=reg.change.pivot).tau_in_dt,
+        indicial_normalization(balance, pivot=reg.change.order[0]).tau_in_dt,
         TruncatedSeries(SERIES_VAR, {1: -1}, EXACT)
     )
     cov = reg.change
     assert cov.order == (0,)
-    assert cov.rows == ()
+    assert cov.names == ("tau",)
+    assert cov.phi == {0: TruncatedSeries.monomial("tau", -1)}
     # transformed system: tau' = -1 exactly
     assert len(reg.transformed.g) == 1
     assert reg.transformed.g[0].coeffs == {0: MultiPoly.const(-1)}
@@ -144,9 +145,9 @@ def test_pole2_full(pole2_candidate):
     assert stages[0].pivot_block.rows == 1
     assert stages[0].pivot_block.entry(0, 0) != 0
     cov = reg.change
-    row = cov.rows[0]
-    assert row.exponent(cov.k) == 3  # lambda - k = 6 - 3
-    assert row.head == ((-3, MultiPoly.const(-2)),)
+    head, expo, _ = phi_row(cov, cov.order[1])
+    assert expo == 3  # lambda - k = 6 - 3
+    assert head == ((-3, MultiPoly.const(-2)),)
     # frozen transformed system, verified by hand:
     #   tau' = 1 - rho2/2 tau^6,  rho2' = 3/2 rho2^2 tau^5
     rho2 = MultiPoly.var("rho2")
@@ -170,10 +171,10 @@ def test_gd_full(gd_candidate):
     assert reg.regularity is None
     # triangularity: head coefficients use only earlier rho symbols
     seen = set()
-    for row in reg.change.rows:
-        for _, poly in row.head:
+    for i, rho in zip(reg.change.order[1:], reg.change.names[1:]):
+        for _, poly in phi_row(reg.change, i)[0]:
             assert set(poly.symbols()) <= seen | {"t"}
-        seen.add(row.rho_name)
+        seen.add(rho)
     _roundtrip(balance, reg)
     _transformed_balance_solves_system(balance, reg)
 
@@ -233,8 +234,8 @@ def test_resonance_zero_absorption():
     reg = regularize(balance)
     assert reg.regularity is None
     assert [s.resonance for s in reg.stages] == [0]
-    row = reg.change.rows[0]
-    assert row.head == () and row.exponent(reg.change.k) == 0
+    head, expo, _ = phi_row(reg.change, reg.change.order[1])
+    assert head == () and expo == 0
     # u2 = rho2 exactly: the transformed equation must be rho2' = rho2
     assert reg.transformed.g[1].coeffs == {0: MultiPoly.var("rho2")}
     _roundtrip(balance, reg)
@@ -317,19 +318,66 @@ def test_multiplicity_two_block_with_coupling():
 def test_corrupted_change_of_variable_singular_witness(pole2_candidate):
     reg = regularize(pole2_candidate.balance)
     cov = reg.change
-    bad_row = VariableRow(
-        index=cov.rows[0].index,
-        rho_name=cov.rows[0].rho_name,
-        rho_factor=cov.rows[0].rho_factor,
-        resonance=cov.rows[0].resonance,
-        head=((-3, MultiPoly.const(-2)), (-1, MultiPoly.const(1))),
-    )
-    corrupted = dataclasses.replace(cov, rows=(bad_row,))
+    # the head (-2 tau^-3) gains a tau^-1 term
+    bad_row = cov.phi[1] + TruncatedSeries.monomial("tau", -1)
+    corrupted = dataclasses.replace(cov, phi={**cov.phi, 1: bad_row})
     ts = transform_system(pole2_candidate.balance.system, corrupted)
     witness = verify_regularity(ts)
     assert isinstance(witness, SingularWitness)
     assert not witness.coefficient.is_zero
     assert witness.order < 0
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # rho2 t tau^3: a diagonal that carries t
+        {-3: MultiPoly.const(-2), 3: MultiPoly.var("rho2") * MultiPoly.var("t")},
+        # rho2 (tau^3 + tau^4): a diagonal of two terms
+        {-3: MultiPoly.const(-2), 3: MultiPoly.var("rho2"), 4: MultiPoly.var("rho2")},
+    ],
+    ids=["t", "two-terms"],
+)
+def test_transform_system_refuses_a_diagonal_that_is_not_a_rational_monomial(pole2_candidate, row):
+    cov = regularize(pole2_candidate.balance).change
+    corrupted = dataclasses.replace(cov, phi={**cov.phi, 1: TruncatedSeries("tau", row, EXACT)})
+    with pytest.raises(AssertionError, match="Jacobian diagonal .* is not one rational monomial"):
+        transform_system(pole2_candidate.balance.system, corrupted)
+
+
+def test_transform_system_refuses_a_row_that_reads_a_later_rho(pole2_candidate):
+    # the pivot row tau^-2 + rho2: its diagonal -2 tau^-3 is fine, but it
+    # reads rho2, which only the next row brings in
+    cov = regularize(pole2_candidate.balance).change
+    pivot = cov.phi[0] + TruncatedSeries.monomial("tau", 0, MultiPoly.var("rho2"))
+    corrupted = dataclasses.replace(cov, phi={**cov.phi, 0: pivot})
+    with pytest.raises(AssertionError, match="Jacobian is not lower triangular"):
+        transform_system(pole2_candidate.balance.system, corrupted)
+
+
+def test_one_hamiltonian_run_builds_phi_and_its_jacobian_once(monkeypatch, capsys):
+    # phi is a field and its Jacobian a cached property: transform_system,
+    # transform_balance, verify_canonical, new_hamiltonian and the report
+    # all read the one copy
+    cls = sys.modules["painleve.regularize"].ChangeOfVariable
+    built, derived = [], []
+    init, jacobian = cls.__init__, cls.__dict__["jacobian"]
+    derive = jacobian.func
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_jacobian(self):
+        derived.append(self)
+        return derive(self)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(jacobian, "func", counted_jacobian)
+    assert main(["hamiltonian", str(DATA / "gd.ham"), "--order", "16", "--json"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert len(derived) == 1 and derived[0] is built[0]
 
 
 def test_normalization_resonance_matrix_invertible(gd_candidate):
@@ -342,9 +390,9 @@ def test_normalization_resonance_matrix_invertible(gd_candidate):
 
 def test_absorption_respects_prescribed_order(gd_candidate):
     nb = indicial_normalization(gd_candidate.balance)
-    _, rows, order = absorb_resonances(nb, var_order=(1, 3, 2))
+    stages, rows, order = absorb_resonances(nb, var_order=(1, 3, 2))
     assert order == (0, 1, 3, 2)
-    cov = build_triangular_change(nb, rows, order)
+    cov = build_triangular_change(nb, stages, rows, order)
     ts = transform_system(gd_candidate.balance.system, cov)
     assert verify_regularity(ts) is None
 
@@ -515,8 +563,8 @@ def test_canonical_transformed_balance_matches_composition(monkeypatch, capsys, 
     capsys.readouterr()
     assert len(calls) == 2
     for balance, cov, tb in calls:
-        assert cov.rows[-1].rho_factor != 1
-        nb = indicial_normalization(balance, pivot=cov.pivot, tau_name=cov.tau_name)
+        assert phi_row(cov, cov.order[-1])[2] != 1
+        nb = indicial_normalization(balance, pivot=cov.order[0], tau_name=cov.names[0])
         assert tb == transform_balance_by_composition(nb, cov)
 
 

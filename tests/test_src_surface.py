@@ -13,6 +13,9 @@ src/ outside its own body, unless `__all__` or perfbench/spans.py names it.
 An underscore name stays private to the module that binds it: no other
 module imports it or reads an attribute by that name.  So the packed key
 format of a polynomial stays private to algebra.py.
+
+A module reads every name it imports, except `painleve/__init__.py`, whose
+imports are its re-exports.
 """
 
 import ast
@@ -171,3 +174,39 @@ def test_each_module_keeps_its_private_names():
                 if node.attr in others and node.attr not in private[module]:
                     leaks.append(f"{module}:{node.lineno} {node.attr}")
     assert leaks == []
+
+
+def unused_imports(directory: Path) -> list[str]:
+    """`module:line name` for each name a module of `directory` (its
+    `__init__` aside) imports and never reads; `__future__` imports are
+    compiler directives, not names."""
+    flagged = []
+    for path in sorted(directory.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        flagged.append(f"{path.stem}:{node.lineno} {name}")
+    return flagged
+
+
+def test_src_modules_read_every_name_they_import():
+    assert unused_imports(SRC) == []
+
+
+def test_an_unread_import_is_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .algebra import as_poly\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .algebra import MultiPoly, as_poly as poly\n"
+        "x: MultiPoly = os.path.sep\n"
+    )
+    assert unused_imports(tmp_path) == ["mod:3 poly"]
