@@ -6,7 +6,8 @@ key, with a fixed field of the key per symbol; two polynomials representing
 the same abstract polynomial compare equal structurally.  The key format is
 private to this module: callers read a polynomial through `vars` (its
 symbols, sorted by name) and `terms` (exponent tuples over `vars` to
-`fractions.Fraction` coefficients), built on demand.
+`fractions.Fraction` coefficients), built on demand; `str` and `poly_json`
+print straight from the keys.
 
 The public constructor validates its input; the ring operations build their
 results already canonical.  `sum_of_products` is the one product loop: a
@@ -418,20 +419,15 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical print order: total degree, then exponents, descending."""
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
-
     def __str__(self) -> str:
         if not self._nums:
             return "0"
-        vars = self.vars
+        names, terms = _print_order(self)
         parts = []
-        for exps, c in self.sorted_terms():
-            num, den = c.numerator, c.denominator
+        for exps, num, den in terms:
             size = -num if num < 0 else num
             coeff = str(size) if den == 1 else f"{size}/{den}"
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exps) if e]
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
             if not factors:
                 body = coeff
             elif size == 1 and den == 1:
@@ -485,6 +481,30 @@ def _reduced(den: int, nums: dict[int, int], bits: int, rescan: bool) -> MultiPo
     return _poly(den, nums, bits)
 
 
+def _print_order(poly: MultiPoly) -> tuple[tuple[str, ...], list[tuple[tuple[int, ...], int, int]]]:
+    """The symbols of `poly` by name, and its terms in print order (total
+    degree, then the exponents over those symbols, descending) as
+    (exponents, numerator, denominator), each coefficient in lowest terms."""
+    names, shifts = _symbols_of(poly._bits)
+    den = poly._den
+    keyed = []
+    for k, v in poly._nums.items():
+        exps = tuple([k >> s & _FIELD_MASK for s in shifts])
+        keyed.append((sum(exps), exps, v))
+    keyed.sort(reverse=True)  # distinct keys have distinct exponents: no ties
+    return names, [(exps, v // (g := gcd(v, den)), den // g) for _, exps, v in keyed]
+
+
+def poly_json(p: MultiPoly) -> list:
+    """Canonical term list: [coefficient, {symbol: exponent}] pairs, in the
+    order `str` prints them."""
+    names, terms = _print_order(p)
+    return [
+        [str(num) if den == 1 else f"{num}/{den}", {v: e for v, e in zip(names, exps) if e}]
+        for exps, num, den in terms
+    ]
+
+
 def _scaled(poly: MultiPoly, num: int, den: int) -> MultiPoly:
     """poly * num / den, for coprime num and den > 0."""
     if not num:
@@ -501,24 +521,31 @@ def _scaled(poly: MultiPoly, num: int, den: int) -> MultiPoly:
     return _poly(poly._den // g * (den // h), nums, poly._bits)
 
 
-def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of a * b over `pairs`: the one product loop of the package.
+def sum_of_products(
+    pairs: Iterable[tuple[MultiPoly, MultiPoly]], weights: Iterable[int] | None = None
+) -> MultiPoly:
+    """The sum of w * a * b over `pairs`: the one product loop of the package.
 
-    Every pair is written over the lcm of the pairs' denominators, so each
-    term product is a sum of two int keys and a product of int numerators,
-    summed per key; the result takes one gcd.  Pairs with a zero factor
-    are skipped.  ExponentOverflow if a result exponent reaches 2**31.
+    `weights` gives one int w per pair, in step with `pairs`; without it
+    every w is 1.  Every pair is written over the lcm of the pairs'
+    denominators, and its w folded into that scale, so each term product is
+    a sum of two int keys and a product of int numerators, summed per key;
+    the result takes one gcd.  Pairs with a zero factor are skipped.
+    ExponentOverflow if a result exponent reaches 2**31.
     """
-    pairs = [(a, b) for a, b in pairs if a._nums and b._nums]
+    if weights is None:
+        pairs = [(a, b, 1) for a, b in pairs if a._nums and b._nums]
+    else:
+        pairs = [(a, b, w) for (a, b), w in zip(pairs, weights, strict=True) if a._nums and b._nums]
     if not pairs:
         return _ZERO
-    den = lcm(*[a._den * b._den for a, b in pairs])
+    den = lcm(*[a._den * b._den for a, b, _ in pairs])
     bits = 0
     acc: dict[int, int] = {}
     get = acc.get
-    for a, b in pairs:
+    for a, b, w in pairs:
         bits |= a._bits | b._bits
-        scale = den // (a._den * b._den)
+        scale = den // (a._den * b._den) * w
         tb = b._nums.items()
         for ka, na in a._nums.items():
             na *= scale

@@ -349,13 +349,18 @@ def cmd_hamiltonian(args) -> int:
     sd = canonical_exchanges(sd)
     ehs, balance, reg = build_canonical_change(hs, cand.balance, sd)
     esys = balance.system
-    canonical = verify_canonical(reg.change, n) is None
+    witness = verify_canonical(reg.change, n)
+    canonical = witness is None
     regular_h, dropped = new_hamiltonian(ehs.H, reg.change, esys.u_symbols, hs.autonomous)
     sub |= {
         "S": sd.S,
         "exchange_set": list(sd.exchange_set),
         "row_swaps": [list(s) for s in sd.row_swaps],
         "canonical": canonical,
+    }
+    if witness is not None:  # the first coefficient of the 2-form off the standard one
+        sub["canonical_witness"] = asdict(witness)
+    sub |= {
         "new_hamiltonian": str(regular_h),
         "dropped_singular": [[o, str(p)] for o, p in dropped],
     }
@@ -375,6 +380,9 @@ def cmd_hamiltonian(args) -> int:
         print(f"symplectic S = {sub['S']}")
         _print_regularization(report)
         print(f"canonical: {canonical}")
+        if witness is not None:
+            w = sub["canonical_witness"]
+            print(f"  witness: d{w['var_a']} ^ d{w['var_b']} at order {w['order']}, residual {w['coefficient']}")
         print(f"new hamiltonian: {sub['new_hamiltonian']}")
         if sub["dropped_singular"]:
             print(f"dropped singular terms: {sub['dropped_singular']}")

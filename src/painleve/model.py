@@ -24,7 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from .algebra import MultiPoly, RatMatrix
+
+from .algebra import MultiPoly, RatMatrix, poly_json
 
 T_SYMBOL = "t"
 T0_SYMBOL = "t0"  # the pole position of a balance
@@ -409,40 +410,51 @@ def _parse_hamiltonian_body(lines) -> HamiltonianSystem:
 # report serialization
 
 
-def poly_json(p: MultiPoly) -> list:
-    """Canonical term list: [coefficient, {symbol: exponent}] pairs."""
-    out = []
-    for exps, c in p.sorted_terms():
-        mono = {v: e for v, e in zip(p.symbols(), exps) if e}
-        out.append([str(c), mono])
-    return out
-
-
 def matrix_json(m: RatMatrix) -> list:
     return [[str(x) for x in row] for row in m.data]
 
 
 def jsonable(value):
-    """Recursively convert report values into JSON-serializable data."""
-    from .series import KNOWN_COMPLETELY, TruncatedSeries
+    """Recursively convert report values into JSON-serializable data.  A
+    polynomial or series reached twice is converted once, and the two
+    places share its converted form."""
+    return _converted(value, {})
 
+
+def _converted(value, memo: dict):
+    """`jsonable` with `memo`: id of a polynomial or series -> (it, its form);
+    holding the object keeps its id from being reused during the call."""
+    from .series import TruncatedSeries
+
+    if isinstance(value, (str, int)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _converted(v, memo) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_converted(v, memo) for v in value]
+    if isinstance(value, (MultiPoly, TruncatedSeries)):
+        seen = memo.get(id(value))
+        if seen is None:
+            seen = memo[id(value)] = (value, _shared_form(value))
+        return seen[1]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, MultiPoly):
-        return {"str": str(value), "terms": poly_json(value)}
     if isinstance(value, RatMatrix):
         return matrix_json(value)
-    if isinstance(value, TruncatedSeries):
-        return {
-            "var": value.var,
-            "trunc": value.trunc if value.trunc < KNOWN_COMPLETELY else None,
-            "terms": [[o, str(value.coeffs[o])] for o in value.orders()],
-        }
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
     return value
+
+
+def _shared_form(value) -> dict:
+    """The converted form of a polynomial or a series."""
+    from .series import KNOWN_COMPLETELY
+
+    if isinstance(value, MultiPoly):
+        return {"str": str(value), "terms": poly_json(value)}
+    return {
+        "var": value.var,
+        "trunc": value.trunc if value.trunc < KNOWN_COMPLETELY else None,
+        "terms": [[o, str(value.coeffs[o])] for o in value.orders()],
+    }
 
 
 def serialize_report(report: dict) -> str:

@@ -254,7 +254,9 @@ class _Product:
     only known entries, so it is computed once and kept in `done`; one at
     n >= j is recomputed at each j with the unknown entries read as zero,
     exactly as in the product of the partial sums (van der Hoeven's relaxed
-    product, "Relax, but don't be too lazy", JSC 2002).
+    product, "Relax, but don't be too lazy", JSC 2002).  A node whose left
+    and right are one node is a square, and forms each symmetric term
+    product once (Brent & Zimmermann, Modern Computer Arithmetic, 2010).
     """
 
     __slots__ = ("left", "right", "done")
@@ -273,6 +275,19 @@ class _Product:
     def _convolve(self, n: int, j: int) -> MultiPoly:
         left, right = self.left.coeff, self.right.coeff
         pairs = []
+        if self.left is self.right:
+            # a square: each cross pair m < n - m once, with weight 2, then
+            # the middle square when n is even
+            for m in range((n + 1) // 2):
+                a = left(m, j)
+                if a:
+                    pairs.append((a, left(n - m, j)))
+            weights = [2] * len(pairs)
+            if not n & 1:
+                half = left(n // 2, j)
+                pairs.append((half, half))
+                weights.append(1)
+            return sum_of_products(pairs, weights)
         for m in range(n + 1):
             a = left(m, j)
             if a:

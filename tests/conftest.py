@@ -18,7 +18,8 @@ def count_products(monkeypatch):
     """count_products(fn, *args): the number of coefficient products fn(*args)
     forms, each counted once whether `MultiPoly.__mul__` or a pair of the one
     product loop `sum_of_products` forms it; a pair with a zero factor forms
-    none.  The loop is patched in every `painleve` module that binds it."""
+    none, and a weighted pair is one product whatever its weight.  The loop
+    is patched in every `painleve` module that binds it."""
     loop = algebra.sum_of_products
     binders = [
         module
@@ -39,12 +40,12 @@ def count_products(monkeypatch):
             finally:
                 inside = False
 
-        def counted_loop(pairs):
+        def counted_loop(pairs, weights=None):
             nonlocal total
             pairs = list(pairs)
             if not inside:
                 total += sum(1 for a, b in pairs if a and b)
-            return loop(pairs)
+            return loop(pairs, weights)
 
         with monkeypatch.context() as patch:
             patch.setattr(MultiPoly, "__mul__", counted_mul)

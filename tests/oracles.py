@@ -10,7 +10,8 @@ the `MultiPoly` ring operations as first written: build the raw term dict,
 then let the validating constructor `MultiPoly(vars, dict)` normalize it,
 the product loop on exponent tuples that packed keys replaced,
 series composition and reversion with one full series product per
-order, polynomial substitution over a table of truncated series powers,
+order, the relaxed product coefficient over every pair (no squaring),
+polynomial substitution over a table of truncated series powers,
 resonance absorption by growing precision, the Taylor re-expansion of a
 balance in t instead of t0, the transformed balance by composing the
 Laurent balance with the inverted change of variable, the pick of pivot
@@ -20,9 +21,10 @@ by backtracking, and the exact linear algebra as first written: Gauss-Jordan
 over Fraction entries carrying a polynomial right-hand column (which the
 reference balance recursion solves with), Faddeev-LeVerrier over Fraction
 matrices, the rational-root test by Fraction synthetic division, and the
-printing of a polynomial from Fraction coefficients.  `char_poly` wraps the
-package's coefficients as a polynomial for the tests that compare it;
-`column` and `matvec` read a `RatMatrix` for the tests alone, and the
+printing of a polynomial (text and JSON term list) from Fraction
+coefficients.  `char_poly` wraps the package's coefficients as a
+polynomial for the tests that compare it; `column` and `matvec` read a
+`RatMatrix` for the tests alone, and the
 matrix J of the standard symplectic form, with the transpose, gives the
 S^T J S = J checks a form that does not share the package's code.
 """
@@ -47,6 +49,7 @@ from painleve.algebra import (
     as_poly,
     char_poly_coeffs,
     rank,
+    sum_of_products,
 )
 from painleve.core import (
     SERIES_VAR,
@@ -485,6 +488,19 @@ def poly_sorted_terms(a: MultiPoly) -> list:
     """Total degree descending, then the exponent tuples descending."""
     by_exponents = sorted(a.terms.items(), reverse=True)
     return sorted(by_exponents, key=lambda t: sum(t[0]), reverse=True)
+
+
+def convolve_unsymmetric(node, n: int, j: int) -> MultiPoly:
+    """Coefficient n of a relaxed product node, its leaves known below j,
+    with every pair (m, n - m) formed: a square node forms each of its
+    symmetric pairs twice, as the engine did before it squared."""
+    left, right = node.left.coeff, node.right.coeff
+    pairs = []
+    for m in range(n + 1):
+        a = left(m, j)
+        if a:
+            pairs.append((a, right(n - m, j)))
+    return sum_of_products(pairs)
 
 
 def compose_by_power_loop(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -1015,6 +1031,12 @@ def rational_roots_by_synthetic_division(coeffs) -> list[Q] | None:
                     if acc == 0:
                         roots.add(cand)
     return sorted(roots)
+
+
+def poly_json(poly: MultiPoly) -> list:
+    """`algebra.poly_json`: [str(Fraction), {symbol: exponent}] per term, in
+    the order of `poly_sorted_terms`."""
+    return [[str(c), {v: e for v, e in zip(poly.vars, exps) if e}] for exps, c in poly_sorted_terms(poly)]
 
 
 def poly_str(poly: MultiPoly) -> str:

@@ -105,8 +105,9 @@ def test_synthetic_systems_exercise_time_and_parameters():
 
 def test_expansion_products_grow_quadratically(count_products):
     # one coefficient per order costs O(j) products, so doubling the order
-    # multiplies the count by about 4 (1,022 and 4,608 products at orders 30
-    # and 60); expanding f(partial sums) gives about 9
+    # multiplies the count by about 4 (754 and 3,229 products at orders 30
+    # and 60, 1,022 and 4,608 before square nodes formed each symmetric pair
+    # once); expanding f(partial sums) gives about 9
     system = _load(DATA / "henon_heiles.ham")
     cases = [(dd, rs) for dd, rs, _ in _expandable(system)]
     assert cases

@@ -182,11 +182,38 @@ def test_hamiltonian_gd(capsys):
     sub = report["hamiltonian"]
     assert sub["d"] == 8
     assert sub["pairing"] == [[-1, 8], [2, 5]]
-    assert sub["canonical"] is True
+    assert sub["canonical"] is True and "canonical_witness" not in sub
     assert sub["exchange_set"] == []
     assert sub["dropped_singular"] == []
     assert sub["hamilton_equations_match"] is True
     assert report["transformed_system"]["regular"] is True
+
+
+def test_hamiltonian_reports_the_canonical_witness(capsys, monkeypatch):
+    # with the last factor -2/k1 in place of -1/k1 the change is not
+    # canonical; the report names the first 2-form coefficient that differs
+    import painleve.hamiltonian as hamiltonian
+
+    construct = hamiltonian.regularize
+
+    def doubled(balance, **kwargs):
+        return construct(balance, **kwargs | {"last_factor": kwargs["last_factor"] * 2})
+
+    monkeypatch.setattr(hamiltonian, "regularize", doubled)
+    code, out, _ = run(capsys, "hamiltonian", str(DATA / "gd.ham"), "--json")
+    assert code == 1
+    sub = json.loads(out)["hamiltonian"]
+    assert sub["canonical"] is False
+    witness = sub["canonical_witness"]
+    assert list(sub).index("canonical_witness") == list(sub).index("canonical") + 1
+    assert set(witness) == {"var_a", "var_b", "order", "coefficient"}
+    assert {witness["var_a"], witness["var_b"]} <= {"Q1", "Q2", "P1", "P2"}
+    assert isinstance(witness["order"], int)
+    assert witness["coefficient"]["str"] != "0"
+    code, out, _ = run(capsys, "hamiltonian", str(DATA / "gd.ham"))
+    assert code == 1
+    assert "canonical: False\n" in out
+    assert f"  witness: d{witness['var_a']} ^ d{witness['var_b']} at order {witness['order']}, residual " in out
 
 
 def test_hamiltonian_reports_the_exchanged_coordinates(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import inspect
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from painleve import core, model
+from painleve import cli, core, model
 from painleve.algebra import MultiPoly
 from painleve.cli import PARSER, main
 from painleve.core import Balance
@@ -28,6 +29,7 @@ from painleve.model import (
     serialize_report,
 )
 from painleve.regularize import NoRationalRootPivot, regularize
+from painleve.series import TruncatedSeries
 
 from oracles import print_hamiltonian, print_system
 
@@ -288,6 +290,60 @@ def test_serialize_deterministic():
     assert serialize_report(report) == serialize_report(
         {"verdict": "principal", "exponents": [2, 4, 5, 3], "leading": [Q(1), Q(0)]}
     )
+
+
+def _reports(monkeypatch, capsys, *argv) -> list[dict]:
+    """The report dicts a CLI run hands to `serialize_report`."""
+    reports = []
+    write = cli.serialize_report
+    monkeypatch.setattr(cli, "serialize_report", lambda r: reports.append(r) or write(r))
+    main([argv[0], str(DATA / argv[1]), *argv[2:], "--json"])
+    capsys.readouterr()
+    return reports
+
+
+WRITER_RUNS = [
+    ("test", "henon_heiles.ham", "--order", "30"),
+    ("test", "inconsistent.sys"),
+    ("test", "cubic.sys"),
+    ("regularize", "gd.ham"),
+    ("regularize", "exp_family.sys"),
+    ("hamiltonian", "gd.ham"),
+    ("hamiltonian", "painleve2.ham"),
+]
+
+
+@pytest.mark.parametrize("argv", WRITER_RUNS, ids=" ".join)
+def test_serialize_report_writes_the_json_dumps_text(monkeypatch, capsys, argv):
+    (report,) = _reports(monkeypatch, capsys, *argv)
+    assert serialize_report(report) == json.dumps(jsonable(report), indent=2)
+
+
+def test_an_object_reached_twice_is_converted_once():
+    r = MultiPoly.var("r")
+    s = TruncatedSeries("x", {-1: r * Q(-1, 3), 0: 2, 4: r**2 - 1}, 7)
+    p = r**3 * Q(10**20, 7) - r
+    shared = {"s": s, "p": p, "again": [s, {"p": p}], "k": [[1, "a"]]}
+    apart = {
+        "s": s,
+        "p": p,
+        "again": [TruncatedSeries(s.var, dict(s.coeffs), s.trunc), {"p": r**3 * Q(10**20, 7) - r}],
+        "k": [[1, "a"]],
+    }
+    assert serialize_report(shared) == serialize_report(apart)
+    converted = jsonable(shared)
+    assert converted["again"][0] is converted["s"] and converted["again"][1]["p"] is converted["p"]
+
+
+def test_serialize_report_leaves_no_cycle(monkeypatch, capsys):
+    (report,) = _reports(monkeypatch, capsys, "test", "henon_heiles.ham", "--order", "30")
+    gc.collect()
+    gc.disable()
+    try:
+        serialize_report(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_jsonable_matrix():

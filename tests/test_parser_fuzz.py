@@ -1,20 +1,30 @@
-"""Property-based fuzzing of the input parser and of `painleve test`.
+"""Property-based fuzzing of the input parser, of `painleve test` and of
+the report writer.
 
 Inputs are drawn from a grammar close to the real one, with malformed
 headers, declarations, equations and expression tokens mixed in.  Any input
 must either parse or raise ParseError, and `painleve test` on it must end
 with a documented exit code other than 3 (internal error), never with an
-uncaught exception.  The examples are derandomized, so the suite stays
+uncaught exception.  Any JSON value must be written as `json.dumps` with
+`indent=2` writes it.  The examples are derandomized, so the suite stays
 deterministic.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 
 from painleve.cli import main
-from painleve.model import HamiltonianSystem, ODESystem, ParseError, parse_input
+from painleve.model import (
+    HamiltonianSystem,
+    ODESystem,
+    ParseError,
+    jsonable,
+    parse_input,
+    serialize_report,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -116,3 +126,29 @@ def test_cli_test_never_faults(input_path, text):
         code = main(["test", str(input_path)])
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# strings that need escapes: quotes, backslashes, control and non-ASCII
+# characters, a line separator and a character beyond the BMP
+AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", ""]
+
+
+def _json_values():
+    strings = st.one_of(st.text(max_size=6), st.sampled_from(AWKWARD))
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(-(10**40), 10**40), st.floats(), strings
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.dictionaries(strings, inner, max_size=4)
+        ),
+        max_leaves=12,
+    )
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.given(value=_json_values())
+def test_report_writer_matches_json_dumps(value):
+    for report in ({"value": value, "empty": [], "none": {}}, value):
+        assert serialize_report(report) == json.dumps(jsonable(report), indent=2)

@@ -440,7 +440,7 @@ def _gd_balance(gd_system, order):
 def test_normalization_products_stay_bounded(count_products, gd_system):
     # the three compositions are polynomials read over one relaxed
     # substitution, which shares the powers of the inner series and of its
-    # inverse, and the reversion is a relaxed fixed point: 1,509 and 10,519
+    # inverse, and the reversion is a relaxed fixed point: 1,431 and 10,116
     # products at orders 16 and 30, against 5,602 and 42,929 with a full
     # product per order for every composition and for the reversion
     at_16, at_30 = (
@@ -452,7 +452,7 @@ def test_normalization_products_stay_bounded(count_products, gd_system):
 
 
 def test_absorption_products_stay_bounded(count_products, gd_system):
-    # one relaxed pass over cached product nodes: 1,873 and 8,513 products
+    # one relaxed pass over cached product nodes: 1,673 and 7,853 products
     # at orders 20 and 30, against 8,953 and 65,993 when every precision
     # re-substituted the tails
     at_20, at_30 = (
@@ -523,7 +523,7 @@ def test_canonical_absorption_matches_growing_precision(monkeypatch, capsys, nam
 def test_regularize_products_stay_bounded(count_products, gd_system):
     # the construction runs on the balance cut after its largest resonance
     # and the transformed balance is the Taylor solution of the new system:
-    # 1,804 and 8,942 products at orders 16 and 30, against 4,454 and 26,017
+    # 1,710 and 8,532 products at orders 16 and 30, against 4,454 and 26,017
     # at full order with the balance composed with the inverted change
     at_16, at_30 = (
         count_products(regularize, _gd_balance(gd_system, order)) for order in (16, 30)

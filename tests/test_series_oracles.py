@@ -1,16 +1,19 @@
 """Composition, reversion and the coefficient-stream substitution against
 the one-product-per-order loops and the table of series powers they
-replaced.  Series equality includes the truncation, so `==` checks both."""
+replaced, and their square nodes against the convolution over every pair.
+Series equality includes the truncation, so `==` checks both."""
 
 import random
 from fractions import Fraction as Q
 
 from oracles import (
     compose_by_power_loop,
+    convolve_unsymmetric,
     revert_by_power_loop,
     substitute_coeffs_by_power_table,
     substitute_poly_by_power_table,
 )
+from painleve import series
 from painleve.algebra import MultiPoly
 from painleve.series import (
     EXACT,
@@ -136,7 +139,7 @@ def test_compose_and_revert_with_engine_names_in_the_coefficients():
     assert symbols == {"_c0", "_inner", "tau"}
 
 
-def test_revert_matches_power_loop():
+def _revert_cases():
     rng = random.Random(5150)
     for case in range(60):
         # parameters make the coefficients grow fast: keep those series short
@@ -146,7 +149,11 @@ def test_revert_matches_power_loop():
         for order in range(2, trunc):
             if rng.random() < 0.6:
                 coeffs[order] = _coefficient(rng, with_params)
-        s = TruncatedSeries(X, coeffs, trunc)
+        yield TruncatedSeries(X, coeffs, trunc)
+
+
+def test_revert_matches_power_loop():
+    for s in _revert_cases():
         assert revert_series(s) == revert_by_power_loop(s)
 
 
@@ -207,27 +214,59 @@ def _kind(new, ref):
     return "truncated"
 
 
-def test_substitute_poly_matches_power_table():
+def _substitute_poly_cases():
+    """(polynomial, bindings, order cap)"""
     rng = random.Random(20261018)
-    kinds = []
     for _ in range(1500):
         bindings = _bindings(rng)
         f = _polynomial(rng)
-        cap = rng.choice(list(range(-10, 11)) + [EXACT] * 4)
+        yield f, bindings, rng.choice(list(range(-10, 11)) + [EXACT] * 4)
+
+
+def _substitute_coeffs_cases():
+    """(series, bindings)"""
+    rng = random.Random(8128)
+    for _ in range(800):
+        bindings = _bindings(rng)
+        lo = rng.randint(-3, 2)
+        trunc = rng.choice((lo + rng.randint(0, 6), EXACT))
+        top = trunc if trunc < EXACT else lo + rng.randint(1, 4)
+        yield TruncatedSeries(X, {o: _polynomial(rng) for o in range(lo, top)}, trunc), bindings
+
+
+def test_substitute_poly_matches_power_table():
+    kinds = []
+    for f, bindings, cap in _substitute_poly_cases():
         new = _outcome(substitute_poly, f, bindings, cap)
         kinds.append(_kind(new, _outcome(substitute_poly_by_power_table, f, bindings, cap)))
     assert min(kinds.count(kind) for kind in ("underflow", "exact", "truncated")) >= 10
 
 
 def test_substitute_coeffs_matches_power_table():
-    rng = random.Random(8128)
     kinds = []
-    for _ in range(800):
-        bindings = _bindings(rng)
-        lo = rng.randint(-3, 2)
-        trunc = rng.choice((lo + rng.randint(0, 6), EXACT))
-        top = trunc if trunc < EXACT else lo + rng.randint(1, 4)
-        s = TruncatedSeries(X, {o: _polynomial(rng) for o in range(lo, top)}, trunc)
+    for s, bindings in _substitute_coeffs_cases():
         new = _outcome(substitute_coeffs, s, bindings)
         kinds.append(_kind(new, _outcome(substitute_coeffs_by_power_table, s, bindings)))
     assert min(kinds.count(kind) for kind in ("underflow", "exact", "truncated")) >= 10
+
+
+def test_square_nodes_match_the_unsymmetric_convolution(monkeypatch):
+    # the substitution, composition and reversion cases above, read once
+    # through the engine's square nodes (each symmetric pair formed once,
+    # doubled) and once with every node convolved over all its pairs
+    runs = [(substitute_poly, case) for case in _substitute_poly_cases()]
+    runs += [(substitute_coeffs, case) for case in _substitute_coeffs_cases()]
+    runs += [(compose_many, (outers, inner)) for inner, outers in _cases(4107, 150)]
+    runs += [(revert_series, (s,)) for s in _revert_cases()]
+    squared = [_outcome(fn, *args) for fn, args in runs]
+    squares = 0
+
+    def unsymmetric(node, n, j):
+        nonlocal squares
+        squares += node.left is node.right
+        return convolve_unsymmetric(node, n, j)
+
+    monkeypatch.setattr(series._Product, "_convolve", unsymmetric)
+    for (fn, args), new in zip(runs, squared):
+        assert new == _outcome(fn, *args)
+    assert squares >= 1000
